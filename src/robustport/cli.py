@@ -22,7 +22,8 @@ from .config import (ConfigError, RunConfig, dump_config, load_config,
                      solve_config_hash)
 from .model import validate_assumptions
 from .pde import SolverError, residual_norm, solve_hjbi
-from .simulate import AdversaryPolicy, simulate_eu, terminal_wealths, verify_saddle
+from .simulate import (AdversaryPolicy, simulate_eu, terminal_wealths, utility_estimate,
+                       verify_saddle)
 from .strategy import build_policy
 from .worst_case import brute_force_min, minimize_ratio
 
@@ -58,19 +59,25 @@ def _load_effective_config(args) -> RunConfig:
         raise ConfigError(str(exc))
 
 
-def _load_cached_surface(out: Path, cfg: RunConfig):
+class MissingArtifact(Exception):
+    """A prerequisite artifact is missing or stale (exit code 3)."""
+
+
+def _cached_policy(args):
+    """(config, out dir, cached surface, policy field) for the commands that
+    reuse the surface cached by `solve`."""
+    cfg = _load_effective_config(args)
+    out = _out_dir(args, cfg)
     meta_path = out / SURFACE_META
     csv_path = out / SURFACE_CSV
     if not meta_path.exists() or not csv_path.exists():
-        print(f"error: no cached surface in {out}; run `robustport solve` first",
-              file=sys.stderr)
-        return None
+        raise MissingArtifact(f"no cached surface in {out}; run `robustport solve` first")
     meta = csvio.read_surface_meta(meta_path)
     if meta.get("config_hash") != solve_config_hash(cfg):
-        print(f"error: cached surface in {out} is stale (config changed); "
-              "re-run `robustport solve`", file=sys.stderr)
-        return None
-    return csvio.read_surface(csv_path, meta)
+        raise MissingArtifact(f"cached surface in {out} is stale (config changed); "
+                              "re-run `robustport solve`")
+    surface = csvio.read_surface(csv_path, meta)
+    return cfg, out, surface, build_policy(surface, cfg.model, cfg.rectangle, cfg.utility)
 
 
 def cmd_validate(args) -> int:
@@ -102,12 +109,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_strategy(args) -> int:
-    cfg = _load_effective_config(args)
-    out = _out_dir(args, cfg)
-    surface = _load_cached_surface(out, cfg)
-    if surface is None:
-        return EXIT_MISSING
-    pf = build_policy(surface, cfg.model, cfg.rectangle, cfg.utility)
+    cfg, out, _, pf = _cached_policy(args)
     csvio.write_policy_csv(out / "policy.csv", pf, solve_config_hash(cfg), cfg.sim.seed)
     print(f"policy fraction at (t=0, y={cfg.sim.y0:g}): "
           f"{pf.fraction_at(0.0, np.asarray([cfg.sim.y0]))[0]:.8g}")
@@ -116,13 +118,14 @@ def cmd_strategy(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_effective_config(args)
-    out = _out_dir(args, cfg)
-    surface = _load_cached_surface(out, cfg)
-    if surface is None:
-        return EXIT_MISSING
-    pf = build_policy(surface, cfg.model, cfg.rectangle, cfg.utility)
-    est = simulate_eu(pf, AdversaryPolicy.field(pf), cfg.model, cfg.sim, q=cfg.utility)
+    cfg, out, _, pf = _cached_policy(args)
+    adv = AdversaryPolicy.field(pf)
+    if args.histogram:
+        # one set of paths gives both the histogram and the estimate
+        w = terminal_wealths(pf, adv, cfg.model, cfg.sim)
+        est = utility_estimate(w, cfg.utility.q)
+    else:
+        est = simulate_eu(pf, adv, cfg.model, cfg.sim, q=cfg.utility)
     h = solve_config_hash(cfg)
     csvio.write_sim_report_csv(out / "sim_report.csv",
                                [("pi*", "nu*-field", est, "n/a")], h, cfg.sim.seed)
@@ -130,7 +133,6 @@ def cmd_simulate(args) -> int:
           f"({est.n_paths} paths, X_T in [{est.min_terminal_wealth:.4g}, "
           f"{est.max_terminal_wealth:.4g}])")
     if args.histogram:
-        w = terminal_wealths(pf, AdversaryPolicy.field(pf), cfg.model, cfg.sim)
         counts, edges = np.histogram(w, bins=60)
         csvio.write_histogram_csv(out / "wealth_histogram.csv", edges, counts,
                                   h, cfg.sim.seed)
@@ -140,12 +142,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_effective_config(args)
-    out = _out_dir(args, cfg)
-    surface = _load_cached_surface(out, cfg)
-    if surface is None:
-        return EXIT_MISSING
-    pf = build_policy(surface, cfg.model, cfg.rectangle, cfg.utility)
+    cfg, out, surface, pf = _cached_policy(args)
     report = verify_saddle(surface, pf, cfg.model, cfg.rectangle, cfg.utility, cfg.sim)
     csvio.write_verify_report_csv(out / "verify_report.csv", report,
                                   solve_config_hash(cfg), cfg.sim.seed)
@@ -265,6 +262,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MissingArtifact as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISSING
     except (AssertionError, FloatingPointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION

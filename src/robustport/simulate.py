@@ -8,12 +8,19 @@ adversary moments (mu_m, sig_m, sig2_m) at the current (t, Y),
     dY     = beta(Y) dt + rho sig_m / sqrt(sig2_m) dw
              + sqrt(1 - rho^2 sig_m^2 / sig2_m) dw_perp.
 
-Reproducibility: paths are processed in fixed batches of 65536; batch b draws
-from np.random.default_rng(SeedSequence(seed, spawn_key=(b,))).  Within a
-step the two normal increments are drawn before any chattering uniforms, so
-the Brownian increments are common across adversary kinds (common random
-numbers for the saddle comparisons).  Estimates are independent of how
-batches would be distributed across workers.
+The adversary takes one of three forms: a fixed point (mu, sigma) of K; the
+worst-case measure field nu*(t, y) applied through its moments (a relaxed
+control); or the same field realized by chattering, where each path draws one
+atom of nu*(t, Y) per step.
+
+Reproducibility: paths are processed in fixed batches of 65536.  Batch b draws
+its two normal increments per step from
+np.random.default_rng(SeedSequence(seed, spawn_key=(b,))), and chattering
+draws its uniforms from a stream of its own, SeedSequence(seed,
+spawn_key=(b, 1)).  The Brownian increments are therefore common to every
+(policy, adversary) pair at a seed (common random numbers for the saddle
+comparisons), and estimates are independent of how batches would be
+distributed across workers.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ import numpy as np
 from .model import MarketModel, PowerUtility, UncertaintyRectangle
 from .pde import ValueSurface
 from .strategy import PolicyField, value_function
-from .worst_case import WorstCaseMeasure
 
 __all__ = [
     "BATCH_SIZE",
@@ -35,6 +41,7 @@ __all__ = [
     "UtilityEstimate",
     "simulate_eu",
     "terminal_wealths",
+    "utility_estimate",
     "SaddleFinding",
     "SaddleReport",
     "verify_saddle",
@@ -65,22 +72,22 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class AdversaryPolicy:
-    """Adversary kinds: feedback measure field nu*(t,y), a fixed point of K, a
-    fixed measure, or per-step atom sampling from nu*(t,y) (chattering)."""
+    """Nature's play: a fixed point (mu, sigma) of K, or the worst-case measure
+    field of a PolicyField, applied through its moments or, with chatter, by
+    drawing one atom per path and step."""
 
-    kind: str
+    label: str
     point: tuple[float, float] | None = None
-    measure: WorstCaseMeasure | None = None
     pf: PolicyField | None = None
-    label: str = ""
+    chatter: bool = False
 
     @classmethod
     def field(cls, pf: PolicyField, label: str = "field") -> "AdversaryPolicy":
-        return cls("field", pf=pf, label=label)
+        return cls(label, pf=pf)
 
     @classmethod
     def chattering(cls, pf: PolicyField, label: str = "chattering") -> "AdversaryPolicy":
-        return cls("chattering", pf=pf, label=label)
+        return cls(label, pf=pf, chatter=True)
 
     @classmethod
     def constant_point(cls, mu: float, sigma: float,
@@ -90,20 +97,19 @@ class AdversaryPolicy:
             raise ValueError(f"point ({mu:g}, {sigma:g}) lies outside the rectangle")
         if not sigma > 0:
             raise ValueError("sigma must be positive")
-        return cls("constant-point", point=(float(mu), float(sigma)),
-                   label=label or f"point({mu:g},{sigma:g})")
+        return cls(label or f"point({mu:g},{sigma:g})", point=(float(mu), float(sigma)))
 
-    @classmethod
-    def constant_measure(cls, measure: WorstCaseMeasure,
-                         rect: UncertaintyRectangle | None = None,
-                         label: str = "measure") -> "AdversaryPolicy":
-        if rect is not None:
-            for (mu, sig), _ in measure.atoms:
-                if not rect.contains(mu, sig):
-                    raise ValueError(f"atom ({mu:g}, {sig:g}) lies outside the rectangle")
-        if not measure.mean_sigma_sq > 0:
-            raise ValueError("adversary measure needs (sigma^2, nu) > 0")
-        return cls("constant-measure", measure=measure, label=label)
+    def moments(self, t: float, y: np.ndarray, uniforms: np.random.Generator):
+        """(mu, sigma, sigma^2) seen by the paths at (t, y); scalars for a
+        fixed point.  Only chattering draws from `uniforms`."""
+        if self.pf is None:
+            mu, sig = self.point
+            return mu, sig, sig * sig
+        if not self.chatter:
+            return self.pf.moments_at(t, y)
+        mu, sig_a, sig_b, w_a = self.pf.atoms_at(t, y)
+        sig = np.where(uniforms.random(len(y)) < w_a, sig_a, sig_b)
+        return mu, sig, sig * sig
 
 
 @dataclass(frozen=True)
@@ -115,55 +121,32 @@ class UtilityEstimate:
     max_terminal_wealth: float
 
 
-def _policy_fraction(policy, t: float, y: np.ndarray) -> np.ndarray:
-    if isinstance(policy, PolicyField):
-        return policy.fraction_at(t, y)
-    return np.full_like(y, float(policy))
-
-
-def _adversary_moments(adv: AdversaryPolicy, t: float, y: np.ndarray,
-                       uniforms: np.ndarray | None):
-    if adv.kind == "field":
-        return adv.pf.moments_at(t, y)
-    if adv.kind == "constant-point":
-        mu, sig = adv.point
-        return (np.full_like(y, mu), np.full_like(y, sig), np.full_like(y, sig * sig))
-    if adv.kind == "constant-measure":
-        mm, ms, ms2 = adv.measure.moments()
-        return (np.full_like(y, mm), np.full_like(y, ms), np.full_like(y, ms2))
-    if adv.kind == "chattering":
-        mu, sig_a, sig_b, w_a = adv.pf.atoms_at(t, y)
-        sig = np.where(uniforms < w_a, sig_a, sig_b)
-        return mu, sig, sig * sig
-    raise ValueError(f"unknown adversary kind {adv.kind!r}")
-
-
 def _terminal_wealth_batches(policy, adv: AdversaryPolicy, m: MarketModel,
                              cfg: SimConfig, policy_scale: float):
     """Yield terminal-wealth arrays batch by batch (the path engine)."""
     dt = cfg.horizon / cfg.n_steps
     sq_dt = math.sqrt(dt)
     rho = m.rho
-    needs_uniforms = adv.kind == "chattering"
 
     n_batches = (cfg.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
     for bi in range(n_batches):
         nb = min(BATCH_SIZE, cfg.n_paths - bi * BATCH_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi,)))
+        uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi, 1)))
         ln_x = np.zeros(nb)
         yv = np.full(nb, cfg.y0)
         for step in range(cfg.n_steps):
             t = step * dt
             z = rng.standard_normal((2, nb))
-            uniforms = rng.random(nb) if needs_uniforms else None
             dw = sq_dt * z[0]
             dwp = sq_dt * z[1]
 
-            mu_m, sig_m, sig2_m = _adversary_moments(adv, t, yv, uniforms)
+            mu_m, sig_m, sig2_m = adv.moments(t, yv, uniforms)
             if not np.all(sig_m * sig_m <= sig2_m):
                 raise AssertionError(
                     "internal invariant failure: (sigma,nu)^2 > (sigma^2,nu)")
-            f = policy_scale * _policy_fraction(policy, t, yv)
+            f = policy_scale * (policy.fraction_at(t, yv) if isinstance(policy, PolicyField)
+                                else float(policy))
 
             b_y = np.asarray(m.b(yv))
             r_y = np.asarray(m.r(yv))
@@ -191,6 +174,31 @@ def _resolve_q(policy, q) -> float:
     return float(q)
 
 
+def _estimate(batches, q: float) -> UtilityEstimate:
+    """E[X_T^q / q] from terminal-wealth batches by a merge-safe (count, mean,
+    M2) accumulation: batch order is fixed, so the result is independent of
+    how batches would be distributed across workers."""
+    n = 0
+    mean = 0.0
+    m2 = 0.0
+    min_x = math.inf
+    max_x = -math.inf
+    for x_t in batches:
+        u = x_t**q / q
+        nb = len(u)
+        mean_b = float(np.mean(u))
+        m2_b = float(np.sum((u - mean_b) ** 2))
+        delta = mean_b - mean
+        total = n + nb
+        mean += delta * nb / total
+        m2 += m2_b + delta * delta * n * nb / total
+        n = total
+        min_x = min(min_x, float(np.min(x_t)))
+        max_x = max(max_x, float(np.max(x_t)))
+    var = m2 / (n - 1) if n > 1 else 0.0
+    return UtilityEstimate(mean, math.sqrt(var / n), n, min_x, max_x)
+
+
 def simulate_eu(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
                 q: float | PowerUtility | None = None,
                 policy_scale: float = 1.0) -> UtilityEstimate:
@@ -201,29 +209,7 @@ def simulate_eu(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
     deviation checks).  q defaults to the policy field's utility exponent.
     """
     q = _resolve_q(policy, q)
-    # merge-safe (count, mean, M2) accumulation: batch order is fixed, so the
-    # result is independent of how batches would be distributed across workers
-    n_acc = 0
-    mean = 0.0
-    m2 = 0.0
-    min_x = math.inf
-    max_x = -math.inf
-    for x_t in _terminal_wealth_batches(policy, adv, m, cfg, policy_scale):
-        u = x_t**q / q
-        nb = len(u)
-        mean_b = float(np.mean(u))
-        m2_b = float(np.sum((u - mean_b) ** 2))
-        delta = mean_b - mean
-        total = n_acc + nb
-        mean += delta * nb / total
-        m2 += m2_b + delta * delta * n_acc * nb / total
-        n_acc = total
-        min_x = min(min_x, float(np.min(x_t)))
-        max_x = max(max_x, float(np.max(x_t)))
-
-    n = cfg.n_paths
-    var = m2 / (n - 1) if n > 1 else 0.0
-    return UtilityEstimate(mean, math.sqrt(var / n), n, min_x, max_x)
+    return _estimate(_terminal_wealth_batches(policy, adv, m, cfg, policy_scale), q)
 
 
 def terminal_wealths(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
@@ -231,6 +217,12 @@ def terminal_wealths(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfi
     """All terminal wealths (same paths and seed scheme as simulate_eu)."""
     return np.concatenate(list(
         _terminal_wealth_batches(policy, adv, m, cfg, policy_scale)))
+
+
+def utility_estimate(x_t: np.ndarray, q: float) -> UtilityEstimate:
+    """The estimate simulate_eu returns, from the wealths terminal_wealths
+    returns for the same arguments (merged over the same batches)."""
+    return _estimate((x_t[i:i + BATCH_SIZE] for i in range(0, len(x_t), BATCH_SIZE)), q)
 
 
 @dataclass(frozen=True)

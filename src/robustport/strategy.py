@@ -78,12 +78,8 @@ class PolicyField:
                 self.sigma_b[it, jy], self.weight_a[it, jy])
 
     def measure_at(self, i: int, j: int) -> WorstCaseMeasure:
-        wa = float(self.weight_a[i, j])
-        mu = float(self.atom_mu[i, j])
-        sa, sb = float(self.sigma_a[i, j]), float(self.sigma_b[i, j])
-        if wa >= 1.0 - 1e-12 or sa == sb:
-            return WorstCaseMeasure.point(mu, sa)
-        return WorstCaseMeasure.bernoulli(mu, sa, sb, wa)
+        return WorstCaseMeasure.bernoulli(float(self.atom_mu[i, j]), float(self.sigma_a[i, j]),
+                                          float(self.sigma_b[i, j]), float(self.weight_a[i, j]))
 
     def branch_at(self, i: int, j: int) -> BranchRegion:
         return _CODE_REGION[int(self.branch_code[i, j])]

@@ -99,8 +99,8 @@ class WorstCaseMeasure:
     def bernoulli(cls, mu: float, sigma_lo: float, sigma_hi: float,
                   weight_lo: float) -> "WorstCaseMeasure":
         """Two atoms sharing mu with sigma in {sigma_lo, sigma_hi}; collapses
-        to a point when the weight saturates."""
-        if weight_lo >= 1.0 - 1e-12:
+        to a point when the weight saturates or the volatilities coincide."""
+        if weight_lo >= 1.0 - 1e-12 or sigma_lo == sigma_hi:
             return cls.point(mu, sigma_lo)
         if weight_lo <= 1e-12:
             return cls.point(mu, sigma_hi)
@@ -236,12 +236,8 @@ def minimize_ratio(b_val: float, kappa: float, k: UncertaintyRectangle) -> Ratio
     """Closed-form minimizer at a single (b, kappa): measure, value, branch."""
     f = branch_fields(np.asarray(b_val, dtype=float), np.asarray(kappa, dtype=float), k)
     region = _CODE_REGION[int(f["code"])]
-    wa = float(f["weight_a"])
-    if wa >= 1.0 - 1e-12 or float(f["sigma_a"]) == float(f["sigma_b"]):
-        measure = WorstCaseMeasure.point(float(f["atom_mu"]), float(f["sigma_a"]))
-    else:
-        measure = WorstCaseMeasure.bernoulli(float(f["atom_mu"]), float(f["sigma_a"]),
-                                             float(f["sigma_b"]), wa)
+    measure = WorstCaseMeasure.bernoulli(float(f["atom_mu"]), float(f["sigma_a"]),
+                                         float(f["sigma_b"]), float(f["weight_a"]))
     m_lo = b_val + k.mu_minus
     m_hi = b_val + k.mu_plus
     t1, t2, t3, t4 = _thresholds(float(m_lo), float(m_hi), k)

@@ -1,0 +1,35 @@
+"""The benchmark's traced run (bench/tracing.py) wraps program functions by
+name; installing it here makes a renamed or dropped name fail this suite
+rather than the traced benchmark."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from robustport import AdversaryPolicy, SimConfig, cli, simulate
+from robustport.strategy import PolicyField
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import tracing  # noqa: E402
+
+
+def test_tracer_installs_and_restores(smoke_model):
+    targets = [(cli, "simulate_eu"), (cli, "terminal_wealths"), (simulate, "simulate_eu"),
+               (PolicyField, "fraction_at"), (np.random, "default_rng")]
+    before = [getattr(owner, attr) for owner, attr in targets]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert all(getattr(owner, attr) is not orig
+                   for (owner, attr), orig in zip(targets, before))
+        cfg = SimConfig(n_paths=64, n_steps=3, seed=1, x0=1.0, y0=0.0, horizon=1.0)
+        simulate.simulate_eu(0.5, AdversaryPolicy.constant_point(0.1, 0.3),
+                             smoke_model, cfg, q=0.5)
+    finally:
+        tracer.restore()
+    assert [getattr(owner, attr) for owner, attr in targets] == before
+    names = [span[0] for span in tracer.spans]
+    assert names.count("simulate.simulate_eu") == 1
+    assert names.count("numpy.rng") == cfg.n_steps

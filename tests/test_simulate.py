@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
-                        SimConfig, UncertaintyRectangle, WorstCaseMeasure,
-                        build_policy, simulate_eu, solve_hjbi, terminal_wealths,
-                        value_function, verify_saddle)
+                        PolicyField, SimConfig, UncertaintyRectangle,
+                        WorstCaseMeasure, build_policy, simulate_eu, solve_hjbi,
+                        terminal_wealths, value_function, verify_saddle)
 
 from oracles import lognormal_eu
 
@@ -14,6 +16,24 @@ K = UncertaintyRectangle(0.1, 0.3, 0.2, 0.4)
 def const_model(b=0.0, beta=0.0, r=0.0, rho=0.5):
     return MarketModel(CoefficientFn.constant(b), CoefficientFn.constant(beta),
                        CoefficientFn.constant(r), rho)
+
+
+def constant_field(frac, mu, sigma_a, sigma_b, weight_a):
+    """A PolicyField stand-in holding the fraction frac and the measure
+    weight_a * d(mu, sigma_a) + (1 - weight_a) * d(mu, sigma_b) at every node."""
+    nu = WorstCaseMeasure.bernoulli(mu, sigma_a, sigma_b, weight_a)
+    shape = (2, 3)
+
+    def full(v):
+        return np.full(shape, v)
+
+    return PolicyField(
+        t=np.array([0.0, 1.0]), y=np.array([-3.0, 0.0, 3.0]),
+        pi_frac=full(frac), mu_mean=full(nu.mean_mu),
+        sigma_mean=full(nu.mean_sigma),
+        sigma_sq_mean=full(nu.mean_sigma_sq), atom_mu=full(mu),
+        sigma_a=full(sigma_a), sigma_b=full(sigma_b), weight_a=full(weight_a),
+        branch_code=np.zeros(shape, dtype=np.int8), rectangle=K, q=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -89,12 +109,31 @@ class TestSimulateEU:
         assert abs(np.std(wt) - 1.0) < 0.05
 
     def test_constant_measure_adversary(self):
+        # a relaxed two-atom field acts through its moments: lognormal at
+        # sigma = sqrt((sigma^2, nu))
         m = const_model(rho=0.5)
-        nu = WorstCaseMeasure.bernoulli(0.2, 0.2, 0.4, 0.5)
+        pf = constant_field(0.5, 0.2, 0.2, 0.4, 0.5)
         cfg = SimConfig(n_paths=30_000, n_steps=40, seed=12, x0=1.0, y0=0.0, horizon=1.0)
-        est = simulate_eu(0.5, AdversaryPolicy.constant_measure(nu, K), m, cfg, q=0.5)
-        exact = lognormal_eu(1.0, 0.5, 0.5, 0.2, np.sqrt(nu.mean_sigma_sq), 0.0, 0.0, 1.0)
+        est = simulate_eu(0.5, AdversaryPolicy.field(pf), m, cfg, q=0.5)
+        exact = lognormal_eu(1.0, 0.5, 0.5, 0.2, np.sqrt(0.5 * 0.04 + 0.5 * 0.16),
+                             0.0, 0.0, 1.0)
         assert abs(est.mean - exact) <= 3 * est.std_error
+
+    def test_field_equals_its_constant_point(self, smoke_pipeline, smoke_model):
+        # the flat field is the (mu-, sigma+) corner at every node: the relaxed
+        # adversaries share their normals, and scalar moments equal array ones
+        _, pf = smoke_pipeline
+        cfg = SimConfig(n_paths=10_000, n_steps=30, seed=17, x0=1.0, y0=0.0, horizon=1.0)
+        field = simulate_eu(pf, AdversaryPolicy.field(pf), smoke_model, cfg)
+        point = simulate_eu(pf, AdversaryPolicy.constant_point(K.mu_minus, K.sigma_plus),
+                            smoke_model, cfg)
+        assert field == point
+
+    def test_non_finite_wealth_raises(self):
+        cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
+        with pytest.raises(FloatingPointError, match="non-finite wealth on path 0"):
+            simulate_eu(float("nan"), AdversaryPolicy.constant_point(0.1, 0.3),
+                        const_model(), cfg, q=0.5)
 
     def test_q_required_for_constant_fraction(self):
         cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
@@ -109,46 +148,34 @@ class TestAdversaryValidation:
         with pytest.raises(ValueError):
             AdversaryPolicy.constant_point(0.2, 0.0)
 
-    def test_measure_atoms_checked(self):
-        nu = WorstCaseMeasure.point(0.9, 0.3)
-        with pytest.raises(ValueError):
-            AdversaryPolicy.constant_measure(nu, K)
+    def test_field_moments_checked(self):
+        # moments that no measure has ((sigma, nu)^2 > (sigma^2, nu)) are refused
+        pf = constant_field(0.5, 0.2, 0.2, 0.4, 0.5)
+        pf = dataclasses.replace(pf, sigma_mean=np.full(pf.sigma_mean.shape, 0.35))
+        cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
+        with pytest.raises(AssertionError, match="invariant"):
+            simulate_eu(pf, AdversaryPolicy.field(pf), const_model(), cfg)
 
 
 class TestChattering:
     def test_chattering_matches_moment_simulation(self, smoke_model, smoke_util):
-        # force a two-atom worst measure: LOW_TAIL via a strongly sloped surface
-        # is awkward at b=0; instead compare on the smoke field (single atom,
-        # where chattering degenerates) and on a hand-built two-atom measure.
+        # on a single-atom field chattering degenerates to the field itself, and
+        # its uniforms come from their own stream: the paths are the same
         g = GridSpec(1.0, 201, 51, 3.0, 0.5)
         s = solve_hjbi(smoke_model, K, smoke_util, g)
         pf = build_policy(s, smoke_model, K, smoke_util)
+        assert np.all(pf.weight_a == 1.0)
         cfg = SimConfig(n_paths=50_000, n_steps=50, seed=13, x0=1.0, y0=0.0, horizon=1.0)
         field = simulate_eu(pf, AdversaryPolicy.field(pf), smoke_model, cfg)
         chat = simulate_eu(pf, AdversaryPolicy.chattering(pf), smoke_model, cfg)
-        se = np.hypot(field.std_error, chat.std_error)
-        assert abs(field.mean - chat.mean) <= 3 * se
+        assert field == chat
 
     def test_two_atom_chattering_agrees_with_moments(self):
-        # constant fraction, constant two-atom measure vs per-step atom sampling
+        # constant fraction, constant two-atom field: relaxed vs per-step atoms
         m = const_model(rho=0.5)
-        nu = WorstCaseMeasure.bernoulli(0.15, 0.2, 0.4, 0.4)
+        pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
         cfg = SimConfig(n_paths=120_000, n_steps=60, seed=14, x0=1.0, y0=0.0, horizon=1.0)
-        moment = simulate_eu(0.7, AdversaryPolicy.constant_measure(nu, K), m, cfg, q=0.5)
-
-        # chattering realization through a one-node policy field stand-in
-        from robustport.strategy import PolicyField
-        shape = (2, 3)
-        pf = PolicyField(
-            t=np.array([0.0, 1.0]), y=np.array([-3.0, 0.0, 3.0]),
-            pi_frac=np.full(shape, 0.7),
-            mu_mean=np.full(shape, nu.mean_mu),
-            sigma_mean=np.full(shape, nu.mean_sigma),
-            sigma_sq_mean=np.full(shape, nu.mean_sigma_sq),
-            atom_mu=np.full(shape, 0.15),
-            sigma_a=np.full(shape, 0.2), sigma_b=np.full(shape, 0.4),
-            weight_a=np.full(shape, 0.4),
-            branch_code=np.zeros(shape, dtype=np.int8), rectangle=K, q=0.5)
+        moment = simulate_eu(0.7, AdversaryPolicy.field(pf), m, cfg, q=0.5)
         chat = simulate_eu(0.7, AdversaryPolicy.chattering(pf), m, cfg, q=0.5)
         se = np.hypot(moment.std_error, chat.std_error)
         assert abs(moment.mean - chat.mean) <= 3 * se

@@ -270,3 +270,5 @@ class TestWorstCaseMeasure:
         assert nu.atoms == (((0.1, 0.2), 1.0),)
         nu = WorstCaseMeasure.bernoulli(0.1, 0.2, 0.4, 0.0)
         assert nu.atoms == (((0.1, 0.4), 1.0),)
+        nu = WorstCaseMeasure.bernoulli(0.1, 0.3, 0.3, 0.4)
+        assert nu.atoms == (((0.1, 0.3), 1.0),)
