@@ -11,12 +11,11 @@ from .model import (CoefficientFn, GridSpec, MarketModel, PowerUtility,
                     UncertaintyRectangle, ValidationReport, default_y_radius,
                     validate_assumptions)
 from .worst_case import (BranchRegion, KappaBranch, RatioMin, WorstCaseMeasure,
-                         brute_force_min, minimize_ratio, min_ratio_values,
-                         psi, psi_critical_points)
+                         brute_force_min, minimize_ratio, min_ratio_values)
 from .hamiltonian import (DerivativeBundle, SaddlePoint, hamiltonian_measure,
                           hamiltonian_point, saddle_point)
-from .pde import (SolveDiagnostics, SolverError, ValueSurface, closed_form_b0,
-                  residual_norm, solve_hjbi, tail_values)
+from .pde import (SolveDiagnostics, SolverError, ValueSurface, residual_norm,
+                  solve_hjbi)
 from .strategy import PolicyField, build_policy, value_function
 from .simulate import (AdversaryPolicy, SaddleReport, SimConfig, UtilityEstimate,
                        simulate_eu, terminal_wealths, verify_saddle)
@@ -29,12 +28,11 @@ __all__ = [
     "UncertaintyRectangle", "ValidationReport", "default_y_radius",
     "validate_assumptions",
     "BranchRegion", "KappaBranch", "RatioMin", "WorstCaseMeasure",
-    "brute_force_min", "minimize_ratio", "min_ratio_values", "psi",
-    "psi_critical_points",
+    "brute_force_min", "minimize_ratio", "min_ratio_values",
     "DerivativeBundle", "SaddlePoint", "hamiltonian_measure",
     "hamiltonian_point", "saddle_point",
-    "SolveDiagnostics", "SolverError", "ValueSurface", "closed_form_b0",
-    "residual_norm", "solve_hjbi", "tail_values",
+    "SolveDiagnostics", "SolverError", "ValueSurface", "residual_norm",
+    "solve_hjbi",
     "PolicyField", "build_policy", "value_function",
     "AdversaryPolicy", "SaddleReport", "SimConfig", "UtilityEstimate",
     "simulate_eu", "terminal_wealths", "verify_saddle",

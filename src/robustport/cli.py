@@ -21,7 +21,7 @@ from . import csvio
 from .config import (ConfigError, RunConfig, dump_config, load_config,
                      solve_config_hash)
 from .model import validate_assumptions
-from .pde import SolverError, residual_norm, solve_hjbi
+from .pde import SolverError, solve_hjbi
 from .simulate import (AdversaryPolicy, simulate_eu, terminal_wealths, utility_estimate,
                        verify_saddle)
 from .strategy import build_policy
@@ -155,7 +155,10 @@ def cmd_oracle(args) -> int:
     cfg = _load_effective_config(args)
     k = cfg.rectangle
     measure, value, branch = minimize_ratio(args.b_val, args.kappa, k)
-    brute = brute_force_min(args.b_val, args.kappa, k, resolution=args.resolution)
+    try:
+        brute = brute_force_min(args.b_val, args.kappa, k, resolution=args.resolution)
+    except ValueError as exc:
+        raise ConfigError(f"--resolution: {exc}")
     print(f"branch: {branch.region.value}  thresholds: "
           f"t1={branch.t1:.6g} t2={branch.t2:.6g} t3={branch.t3:.6g} t4={branch.t4:.6g}")
     atoms = "  ".join(f"((mu={mu:.6g}, sigma={sig:.6g}), w={w:.6g})"
@@ -168,6 +171,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    if args.levels < 0:
+        raise ConfigError(f"--levels must be >= 0, got {args.levels}")
     cfg = _load_effective_config(args)
     out = _out_dir(args, cfg)
     rows = []
@@ -180,7 +185,7 @@ def cmd_convergence(args) -> int:
         except SolverError as exc:
             print(f"solver error at level {level}: {exc}", file=sys.stderr)
             return EXIT_ASSERTION
-        res = residual_norm(surface, g_cfg.model, g_cfg.rectangle, g_cfg.utility)
+        res = surface.diagnostics.max_residual
         ratio = None if prev is None else prev / res
         rows.append({"level": level, "n_t": n_t, "n_y": n_y,
                      "residual": res, "ratio": ratio})

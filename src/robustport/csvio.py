@@ -83,10 +83,9 @@ def read_surface(path: str | Path, meta: dict) -> ValueSurface:
     data = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
     if data.shape != (grid.n_t * grid.n_y, 4):
         raise ValueError(f"surface file {path} does not match its metadata grid")
-    u = data[:, 2].reshape(grid.n_t, grid.n_y)
-    u_y = data[:, 3].reshape(grid.n_t, grid.n_y)
-    return ValueSurface(grid, grid.t_nodes(), grid.y_nodes(), u, u_y,
-                        q=float(meta["q"]))
+    # the u_y column is an export; the reload of u is exact, so is its u_y
+    return ValueSurface.from_u(grid, data[:, 2].reshape(grid.n_t, grid.n_y),
+                               q=float(meta["q"]))
 
 
 def write_policy_csv(path: str | Path, pf: PolicyField, config_hash: str, seed: int):

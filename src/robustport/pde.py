@@ -3,24 +3,26 @@
 The power-utility value separates as v(t,x,y) = (1/q) x^q e^{u(t,y)} where u
 solves, backward from u(T, .) = 0,
 
-    u_t + 1/2 u_yy + beta(y) u_y + 1/2 u_y^2 + q r(y)
-        + q/(2(1-q)) * min_K (b(y) + mu + rho sigma u_y)^2 / (2 sM sigma - s- s+) = 0.
+    u_t + 1/2 u_yy + H(y, u_y) = 0,
+    H(y, p) = beta(y) p + 1/2 p^2 + q r(y)
+              + q/(2(1-q)) * min_K (b(y) + mu + rho sigma p)^2 / (2 sM sigma - s- s+).
 
 Note the factor q on the min term: it comes out of the e^{u} ansatz (the
 quadratic term scales with v_x^2 / (v v_xx) = q/(q-1)); dropping it is
 inconsistent with the flat-coefficient closed form and the Monte-Carlo value
-(see tests).  Diffusion is treated theta-implicitly (tridiagonal solve per
-step); the advection, gradient-square, rate and min terms are explicit: a
-lagged predictor from the later-time level plus one trapezoidal correction
-(second order in time at theta = 1/2, no Newton iterations on the nonsmooth
-min term).  Boundary data at +-y_radius are the exact
-flat-tail solutions; they require constant coefficients there, hence
-y_radius >= tail radius N (default N + 2 for margin).
+(see tests).  H is written once (`_operator`); the stepper, the boundary data
+and the residual all evaluate it.  Diffusion is treated theta-implicitly
+(tridiagonal solve per step); H is explicit: a lagged predictor from the
+later-time level plus one trapezoidal correction (second order in time at
+theta = 1/2, no Newton iterations on the nonsmooth min term).  Boundary data
+at +-y_radius are the flat-tail solutions u = (T - t) H(+-y_radius, 0): H at
+u_y = 0 on constant coefficients, hence y_radius >= tail radius N (default
+N + 2 for margin).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -33,8 +35,6 @@ __all__ = [
     "SolverError",
     "SolveDiagnostics",
     "ValueSurface",
-    "tail_values",
-    "closed_form_b0",
     "solve_hjbi",
     "residual_norm",
 ]
@@ -69,8 +69,6 @@ class ValueSurface:
     y: np.ndarray
     u: np.ndarray
     u_y: np.ndarray
-    model_desc: str = ""
-    rectangle_desc: str = ""
     q: float = 0.0
     diagnostics: SolveDiagnostics | None = None
 
@@ -88,9 +86,7 @@ class ValueSurface:
 
     def interp_u(self, t: float, y) -> np.ndarray:
         """Bilinear interpolation of u at (t, y); clamped to the grid hull."""
-        w, i0, i1 = _time_weights(self.t, t)
-        row = (1.0 - w) * self.u[i0] + w * self.u[i1]
-        return np.interp(np.asarray(y, dtype=float), self.y, row)
+        return _bilinear(self.t, self.y, self.u, t, y)
 
 
 def _d_dy(u: np.ndarray, dy: float) -> np.ndarray:
@@ -102,41 +98,31 @@ def _d_dy(u: np.ndarray, dy: float) -> np.ndarray:
     return out
 
 
-def _time_weights(t_nodes: np.ndarray, t: float):
+def _bilinear(t_nodes: np.ndarray, y_nodes: np.ndarray, values: np.ndarray,
+              t: float, y) -> np.ndarray:
+    """Linear in t between the two bracketing rows, then np.interp in y;
+    clamped to the grid hull."""
     t = min(max(float(t), t_nodes[0]), t_nodes[-1])
     i0 = int(np.clip(np.searchsorted(t_nodes, t, side="right") - 1, 0, len(t_nodes) - 2))
-    i1 = i0 + 1
-    w = (t - t_nodes[i0]) / (t_nodes[i1] - t_nodes[i0])
-    return w, i0, i1
+    w = (t - t_nodes[i0]) / (t_nodes[i0 + 1] - t_nodes[i0])
+    row = (1.0 - w) * values[i0] + w * values[i0 + 1]
+    return np.interp(np.asarray(y, dtype=float), y_nodes, row)
 
 
-def _min_term_coef(q: float) -> float:
-    # q/(2(1-q)) > 0 for q in (0,1), < 0 for q < 0
-    return q / (2.0 * (1.0 - q))
+def _operator(m: MarketModel, k: UncertaintyRectangle, q: float, y: np.ndarray):
+    """H(y, .) at the nodes y: u_y -> beta u_y + u_y^2/2 + q r
+    + q/(2(1-q)) min_ratio(b, rho u_y).  u_y may carry leading axes."""
+    b = np.asarray(m.b(y))
+    beta = np.asarray(m.beta(y))
+    qr = q * np.asarray(m.r(y))
+    coef = q / (2.0 * (1.0 - q))  # > 0 for q in (0,1), < 0 for q < 0
 
+    def h(u_y: np.ndarray) -> np.ndarray:
+        # the min term first: its temporaries peak before the others exist
+        min_term = min_ratio_values(b, m.rho * u_y, k)
+        return beta * u_y + 0.5 * u_y**2 + qr + coef * min_term
 
-def tail_values(t: float, side: str, m: MarketModel, k: UncertaintyRectangle,
-                q: float, horizon: float) -> float:
-    """Flat-tail solution u_side(t) on the constant-coefficient tail.
-
-    With b == b_side constant, the worst case there is the (mu-, sigma+)
-    corner (kappa = rho*u_y = 0), so u solves the ODE
-    u' + q r_side + q (b_side + mu-)^2 / (2 (1-q) sigma+^2) = 0, u(T) = 0.
-    """
-    if side == "left":
-        b_side, r_side = m.b.left, m.r.left
-    elif side == "right":
-        b_side, r_side = m.b.right, m.r.right
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    rate = q * r_side + _min_term_coef(q) * (b_side + k.mu_minus) ** 2 / k.sigma_plus**2
-    return (horizon - t) * rate
-
-
-def closed_form_b0(t, k: UncertaintyRectangle, q: float, horizon: float):
-    """y-independent solution for b == 0, r == 0:
-    u(t) = q (T - t) mu-^2 / (2 (1-q) sigma+^2)."""
-    return _min_term_coef(q) * k.mu_minus**2 / k.sigma_plus**2 * (horizon - np.asarray(t, dtype=float))
+    return h
 
 
 def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
@@ -163,13 +149,10 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
     q = util.q
     t_nodes = g.t_nodes()
     y_nodes = g.y_nodes()
-    b_vec = np.asarray(m.b(y_nodes))
     beta_vec = np.asarray(m.beta(y_nodes))
-    qr_vec = q * np.asarray(m.r(y_nodes))
-    coef = _min_term_coef(q)
-
-    left_bc = np.array([tail_values(t, "left", m, k, q, g.horizon) for t in t_nodes])
-    right_bc = np.array([tail_values(t, "right", m, k, q, g.horizon) for t in t_nodes])
+    h = _operator(m, k, q, y_nodes[1:-1])
+    # flat tails: u is y-independent there, so u_y = 0 and u_t = -H(edge, 0)
+    bc = (g.horizon - t_nodes)[:, None] * _operator(m, k, q, y_nodes[[0, -1]])(np.zeros(2))
 
     # tridiagonal (I - theta*dt/2 * D2) on the interior nodes
     a = theta * dt / (2.0 * dy * dy)
@@ -179,24 +162,23 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
     ab[1, :] = 1.0 + 2.0 * a
     ab[2, :-1] = -a
 
+    def implicit_solve(rhs: np.ndarray, out: np.ndarray, i: int):
+        """Diffusion solve with the Dirichlet data of level i into row out."""
+        rhs[0] += a * bc[i, 0]
+        rhs[-1] += a * bc[i, 1]
+        out[1:-1] = solve_banded((1, 1), ab, rhs)
+        out[[0, -1]] = bc[i]
+
     u = np.zeros((g.n_t, g.n_y))
-    u[-1, 0] = left_bc[-1]
-    u[-1, -1] = right_bc[-1]
+    u[-1, [0, -1]] = bc[-1]
 
     d_exp = (1.0 - theta) * dt / (2.0 * dy * dy)
     max_cfl = 0.0
     prev_max = 0.0
 
-    def explicit_terms(level: np.ndarray) -> np.ndarray:
-        uy = _d_dy(level[None, :], dy)[0]
-        return (beta_vec[1:-1] * uy[1:-1]
-                + 0.5 * uy[1:-1] ** 2
-                + qr_vec[1:-1]
-                + coef * min_ratio_values(b_vec[1:-1], m.rho * uy[1:-1], k))
-
     for i in range(g.n_t - 2, -1, -1):
         uo = u[i + 1]
-        uy = _d_dy(uo[None, :], dy)[0]
+        uy = _d_dy(uo, dy)
 
         cfl = dt * float(np.max(np.abs(beta_vec) + np.abs(uy))) / dy
         max_cfl = max(max_cfl, cfl)
@@ -205,24 +187,13 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
                 f"dt = {dt:.3g} violates the advection CFL bound at t = {t_nodes[i]:.6g} "
                 f"(dt*max|beta + u_y|/dy = {cfl:.3g} > 1)")
 
-        # predictor: explicit terms lagged at the later-time level
+        # predictor: H lagged at the later-time level
         base = uo[1:-1] + d_exp * (uo[:-2] - 2.0 * uo[1:-1] + uo[2:])
-        e_old = explicit_terms(uo)
-        rhs = base + dt * e_old
-        rhs[0] += a * left_bc[i]
-        rhs[-1] += a * right_bc[i]
+        h_old = h(uy[1:-1])
         pred = np.empty_like(uo)
-        pred[1:-1] = solve_banded((1, 1), ab, rhs)
-        pred[0] = left_bc[i]
-        pred[-1] = right_bc[i]
-
-        # one trapezoidal correction of the explicit terms (2nd order in time)
-        rhs = base + 0.5 * dt * (e_old + explicit_terms(pred))
-        rhs[0] += a * left_bc[i]
-        rhs[-1] += a * right_bc[i]
-        u[i, 1:-1] = solve_banded((1, 1), ab, rhs)
-        u[i, 0] = left_bc[i]
-        u[i, -1] = right_bc[i]
+        implicit_solve(base + dt * h_old, pred, i)
+        # one trapezoidal correction of H (2nd order in time)
+        implicit_solve(base + 0.5 * dt * (h_old + h(_d_dy(pred, dy)[1:-1])), u[i], i)
 
         if not np.all(np.isfinite(u[i])):
             j = int(np.argmax(~np.isfinite(u[i])))
@@ -235,42 +206,28 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
                 f"(|u| jumped to {new_max:.3g}); dt = {dt:.3g} is too large")
         prev_max = new_max
 
-    u_y = _d_dy(u, dy)
-    surface = ValueSurface(
-        g, t_nodes, y_nodes, u, u_y,
-        model_desc=repr(m), rectangle_desc=repr(k), q=q,
-        diagnostics=None)
-    diag = SolveDiagnostics(
+    surface = ValueSurface.from_u(g, u, q=q)
+    return replace(surface, diagnostics=SolveDiagnostics(
         time_steps=g.n_t - 1,
         max_abs_u=float(np.max(np.abs(u))),
-        max_abs_u_y=float(np.max(np.abs(u_y))),
+        max_abs_u_y=float(np.max(np.abs(surface.u_y))),
         max_advection_cfl=max_cfl,
         max_residual=residual_norm(surface, m, k, util),
-    )
-    return ValueSurface(g, t_nodes, y_nodes, u, u_y,
-                        model_desc=repr(m), rectangle_desc=repr(k), q=q,
-                        diagnostics=diag)
+    ))
 
 
 def residual_norm(s: ValueSurface, m: MarketModel, k: UncertaintyRectangle,
                   util: PowerUtility) -> float:
     """A-posteriori PDE residual: max over interior nodes of the centered-
-    difference assembly of the equation (same sign convention as the solver)."""
+    difference assembly u_t + u_yy/2 + H(u_y) (same operator as the solver)."""
     g = s.grid
     if g.n_t < 3:
         return 0.0
-    dt, dy, q = g.dt, g.dy, util.q
+    dt, dy = g.dt, g.dy
     u = s.u
-    y_int = s.y[1:-1]
-    b_vec = np.asarray(m.b(y_int))
-    beta_vec = np.asarray(m.beta(y_int))
-    qr_vec = q * np.asarray(m.r(y_int))
-
-    u_t = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * dt)
     u_mid = u[1:-1, :]
-    u_y = (u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * dy)
+    # H first: its min term's temporaries peak before u_t and u_yy exist
+    h = _operator(m, k, util.q, s.y[1:-1])((u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * dy))
+    u_t = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * dt)
     u_yy = (u_mid[:, 2:] - 2.0 * u_mid[:, 1:-1] + u_mid[:, :-2]) / (dy * dy)
-    min_term = min_ratio_values(b_vec[None, :], m.rho * u_y, k)
-    res = (u_t + 0.5 * u_yy + beta_vec[None, :] * u_y + 0.5 * u_y**2
-           + qr_vec[None, :] + _min_term_coef(q) * min_term)
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(u_t + 0.5 * u_yy + h)))

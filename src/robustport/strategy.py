@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MarketModel, PowerUtility, UncertaintyRectangle
-from .pde import ValueSurface, _time_weights
+from .pde import ValueSurface, _bilinear
 from .worst_case import BranchRegion, WorstCaseMeasure, branch_fields, _CODE_REGION
 
 __all__ = ["PolicyField", "build_policy", "value_function"]
@@ -53,9 +53,7 @@ class PolicyField:
 
     def fraction_at(self, t: float, y) -> np.ndarray:
         """Bilinear interpolation of pi_frac; clamped to the grid hull."""
-        w, i0, i1 = _time_weights(self.t, t)
-        row = (1.0 - w) * self.pi_frac[i0] + w * self.pi_frac[i1]
-        return np.interp(np.asarray(y, dtype=float), self.y, row)
+        return _bilinear(self.t, self.y, self.pi_frac, t, y)
 
     def node_index(self, t: float, y) -> tuple[int, np.ndarray]:
         dt = self.t[1] - self.t[0] if len(self.t) > 1 else 1.0

@@ -34,8 +34,6 @@ __all__ = [
     "min_ratio_values",
     "branch_fields",
     "brute_force_min",
-    "psi_critical_points",
-    "psi",
 ]
 
 
@@ -293,21 +291,3 @@ def brute_force_min(b_val: float, kappa: float, k: UncertaintyRectangle,
                 float(mus[i2]), k.sigma_minus if a >= 1.0 else k.sigma_plus)
     return BruteForceMin(best_val, best)
 
-
-def psi(y, m_a: float, kappa: float, k: UncertaintyRectangle):
-    """Tail objective (m_a + kappa*y)^2 / (2*sigma_M*y - sigma-*sigma+) in the
-    Bernoulli mean y = (sigma, nu)."""
-    y = np.asarray(y, dtype=float)
-    out = (m_a + kappa * y) ** 2 / (2.0 * k.sigma_mid * y - k.sigma_minus * k.sigma_plus)
-    return out if out.ndim else float(out)
-
-
-def psi_critical_points(m_a: float, kappa: float,
-                        k: UncertaintyRectangle) -> tuple[float, float]:
-    """Roots of psi': y1 = -m_a/kappa (psi(y1)=0) and
-    y2 = m_a/kappa + sigma-*sigma+/sigma_M (interior extremum)."""
-    if kappa == 0:
-        raise ValueError("psi has no critical points for kappa == 0")
-    y1 = -m_a / kappa
-    y2 = m_a / kappa + k.sigma_minus * k.sigma_plus / k.sigma_mid
-    return float(y1), float(y2)

@@ -57,3 +57,35 @@ def pure_min_substituted(b_val, kappa, k, n=2000):
 
 def central_derivative(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+def flat_tail_u(t, b_side, r_side, k, q, horizon):
+    """u on a tail where b == b_side and r == r_side are constant: nature
+    takes the (mu-, sigma+) corner (kappa = rho*u_y = 0), so u solves
+    u' + q r_side + q (b_side + mu-)^2 / (2 (1-q) sigma+^2) = 0, u(T) = 0."""
+    rate = q * r_side + q * (b_side + k.mu_minus) ** 2 / (2.0 * (1.0 - q) * k.sigma_plus**2)
+    return (horizon - np.asarray(t, dtype=float)) * rate
+
+
+def closed_form_b0(t, k, q, horizon):
+    """y-independent solution of the value-exponent PDE for b == 0, r == 0:
+    u(t) = q (T - t) mu-^2 / (2 (1-q) sigma+^2)."""
+    return flat_tail_u(t, 0.0, 0.0, k, q, horizon)
+
+
+def psi(y, m_a, kappa, k):
+    """Tail objective (m_a + kappa*y)^2 / (2*sigma_M*y - sigma-*sigma+) in the
+    Bernoulli mean y = (sigma, nu)."""
+    y = np.asarray(y, dtype=float)
+    out = (m_a + kappa * y) ** 2 / (2.0 * k.sigma_mid * y - k.sigma_minus * k.sigma_plus)
+    return out if out.ndim else float(out)
+
+
+def psi_critical_points(m_a, kappa, k):
+    """Roots of psi': y1 = -m_a/kappa (psi(y1)=0) and
+    y2 = m_a/kappa + sigma-*sigma+/sigma_M (interior extremum)."""
+    if kappa == 0:
+        raise ValueError("psi has no critical points for kappa == 0")
+    y1 = -m_a / kappa
+    y2 = m_a / kappa + k.sigma_minus * k.sigma_plus / k.sigma_mid
+    return float(y1), float(y2)

@@ -100,6 +100,16 @@ class TestExitCodes:
         path = write_config(tmp_path)
         assert main(["strategy", "--config", path, "--out", str(tmp_path / "o")]) == 3
 
+    def test_negative_levels_is_config_error(self, tmp_path):
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", write_config(tmp_path), "--out", str(out),
+                     "--levels", "-1"]) == 2
+        assert not (out / "convergence.csv").exists()
+
+    def test_small_oracle_resolution_is_config_error(self, tmp_path):
+        assert main(["oracle", "--config", write_config(tmp_path), "--b-val", "0",
+                     "--kappa", "-3", "--resolution", "3"]) == 2
+
     def test_stale_surface_is_exit_3(self, tmp_path):
         path = write_config(tmp_path)
         out = str(tmp_path / "o")

@@ -2,39 +2,50 @@ import numpy as np
 import pytest
 
 from robustport import (CoefficientFn, GridSpec, MarketModel, PowerUtility,
-                        UncertaintyRectangle, closed_form_b0, residual_norm,
-                        solve_hjbi, tail_values)
+                        UncertaintyRectangle, residual_norm, solve_hjbi)
 from robustport.pde import SolverError, ValueSurface
+
+from oracles import closed_form_b0, flat_tail_u
 
 K = UncertaintyRectangle(0.1, 0.3, 0.2, 0.4)
 
 
+@pytest.fixture(scope="module")
+def tails_surfaces(smoke_util):
+    """Distinct left and right tails in b, beta and r (tail radius 2), solved
+    with r = 0.01 -> 0.03 and with r = 0."""
+    b, beta = CoefficientFn.ramp(0.0, 0.2, 2.0), CoefficientFn.ramp(0.1, -0.1, 2.0)
+    g = GridSpec(1.0, 201, 41, 3.0, 0.5)
+    return [solve_hjbi(MarketModel(b, beta, r, 0.5), K, smoke_util, g)
+            for r in (CoefficientFn.ramp(0.01, 0.03, 2.0), CoefficientFn.constant(0.0))]
+
+
 class TestTailValues:
-    def test_terminal_is_zero(self, smoke_model):
-        assert tail_values(1.0, "left", smoke_model, K, 0.5, 1.0) == 0.0
+    """Dirichlet columns of solved surfaces against the flat-tail closed form."""
 
-    def test_flat_zero_drift_reference(self, smoke_model):
+    def test_terminal_is_zero(self, tails_surfaces):
+        for s in tails_surfaces:
+            assert np.all(s.u[-1] == 0.0)
+
+    def test_flat_zero_drift_reference(self, surface):
         # worst corner (mu-, sigma+): rate q*(b+mu-)^2/(2(1-q)sigma+^2)
-        got = tail_values(0.0, "left", smoke_model, K, 0.5, 1.0)
-        assert got == pytest.approx(0.5 * 0.1**2 / (2 * 0.5 * 0.4**2))
+        s, _ = surface
+        assert s.u[0, 0] == pytest.approx(0.5 * 0.1**2 / (2 * 0.5 * 0.4**2), abs=1e-14)
+        assert s.u[0, -1] == pytest.approx(0.5 * 0.1**2 / (2 * 0.5 * 0.4**2), abs=1e-14)
 
-    def test_rate_term_is_additive(self):
-        m = MarketModel(CoefficientFn.constant(0.0), CoefficientFn.constant(0.0),
-                        CoefficientFn.constant(0.02), 0.5)
-        base = tail_values(0.0, "left", m, K, 0.5, 1.0)
-        m0 = MarketModel(CoefficientFn.constant(0.0), CoefficientFn.constant(0.0),
-                         CoefficientFn.constant(0.0), 0.5)
-        assert base - tail_values(0.0, "left", m0, K, 0.5, 1.0) == pytest.approx(0.01)
+    def test_rate_term_is_additive(self, tails_surfaces):
+        with_r, without_r = tails_surfaces
+        added = with_r.u[:, [0, -1]] - without_r.u[:, [0, -1]]
+        expect = 0.5 * np.array([0.01, 0.03])[None, :] * (1.0 - with_r.t)[:, None]
+        assert np.max(np.abs(added - expect)) <= 1e-14
 
-    def test_sides_use_their_tail_constants(self):
-        m = MarketModel(CoefficientFn.ramp(0.0, 0.2, 2.0), CoefficientFn.constant(0.0),
-                        CoefficientFn.constant(0.0), 0.5)
-        left = tail_values(0.0, "left", m, K, 0.5, 1.0)
-        right = tail_values(0.0, "right", m, K, 0.5, 1.0)
-        assert left == pytest.approx(0.5 * 0.1**2 / (0.16))
-        assert right == pytest.approx(0.5 * 0.3**2 / (0.16))
-        with pytest.raises(ValueError):
-            tail_values(0.0, "middle", m, K, 0.5, 1.0)
+    def test_sides_use_their_tail_constants(self, tails_surfaces):
+        s = tails_surfaces[0]
+        left = flat_tail_u(s.t, 0.0, 0.01, K, 0.5, 1.0)
+        right = flat_tail_u(s.t, 0.2, 0.03, K, 0.5, 1.0)
+        assert np.max(np.abs(s.u[:, 0] - left)) <= 1e-12
+        assert np.max(np.abs(s.u[:, -1] - right)) <= 1e-12
+        assert right[0] - left[0] > 0.05
 
 
 class TestClosedFormB0:
@@ -66,14 +77,12 @@ class TestSolveFlatDrift:
         s, _ = surface
         assert np.max(s.u.max(axis=1) - s.u.min(axis=1)) <= 1e-8
 
-    def test_terminal_and_boundary_conditions(self, surface, smoke_model):
+    def test_terminal_and_boundary_conditions(self, surface):
         s, g = surface
         assert np.all(s.u[-1] == 0.0)
-        for i, t in enumerate(s.t):
-            assert s.u[i, 0] == pytest.approx(
-                tail_values(t, "left", smoke_model, K, 0.5, 1.0), abs=1e-12)
-            assert s.u[i, -1] == pytest.approx(
-                tail_values(t, "right", smoke_model, K, 0.5, 1.0), abs=1e-12)
+        expect = flat_tail_u(s.t, 0.0, 0.0, K, 0.5, 1.0)
+        assert np.max(np.abs(s.u[:, 0] - expect)) <= 1e-12
+        assert np.max(np.abs(s.u[:, -1] - expect)) <= 1e-12
 
     def test_gradient_bounded(self, surface):
         s, _ = surface

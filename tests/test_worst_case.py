@@ -3,8 +3,9 @@ import pytest
 
 from robustport import UncertaintyRectangle
 from robustport.worst_case import (BranchRegion, WorstCaseMeasure, brute_force_min,
-                                   min_ratio_values, minimize_ratio, psi,
-                                   psi_critical_points)
+                                   min_ratio_values, minimize_ratio)
+
+from oracles import psi, psi_critical_points
 
 K = UncertaintyRectangle(0.1, 0.3, 0.2, 0.4)  # sigma_mid = 0.3
 
