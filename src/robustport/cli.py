@@ -4,8 +4,9 @@ Subcommands: validate, solve, strategy, simulate, verify, oracle, convergence.
 Exit codes: 0 success, 1 assumption/assertion failure, 2 configuration error,
 3 missing prerequisite artifact.  The output directory resolves as
 --out > config output_dir > $ROBUSTPORT_OUT > ./out.  `solve` caches the
-surface (surface.csv + surface_meta.json keyed by a config hash) for the
-downstream commands.
+surface as surface.csv for the downstream commands, keyed by the config hash
+in its provenance line; `strategy` and `verify` print the node count of each
+worst-case branch.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .pde import SolverError, solve_hjbi
 from .simulate import (AdversaryPolicy, simulate_eu, terminal_wealths, utility_estimate,
                        verify_saddle)
 from .strategy import build_policy
-from .worst_case import brute_force_min, minimize_ratio
+from .worst_case import BranchRegion, brute_force_min, minimize_ratio
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -33,7 +34,6 @@ EXIT_CONFIG = 2
 EXIT_MISSING = 3
 
 SURFACE_CSV = "surface.csv"
-SURFACE_META = "surface_meta.json"
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -68,16 +68,23 @@ def _cached_policy(args):
     reuse the surface cached by `solve`."""
     cfg = _load_effective_config(args)
     out = _out_dir(args, cfg)
-    meta_path = out / SURFACE_META
     csv_path = out / SURFACE_CSV
-    if not meta_path.exists() or not csv_path.exists():
+    if not csv_path.exists():
         raise MissingArtifact(f"no cached surface in {out}; run `robustport solve` first")
-    meta = csvio.read_surface_meta(meta_path)
-    if meta.get("config_hash") != solve_config_hash(cfg):
-        raise MissingArtifact(f"cached surface in {out} is stale (config changed); "
-                              "re-run `robustport solve`")
-    surface = csvio.read_surface(csv_path, meta)
+    cached = csvio.read_config_hash(csv_path)
+    if cached != solve_config_hash(cfg):
+        why = "has no provenance line" if cached is None else "is stale (config changed)"
+        raise MissingArtifact(f"cached surface in {out} {why}; re-run `robustport solve`")
+    # a matching hash means the surface was solved on cfg.grid with cfg.utility.q
+    surface = csvio.read_surface(csv_path, cfg.grid, cfg.utility.q)
     return cfg, out, surface, build_policy(surface, cfg.model, cfg.rectangle, cfg.utility)
+
+
+def _print_occupancy(pf):
+    """One line with the node count of every worst-case branch, in enum order."""
+    counts = np.bincount(pf.branch_code.ravel(), minlength=len(BranchRegion))
+    print("branch occupancy (nodes): "
+          + " ".join(f"{r.value}={n}" for r, n in zip(BranchRegion, counts)))
 
 
 def cmd_validate(args) -> int:
@@ -97,7 +104,6 @@ def cmd_solve(args) -> int:
         return EXIT_ASSERTION
     h = solve_config_hash(cfg)
     csvio.write_surface(out / SURFACE_CSV, surface, h, cfg.sim.seed)
-    csvio.write_surface_meta(out / SURFACE_META, surface, h)
     d = surface.diagnostics
     print(f"solved {cfg.grid.n_t}x{cfg.grid.n_y} grid "
           f"(dt={cfg.grid.dt:.3g}, dy={cfg.grid.dy:.3g})")
@@ -111,6 +117,7 @@ def cmd_solve(args) -> int:
 def cmd_strategy(args) -> int:
     cfg, out, _, pf = _cached_policy(args)
     csvio.write_policy_csv(out / "policy.csv", pf, solve_config_hash(cfg), cfg.sim.seed)
+    _print_occupancy(pf)
     print(f"policy fraction at (t=0, y={cfg.sim.y0:g}): "
           f"{pf.fraction_at(0.0, np.asarray([cfg.sim.y0]))[0]:.8g}")
     print(f"wrote {out / 'policy.csv'}")
@@ -143,6 +150,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg, out, surface, pf = _cached_policy(args)
+    _print_occupancy(pf)
     report = verify_saddle(surface, pf, cfg.model, cfg.rectangle, cfg.utility, cfg.sim)
     csvio.write_verify_report_csv(out / "verify_report.csv", report,
                                   solve_config_hash(cfg), cfg.sim.seed)

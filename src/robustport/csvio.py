@@ -4,12 +4,14 @@ reports.
 Every file starts with a provenance comment line (config hash, seed, package
 version; no timestamps) followed by a header row.  Floats are written with 17
 significant digits so a reload is bit-exact and repeated runs produce
-identical bytes.
+identical bytes.  All writers go through `_write_csv`, which streams the rows
+in fixed chunks.  The `config_hash=` of `surface.csv`'s provenance line is the
+key of the surface cache (`read_config_hash`).
 """
 
 from __future__ import annotations
 
-import json
+import re
 from importlib.metadata import PackageNotFoundError, version as _pkg_version
 from pathlib import Path
 
@@ -19,20 +21,26 @@ from .model import GridSpec
 from .pde import ValueSurface
 from .simulate import SaddleReport, UtilityEstimate
 from .strategy import PolicyField
+from .worst_case import _CODE_REGION
 
 __all__ = [
     "package_version",
     "provenance_line",
+    "read_config_hash",
     "write_surface",
     "read_surface",
-    "write_surface_meta",
-    "read_surface_meta",
     "write_policy_csv",
     "write_sim_report_csv",
     "write_verify_report_csv",
     "write_convergence_csv",
     "write_histogram_csv",
 ]
+
+_CHUNK_ROWS = 65536
+_PROVENANCE = re.compile(r"# config_hash=(\S+) seed=\S+ version=\S+")
+# branch name per BranchRegion integer code
+_BRANCH_NAMES = np.array([_CODE_REGION[c].value for c in range(len(_CODE_REGION))],
+                         dtype=object)
 
 
 def package_version() -> str:
@@ -42,101 +50,88 @@ def package_version() -> str:
         return "0.1.0"
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def provenance_line(config_hash: str, seed: int) -> str:
     return f"# config_hash={config_hash} seed={seed} version={package_version()}"
 
 
-def write_surface(path: str | Path, s: ValueSurface, config_hash: str, seed: int):
-    tt, yy = np.meshgrid(s.t, s.y, indexing="ij")
-    cols = np.column_stack([tt.ravel(), yy.ravel(), s.u.ravel(), s.u_y.ravel()])
+def read_config_hash(path: str | Path) -> str | None:
+    """The config hash of a file's provenance line; None if the first line
+    is not one."""
+    with open(path, encoding="utf-8") as fh:
+        m = _PROVENANCE.fullmatch(fh.readline().rstrip("\n"))
+    return m.group(1) if m else None
+
+
+def _write_csv(path: str | Path, config_hash: str, seed: int, header: str, fmt: str,
+               columns):
+    """Provenance line, header, then `fmt % row` for each row of the
+    equal-length `columns` (arrays or sequences), _CHUNK_ROWS rows at a time,
+    so no more than one chunk of text is held at once."""
+    cols = [np.asarray(c) for c in columns]
+    line = fmt + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(provenance_line(config_hash, seed) + "\n")
-        fh.write("t,y,u,u_y\n")
-        np.savetxt(fh, cols, fmt="%.17g", delimiter=",")
+        fh.write(f"{provenance_line(config_hash, seed)}\n{header}\n")
+        for lo in range(0, len(cols[0]), _CHUNK_ROWS):
+            rows = zip(*(c[lo:lo + _CHUNK_ROWS].tolist() for c in cols))
+            fh.write("".join([line % row for row in rows]))
 
 
-def write_surface_meta(path: str | Path, s: ValueSurface, config_hash: str):
-    g = s.grid
-    meta = {
-        "config_hash": config_hash,
-        "grid": {"horizon": g.horizon, "n_t": g.n_t, "n_y": g.n_y,
-                 "y_radius": g.y_radius, "theta": g.theta},
-        "q": s.q,
-        "version": package_version(),
-    }
-    Path(path).write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n",
-                          encoding="utf-8")
+def _node_columns(t: np.ndarray, y: np.ndarray):
+    """(t, y) of every node of a t-major grid."""
+    return np.repeat(t, len(y)), np.tile(y, len(t))
 
 
-def read_surface_meta(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def write_surface(path: str | Path, s: ValueSurface, config_hash: str, seed: int):
+    _write_csv(path, config_hash, seed, "t,y,u,u_y", "%.17g,%.17g,%.17g,%.17g",
+               [*_node_columns(s.t, s.y), s.u.ravel(), s.u_y.ravel()])
 
 
-def read_surface(path: str | Path, meta: dict) -> ValueSurface:
-    g = meta["grid"]
-    grid = GridSpec(horizon=g["horizon"], n_t=g["n_t"], n_y=g["n_y"],
-                    y_radius=g["y_radius"], theta=g["theta"])
+def read_surface(path: str | Path, grid: GridSpec, q: float) -> ValueSurface:
     data = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
     if data.shape != (grid.n_t * grid.n_y, 4):
-        raise ValueError(f"surface file {path} does not match its metadata grid")
+        raise ValueError(f"surface file {path} does not match the configured "
+                         f"{grid.n_t}x{grid.n_y} grid")
     # the u_y column is an export; the reload of u is exact, so is its u_y
-    return ValueSurface.from_u(grid, data[:, 2].reshape(grid.n_t, grid.n_y),
-                               q=float(meta["q"]))
+    return ValueSurface.from_u(grid, data[:, 2].reshape(grid.n_t, grid.n_y), q=q)
 
 
 def write_policy_csv(path: str | Path, pf: PolicyField, config_hash: str, seed: int):
-    lines = [provenance_line(config_hash, seed),
-             "t,y,mu_star_mean,sigma_star_mean,alpha,branch,pi_frac"]
-    for i, t in enumerate(pf.t):
-        for j, y in enumerate(pf.y):
-            lines.append(
-                f"{_fmt(t)},{_fmt(y)},{_fmt(pf.mu_mean[i, j])},"
-                f"{_fmt(pf.sigma_mean[i, j])},{_fmt(pf.weight_a[i, j])},"
-                f"{pf.branch_at(i, j).value},{_fmt(pf.pi_frac[i, j])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, config_hash, seed,
+               "t,y,mu_star_mean,sigma_star_mean,alpha,branch,pi_frac",
+               "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%.17g",
+               [*_node_columns(pf.t, pf.y), pf.mu_mean.ravel(), pf.sigma_mean.ravel(),
+                pf.weight_a.ravel(), _BRANCH_NAMES[pf.branch_code.ravel()],
+                pf.pi_frac.ravel()])
 
 
 def write_sim_report_csv(path: str | Path, rows: list[tuple[str, str, UtilityEstimate, str]],
                          config_hash: str, seed: int):
     """rows: (policy label, adversary label, estimate, verdict)."""
-    lines = [provenance_line(config_hash, seed),
-             "policy,adversary,eu,se,n_paths,min_wealth,max_wealth,verdict"]
-    for pol, adv, est, verdict in rows:
-        lines.append(f"{pol},{adv},{_fmt(est.mean)},{_fmt(est.std_error)},"
-                     f"{est.n_paths},{_fmt(est.min_terminal_wealth)},"
-                     f"{_fmt(est.max_terminal_wealth)},{verdict}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, config_hash, seed,
+               "policy,adversary,eu,se,n_paths,min_wealth,max_wealth,verdict",
+               "%s,%s,%.17g,%.17g,%d,%.17g,%.17g,%s",
+               zip(*[(pol, adv, e.mean, e.std_error, e.n_paths, e.min_terminal_wealth,
+                      e.max_terminal_wealth, verdict) for pol, adv, e, verdict in rows]))
 
 
 def write_verify_report_csv(path: str | Path, report: SaddleReport,
                             config_hash: str, seed: int):
-    lines = [provenance_line(config_hash, seed),
-             "kind,label,eu,se,bound,verdict"]
-    lines.append(f"value,pde_value,{_fmt(report.pde_value)},0,0,n/a")
-    lines.append(f"value,EU(pi*;nu*),{_fmt(report.base.mean)},"
-                 f"{_fmt(report.base.std_error)},0,n/a")
-    for f in report.findings:
-        lines.append(f"{f.kind},{f.label},{_fmt(f.eu)},{_fmt(f.std_error)},"
-                     f"{_fmt(f.bound)},{'pass' if f.passed else 'FAIL'}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [("value", "pde_value", report.pde_value, 0.0, 0.0, "n/a"),
+            ("value", "EU(pi*;nu*)", report.base.mean, report.base.std_error, 0.0, "n/a")]
+    rows += [(f.kind, f.label, f.eu, f.std_error, f.bound, "pass" if f.passed else "FAIL")
+             for f in report.findings]
+    _write_csv(path, config_hash, seed, "kind,label,eu,se,bound,verdict",
+               "%s,%s,%.17g,%.17g,%.17g,%s", zip(*rows))
 
 
 def write_convergence_csv(path: str | Path, rows: list[dict], config_hash: str, seed: int):
-    lines = [provenance_line(config_hash, seed),
-             "level,n_t,n_y,residual,ratio_to_previous"]
-    for r in rows:
-        ratio = "" if r["ratio"] is None else _fmt(r["ratio"])
-        lines.append(f"{r['level']},{r['n_t']},{r['n_y']},{_fmt(r['residual'])},{ratio}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, config_hash, seed, "level,n_t,n_y,residual,ratio_to_previous",
+               "%d,%d,%d,%.17g,%s",
+               zip(*[(r["level"], r["n_t"], r["n_y"], r["residual"],
+                      "" if r["ratio"] is None else "%.17g" % r["ratio"]) for r in rows]))
 
 
 def write_histogram_csv(path: str | Path, edges: np.ndarray, counts: np.ndarray,
                         config_hash: str, seed: int):
-    lines = [provenance_line(config_hash, seed), "bin_left,bin_right,count"]
-    for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-        lines.append(f"{_fmt(lo)},{_fmt(hi)},{int(c)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, config_hash, seed, "bin_left,bin_right,count", "%.17g,%.17g,%d",
+               [edges[:-1], edges[1:], counts])

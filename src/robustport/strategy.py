@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import MarketModel, PowerUtility, UncertaintyRectangle
 from .pde import ValueSurface, _bilinear
-from .worst_case import BranchRegion, WorstCaseMeasure, branch_fields, _CODE_REGION
+from .worst_case import branch_fields
 
 __all__ = ["PolicyField", "build_policy", "value_function"]
 
@@ -74,13 +74,6 @@ class PolicyField:
         it, jy = self.node_index(t, y)
         return (self.atom_mu[it, jy], self.sigma_a[it, jy],
                 self.sigma_b[it, jy], self.weight_a[it, jy])
-
-    def measure_at(self, i: int, j: int) -> WorstCaseMeasure:
-        return WorstCaseMeasure.bernoulli(float(self.atom_mu[i, j]), float(self.sigma_a[i, j]),
-                                          float(self.sigma_b[i, j]), float(self.weight_a[i, j]))
-
-    def branch_at(self, i: int, j: int) -> BranchRegion:
-        return _CODE_REGION[int(self.branch_code[i, j])]
 
 
 def build_policy(s: ValueSurface, m: MarketModel, k: UncertaintyRectangle,

@@ -282,12 +282,7 @@ def brute_force_min(b_val: float, kappa: float, k: UncertaintyRectangle,
     i2, j2 = np.unravel_index(int(np.argmin(vals2)), vals2.shape)
     if float(vals2[i2, j2]) < best_val:
         best_val = float(vals2[i2, j2])
-        a = float(alphas[j2])
-        if 0.0 < a < 1.0:
-            best = WorstCaseMeasure.bernoulli(float(mus[i2]), k.sigma_minus,
-                                              k.sigma_plus, a)
-        else:
-            best = WorstCaseMeasure.point(
-                float(mus[i2]), k.sigma_minus if a >= 1.0 else k.sigma_plus)
+        best = WorstCaseMeasure.bernoulli(float(mus[i2]), k.sigma_minus, k.sigma_plus,
+                                          float(alphas[j2]))
     return BruteForceMin(best_val, best)
 

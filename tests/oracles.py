@@ -89,3 +89,17 @@ def psi_critical_points(m_a, kappa, k):
     y1 = -m_a / kappa
     y2 = m_a / kappa + k.sigma_minus * k.sigma_plus / k.sigma_mid
     return float(y1), float(y2)
+
+
+def reference_csv(config_hash, seed, version, header, rows):
+    """An artifact written by hand: the provenance line, the header, then one
+    line per row, floats as f"{x:.17g}", None as "" and anything else as
+    str, joined by commas."""
+    def cell(v):
+        if v is None:
+            return ""
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    lines = [f"# config_hash={config_hash} seed={seed} version={version}", header]
+    lines += [",".join(cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

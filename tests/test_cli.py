@@ -4,6 +4,7 @@ import yaml
 from robustport.cli import main
 from robustport.config import (ConfigError, canonical_dict, dump_config,
                                load_config, parse_config, solve_config_hash)
+from robustport.worst_case import BranchRegion
 
 SMALL_CONFIG = {
     "model": {
@@ -117,6 +118,53 @@ class TestExitCodes:
         changed = write_config(tmp_path, {"utility.q": -1.0}, name="changed.yaml")
         assert main(["strategy", "--config", changed, "--out", out]) == 3
 
+    def test_surface_without_provenance_is_exit_3(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        out.mkdir()
+        for text in ("", "t,y,u,u_y\n"):
+            (out / "surface.csv").write_text(text)
+            assert main(["strategy", "--config", path, "--out", str(out)]) == 3
+            assert "no provenance line" in capsys.readouterr().err
+
+    def test_truncated_surface_is_exit_1(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["surface.csv"]
+        lines = (out / "surface.csv").read_text().splitlines(keepends=True)
+        (out / "surface.csv").write_text("".join(lines[:2 + (len(lines) - 2) // 2]))
+        capsys.readouterr()
+        assert main(["strategy", "--config", path, "--out", str(out)]) == 1
+        assert "does not match the configured 201x51 grid" in capsys.readouterr().err
+
+
+class TestBranchOccupancy:
+    def strategy_occupancy(self, tmp_path, capsys, overrides=None):
+        path = write_config(tmp_path, overrides)
+        out = str(tmp_path / "o")
+        assert main(["solve", "--config", path, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["strategy", "--config", path, "--out", out]) == 0
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("branch occupancy")]
+        return dict(field.split("=") for field in line.split(": ")[1].split())
+
+    def test_corner_model(self, tmp_path, capsys):
+        assert self.strategy_occupancy(tmp_path, capsys) == {
+            "LOW_TAIL": "0", "PLUS_CORNER": "0", "ZERO": "0", "MINUS_CORNER": "10251",
+            "HIGH_TAIL": "0"}
+
+    def test_tail_model(self, tmp_path, capsys):
+        counts = self.strategy_occupancy(tmp_path, capsys, {
+            "rectangle.mu_minus": 0.0, "model.rho": 0.9,
+            "model.b": {"kind": "smooth-ramp", "left": 0.0, "right": 0.4,
+                        "tail_radius": 1.0},
+            "grid.n_y": 61})
+        assert list(counts) == [r.value for r in BranchRegion]
+        assert sum(int(n) for n in counts.values()) == 201 * 61
+        assert int(counts["HIGH_TAIL"]) > 0
+
 
 class TestPipeline:
     def test_solve_strategy_simulate_verify(self, tmp_path, capsys):
@@ -141,11 +189,13 @@ class TestPipeline:
         assert (out / "sim_report.csv").exists()
         assert (out / "wealth_histogram.csv").exists()
 
+        capsys.readouterr()
         assert main(["verify", "--config", path, "--out", str(out),
                      "--paths", "20000"]) == 0
+        assert ("branch occupancy (nodes): LOW_TAIL=0 PLUS_CORNER=0 ZERO=0 "
+                "MINUS_CORNER=10251 HIGH_TAIL=0") in capsys.readouterr().out
         report = (out / "verify_report.csv").read_text()
         assert "FAIL" not in report
-        capsys.readouterr()
 
     def test_oracle_output(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -183,6 +233,8 @@ class TestPipeline:
         assert main(["solve", "--config", path, "--out", str(out),
                      "--grid", "401,101"]) == 0
         assert "401x101" in capsys.readouterr().out
+        # the cache holds the overridden grid, so the configured grid finds it stale
+        assert main(["strategy", "--config", path, "--out", str(out)]) == 3
         assert main(["solve", "--config", path, "--out", str(out),
                      "--grid", "nope"]) == 2
 

@@ -4,7 +4,7 @@ import pytest
 from robustport import (GridSpec, UncertaintyRectangle, build_policy,
                         solve_hjbi, value_function)
 from robustport.hamiltonian import DerivativeBundle, saddle_point
-from robustport.worst_case import BranchRegion
+from robustport.worst_case import BranchRegion, _REGION_CODE
 
 K = UncertaintyRectangle(0.1, 0.3, 0.2, 0.4)
 
@@ -30,8 +30,9 @@ class TestFlatDriftPolicy:
     def test_worst_corner_everywhere(self, flat_policy):
         assert np.all(flat_policy.mu_mean == 0.1)
         assert np.all(flat_policy.sigma_mean == 0.4)
-        assert flat_policy.branch_at(0, 50) is BranchRegion.MINUS_CORNER
-        assert flat_policy.measure_at(0, 50).atoms == (((0.1, 0.4), 1.0),)
+        assert flat_policy.branch_code[0, 50] == _REGION_CODE[BranchRegion.MINUS_CORNER]
+        assert (flat_policy.atom_mu[0, 50], flat_policy.sigma_a[0, 50],
+                flat_policy.weight_a[0, 50]) == (0.1, 0.4, 1.0)
 
     def test_merton_fraction(self, flat_policy):
         expect = 0.1 / ((1 - 0.5) * 0.4**2)
@@ -84,7 +85,7 @@ class TestSaddleConsistency:
             )
             sp = saddle_point(x, float(s.y[j]), d, ramp_model, K)
             assert sp.pi_star == pytest.approx(x * pf.pi_frac[i, j], rel=1e-9, abs=1e-12)
-            got = pf.measure_at(i, j).moments()
+            got = (pf.mu_mean[i, j], pf.sigma_mean[i, j], pf.sigma_sq_mean[i, j])
             want = sp.nu_star.moments()
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 

@@ -106,6 +106,18 @@ class TestAgainstBruteForce:
         with pytest.raises(ValueError):
             brute_force_min(0.0, 1.0, K, resolution=5)
 
+    @pytest.mark.parametrize("kappa, atom", [(0.0, (0.1, 0.4)), (-3.0, (0.3, 0.2))])
+    def test_endpoint_alpha_is_a_single_atom(self, kappa, atom):
+        n = 60
+        mus = np.linspace(K.mu_minus, K.mu_plus, n)[:, None]
+        alphas = np.linspace(0.0, 1.0, n)
+        mean = alphas * K.sigma_minus + (1.0 - alphas) * K.sigma_plus
+        mean_sq = alphas * K.sigma_minus**2 + (1.0 - alphas) * K.sigma_plus**2
+        vals = (mus + kappa * mean) ** 2 / mean_sq
+        # the Bernoulli family's grid optimum puts all weight on one volatility
+        assert alphas[np.unravel_index(np.argmin(vals), vals.shape)[1]] in (0.0, 1.0)
+        assert brute_force_min(0.0, kappa, K, resolution=n).measure.atoms == ((atom, 1.0),)
+
 
 class TestInvariantsAndProperties:
     def test_continuity_across_thresholds(self):
