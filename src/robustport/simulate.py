@@ -64,6 +64,8 @@ class SimConfig:
             raise ValueError("need n_paths >= 1 and n_steps >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if not all(map(math.isfinite, (self.x0, self.y0, self.horizon))):
+            raise ValueError("x0, y0 and horizon must be finite")
         if not self.x0 > 0:
             raise ValueError("x0 must be positive")
         if not self.horizon > 0:

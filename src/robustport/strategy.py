@@ -42,7 +42,6 @@ class PolicyField:
     sigma_b: np.ndarray
     weight_a: np.ndarray
     branch_code: np.ndarray
-    rectangle: UncertaintyRectangle
     q: float
 
     def __post_init__(self):
@@ -95,7 +94,7 @@ def build_policy(s: ValueSurface, m: MarketModel, k: UncertaintyRectangle,
         mu_mean=mu_mean, sigma_mean=sigma_mean, sigma_sq_mean=sigma_sq_mean,
         atom_mu=fields["atom_mu"], sigma_a=fields["sigma_a"],
         sigma_b=fields["sigma_b"], weight_a=fields["weight_a"],
-        branch_code=fields["code"], rectangle=k, q=q)
+        branch_code=fields["code"], q=q)
 
 
 def value_function(s: ValueSurface, t: float, x: float, y: float, q: float) -> float:

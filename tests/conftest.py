@@ -36,3 +36,12 @@ def ramp_model():
     return MarketModel(b=CoefficientFn.ramp(0.0, 0.2, 2.0),
                        beta=CoefficientFn.ramp(0.1, -0.1, 2.0),
                        r=CoefficientFn.constant(0.01), rho=0.5)
+
+
+@pytest.fixture(scope="session")
+def dip_model():
+    """b is 0 outside (0.001, 0.009) and dips to -0.5 at 0.005, so
+    b + mu_minus = -0.4 there for smoke_rect's mu_minus 0.1."""
+    zero = CoefficientFn.constant(0.0)
+    b = CoefficientFn.piecewise(0.0, 0.0, 1.0, [(0.001, 0.0), (0.005, -0.5), (0.009, 0.0)])
+    return MarketModel(b=b, beta=zero, r=zero, rho=0.5)

@@ -1,5 +1,5 @@
 """Independent test oracles: no code shared with the implementation paths they
-check (grid searches, quadratic closed forms, finite differences)."""
+check (grid searches, quadratic closed forms)."""
 
 import math
 
@@ -53,10 +53,6 @@ def pure_min_substituted(b_val, kappa, k, n=2000):
     sub = 2.0 * k.sigma_mid * sigs - k.sigma_minus * k.sigma_plus
     vals = (b_val + mus + kappa * sigs) ** 2 / sub
     return float(np.min(vals))
-
-
-def central_derivative(fn, x, h=1e-6):
-    return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
 def flat_tail_u(t, b_side, r_side, k, q, horizon):

@@ -89,6 +89,28 @@ class TestExitCodes:
         assert main(["validate", "--config", path]) == 1
         assert "A3" in capsys.readouterr().out
 
+    def test_narrow_dip_fails_validate_and_solve(self, tmp_path, capsys):
+        dip = {"kind": "piecewise-linear-clamped", "left": 0.0, "right": 0.0,
+               "tail_radius": 1.0, "knots": [[0.001, 0.0], [0.005, -0.5], [0.009, 0.0]]}
+        path = write_config(tmp_path, {"model.b": dip})
+        assert main(["validate", "--config", path]) == 1
+        assert "A3 at y=0.005" in capsys.readouterr().out
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "A3 at y=0.005" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("rectangle.mu_plus", float("nan")),
+        ("model.b", {"kind": "smooth-ramp", "left": float("nan"), "right": 0.2,
+                     "tail_radius": 1.0}),
+        ("model.r", {"kind": "piecewise-linear-clamped", "left": 0.0, "right": 0.0,
+                     "tail_radius": 1.0, "knots": [[0.0, float("inf")]]}),
+        ("utility.q", float("-inf")),
+        ("sim.x0", float("inf")),
+        ("grid.y_radius", float("inf")),
+    ])
+    def test_non_finite_parameter_is_config_error(self, tmp_path, key, value):
+        assert main(["validate", "--config", write_config(tmp_path, {key: value})]) == 2
+
     def test_malformed_yaml_is_config_error(self, tmp_path, capsys):
         p = tmp_path / "broken.yaml"
         p.write_text("model: [unclosed\n  ")

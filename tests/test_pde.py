@@ -166,6 +166,11 @@ class TestGuardsAndErrors:
         with pytest.raises(SolverError, match="A3"):
             solve_hjbi(m, K, smoke_util, g)
 
+    def test_narrow_dip_refuses_to_solve(self, dip_model, smoke_util):
+        g = GridSpec(1.0, 401, 101, 3.0, 0.5)
+        with pytest.raises(SolverError, match="A3 at y=0.005"):
+            solve_hjbi(dip_model, K, smoke_util, g)
+
 
 class TestResidualNorm:
     def test_injected_closed_form_has_tiny_residual(self, smoke_model, smoke_util):

@@ -33,7 +33,7 @@ def constant_field(frac, mu, sigma_a, sigma_b, weight_a):
         sigma_mean=full(nu.mean_sigma),
         sigma_sq_mean=full(nu.mean_sigma_sq), atom_mu=full(mu),
         sigma_a=full(sigma_a), sigma_b=full(sigma_b), weight_a=full(weight_a),
-        branch_code=np.zeros(shape, dtype=np.int8), rectangle=K, q=0.5)
+        branch_code=np.zeros(shape, dtype=np.int8), q=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +139,16 @@ class TestSimulateEU:
         cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
         with pytest.raises(ValueError):
             simulate_eu(0.5, AdversaryPolicy.constant_point(0.1, 0.3), const_model(), cfg)
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("field", ["x0", "y0", "horizon"])
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_rejected(self, field, x):
+        kwargs = dict(n_paths=10, n_steps=5, seed=1, x0=1.0, y0=0.0, horizon=1.0)
+        kwargs[field] = x
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(**kwargs)
 
 
 class TestAdversaryValidation:
