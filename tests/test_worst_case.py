@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from robustport import UncertaintyRectangle
-from robustport.worst_case import (BranchRegion, WorstCaseMeasure, brute_force_min,
-                                   min_ratio_values, minimize_ratio)
+from robustport.worst_case import (BranchRegion, WorstCaseMeasure, branch_fields,
+                                   brute_force_min, min_ratio_values, minimize_ratio)
 
 from oracles import psi, psi_critical_points
 
@@ -197,6 +197,70 @@ class TestInvariantsAndProperties:
     def test_a3_precondition_error(self):
         with pytest.raises(ValueError):
             minimize_ratio(-0.2, 1.0, K)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestValueKernel:
+    """min_ratio_values is branch_fields(...)["value"] bit for bit."""
+
+    def test_random_draws_reach_every_region(self):
+        rng = np.random.default_rng(41)
+        codes = set()
+        for _ in range(50):
+            k = random_rect(rng)
+            b = rng.uniform(-k.mu_minus, 0.5, 400)
+            kap = rng.uniform(-15, 15, 400)
+            codes |= set(branch_fields(b, kap, k)["code"].tolist())
+            assert same_bits(min_ratio_values(b, kap, k), branch_fields(b, kap, k)["value"])
+        assert codes == set(range(len(BranchRegion)))
+
+    def test_region_boundaries(self):
+        rng = np.random.default_rng(45)
+        for b in rng.uniform(-0.1, 0.4, 50):
+            br = minimize_ratio(b, 0.0, K).branch
+            t = np.array([br.t1, br.t2, br.t3, br.t4])
+            kap = np.concatenate([t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf)])
+            assert same_bits(min_ratio_values(b, kap, K), branch_fields(b, kap, K)["value"])
+
+    def test_degenerate_rectangle(self):
+        k = UncertaintyRectangle(0.1, 0.3, 0.25, 0.25)
+        rng = np.random.default_rng(42)
+        b = rng.uniform(-0.1, 0.5, 500)
+        kap = rng.uniform(-6, 6, 500)
+        assert same_bits(min_ratio_values(b, kap, k), branch_fields(b, kap, k)["value"])
+
+    def test_1d_b_against_2d_kappa(self):
+        rng = np.random.default_rng(43)
+        b = rng.uniform(-0.1, 0.4, 37)
+        kap = rng.uniform(-12, 12, (23, 37))
+        vec = min_ratio_values(b, kap, K)
+        assert vec.shape == (23, 37)
+        assert same_bits(vec, branch_fields(b, kap, K)["value"])
+
+    def test_scalar_inputs(self):
+        rng = np.random.default_rng(44)
+        # a numpy scalar's `** 2` (pow) rounds these two corner values
+        # differently from the array square
+        pairs = [(0.2090906936536096, -2.655853075767002),
+                 (0.17151950263083726, 0.1131305006406027)]
+        pairs += list(zip(rng.uniform(-0.1, 0.4, 300), rng.uniform(-12, 12, 300)))
+        for b, kap in pairs:
+            v = min_ratio_values(b, kap, K)
+            assert v.shape == ()
+            assert same_bits(v, branch_fields(b, kap, K)["value"])
+
+    def test_a3_precondition_error(self):
+        with pytest.raises(ValueError, match="b \\+ mu_minus >= 0"):
+            min_ratio_values(np.array([0.0, -0.2]), 1.0, K)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_kappa_error(self, bad):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            min_ratio_values(0.0, np.array([0.5, bad]), K)
 
 
 class TestDegenerateRectangles:
