@@ -22,7 +22,7 @@ from . import csvio
 from .config import (ConfigError, RunConfig, dump_config, load_config,
                      solve_config_hash)
 from .model import validate_assumptions
-from .pde import SolverError, solve_hjbi
+from .pde import SolverError, checked_b, solve_hjbi
 from .simulate import (AdversaryPolicy, simulate_eu, terminal_wealths, utility_estimate,
                        verify_saddle)
 from .strategy import build_policy
@@ -91,7 +91,14 @@ def cmd_validate(args) -> int:
     cfg = _load_effective_config(args)
     report = validate_assumptions(cfg.model, cfg.rectangle)
     print("assumption report:", report.summary())
-    return EXIT_OK if report.passed else EXIT_ASSERTION
+    if not report.passed:
+        return EXIT_ASSERTION
+    try:  # A3 as `solve` evaluates it, at the grid's nodes
+        checked_b(cfg.model, cfg.rectangle, cfg.grid.y_nodes())
+    except SolverError as exc:
+        print(f"grid check: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
+    return EXIT_OK
 
 
 def cmd_solve(args) -> int:

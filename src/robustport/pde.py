@@ -103,13 +103,60 @@ def _d_dy(u: np.ndarray, dy: float) -> np.ndarray:
 
 def _bilinear(t_nodes: np.ndarray, y_nodes: np.ndarray, values: np.ndarray,
               t: float, y) -> np.ndarray:
-    """Linear in t between the two bracketing rows, then np.interp in y;
-    clamped to the grid hull."""
+    """Linear in t between the two bracketing rows, then linear in y;
+    clamped to the grid hull.
+
+    y_nodes must be evenly spaced (GridSpec.y_nodes()).  The y-step is then
+    np.interp(y, y_nodes, row) bit for bit on a finite row, with the bracket
+    found from the spacing instead of by np.interp's binary search."""
     t = min(max(float(t), t_nodes[0]), t_nodes[-1])
     i0 = int(np.clip(np.searchsorted(t_nodes, t, side="right") - 1, 0, len(t_nodes) - 2))
     w = (t - t_nodes[i0]) / (t_nodes[i0 + 1] - t_nodes[i0])
     row = (1.0 - w) * values[i0] + w * values[i0 + 1]
-    return np.interp(np.asarray(y, dtype=float), y_nodes, row)
+
+    # each temporary is dropped once used: the path engine calls this with a
+    # batch of 65536 points per step
+    y = np.asarray(y, dtype=float)
+    shape = y.shape
+    y = np.clip(y.ravel(), y_nodes[0], y_nodes[-1])
+    last = len(y_nodes) - 2
+    # the floor of the index from the spacing (a NaN lands on `last`), then
+    # one correction against the nodes: y_nodes[j] <= y < y_nodes[j + 1]
+    s = y - y_nodes[0]
+    s /= (y_nodes[-1] - y_nodes[0]) / (last + 1)
+    j = np.fmin(s, last, out=s).astype(np.intp)
+    del s
+    j -= y < y_nodes[j]
+    j += y >= y_nodes[j + 1]
+    # np.interp's formula slope[j] * (y - y_nodes[j]) + row[j], except on a
+    # node (also a clamped y), where it returns the node's value; the
+    # trailing 0 slope serves y == y_nodes[-1]
+    y_j = y_nodes[j]
+    on_node = y == y_j
+    y -= y_j
+    del y_j
+    out = np.append((row[1:] - row[:-1]) / (y_nodes[1:] - y_nodes[:-1]), 0.0)[j]
+    out *= y
+    del y
+    row_j = row[j]
+    out += row_j
+    np.copyto(out, row_j, where=on_node)
+    return out.reshape(shape)
+
+
+def checked_b(m: MarketModel, k: UncertaintyRectangle, y: np.ndarray) -> np.ndarray:
+    """b at the nodes y, where A3 (b + mu_minus >= 0) must hold as evaluated:
+    validate_assumptions checks it exactly at b's tails and knots, but a
+    ramp's polynomial can round past its tail value between them.
+
+    Raises SolverError naming the first node where b + mu_minus < 0."""
+    b = np.asarray(m.b(y))
+    m_lo = b + k.mu_minus
+    if np.any(m_lo < 0):
+        j = int(np.argmax(m_lo < 0))
+        raise SolverError(f"precondition b + mu_minus >= 0 violated at y = {y[j]:.9g}: "
+                          f"b(y) + mu_minus = {m_lo[j]:.3g}")
+    return b
 
 
 def _operator(m: MarketModel, k: UncertaintyRectangle, q: float, y: np.ndarray):
@@ -117,12 +164,7 @@ def _operator(m: MarketModel, k: UncertaintyRectangle, q: float, y: np.ndarray):
     + q/(2(1-q)) min_ratio(b, rho u_y).  u_y may carry leading axes.
 
     Raises SolverError naming the first node where b + mu_minus < 0 (A3)."""
-    b = np.asarray(m.b(y))
-    m_lo = b + k.mu_minus
-    if np.any(m_lo < 0):
-        j = int(np.argmax(m_lo < 0))
-        raise SolverError(f"precondition b + mu_minus >= 0 violated at y = {y[j]:.9g}: "
-                          f"b(y) + mu_minus = {m_lo[j]:.3g}")
+    b = checked_b(m, k, y)
     beta = np.asarray(m.beta(y))
     qr = q * np.asarray(m.r(y))
     coef = q / (2.0 * (1.0 - q))  # > 0 for q in (0,1), < 0 for q < 0

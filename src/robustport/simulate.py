@@ -13,6 +13,12 @@ worst-case measure field nu*(t, y) applied through its moments (a relaxed
 control); or the same field realized by chattering, where each path draws one
 atom of nu*(t, Y) per step.
 
+The fraction f never enters dY, so under one adversary every policy scaling
+shares the factor paths: simulate_scales advances one ln X row per scale over
+one set of normals, coefficients and adversary moments, and verify_saddle runs
+the base and its policy scalings as one path set under nu*.  Each row keeps
+the arithmetic of a run of its scale alone, so the estimates are unchanged.
+
 Reproducibility: paths are processed in fixed batches of 65536.  Batch b draws
 its two normal increments per step from
 np.random.default_rng(SeedSequence(seed, spawn_key=(b,))), and chattering
@@ -40,6 +46,7 @@ __all__ = [
     "AdversaryPolicy",
     "UtilityEstimate",
     "simulate_eu",
+    "simulate_scales",
     "terminal_wealths",
     "utility_estimate",
     "SaddleFinding",
@@ -123,47 +130,61 @@ class UtilityEstimate:
     max_terminal_wealth: float
 
 
-def _terminal_wealth_batches(policy, adv: AdversaryPolicy, m: MarketModel,
-                             cfg: SimConfig, policy_scale: float):
-    """Yield terminal-wealth arrays batch by batch (the path engine)."""
+def _log_wealth(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
+                scales: tuple[float, ...], bi: int) -> np.ndarray:
+    """ln X_T on the paths of batch bi, one row per policy scale (the path
+    engine).  Only ln X is advanced per scale, each row with the arithmetic
+    of a run of its scale alone; everything else is computed once per step.
+    The per-step arrays die on return, before the caller turns ln X into
+    wealth."""
     dt = cfg.horizon / cfg.n_steps
     sq_dt = math.sqrt(dt)
     rho = m.rho
+    nb = min(BATCH_SIZE, cfg.n_paths - bi * BATCH_SIZE)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi,)))
+    uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi, 1)))
+    ln_x = np.zeros((len(scales), nb))
+    yv = np.full(nb, cfg.y0)
+    for step in range(cfg.n_steps):
+        t = step * dt
+        z = rng.standard_normal((2, nb))
+        z *= sq_dt
+        dw, dwp = z
 
+        mu_m, sig_m, sig2_m = adv.moments(t, yv, uniforms)
+        if not np.all(sig_m * sig_m <= sig2_m):
+            raise AssertionError(
+                "internal invariant failure: (sigma,nu)^2 > (sigma^2,nu)")
+        frac = (policy.fraction_at(t, yv) if isinstance(policy, PolicyField)
+                else float(policy))
+
+        excess = np.asarray(m.b(yv)) + mu_m
+        r_y = np.asarray(m.r(yv))
+        vol = np.sqrt(sig2_m)
+        for lx, scale in zip(ln_x, scales):
+            f = scale * frac
+            lx += (r_y + f * excess - 0.5 * f * f * sig2_m) * dt + f * vol * dw
+        load_w = rho * sig_m / vol
+        load_perp = np.sqrt(np.maximum(1.0 - load_w * load_w, 0.0))
+        yv = yv + np.asarray(m.beta(yv)) * dt + load_w * dw + load_perp * dwp
+    return ln_x
+
+
+def _terminal_wealth_batches(policy, adv: AdversaryPolicy, m: MarketModel,
+                             cfg: SimConfig, scales: tuple[float, ...]):
+    """Yield, batch by batch, the terminal wealths of every policy scale, one
+    row per scale, on one set of paths."""
     n_batches = (cfg.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
     for bi in range(n_batches):
-        nb = min(BATCH_SIZE, cfg.n_paths - bi * BATCH_SIZE)
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi,)))
-        uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi, 1)))
-        ln_x = np.zeros(nb)
-        yv = np.full(nb, cfg.y0)
-        for step in range(cfg.n_steps):
-            t = step * dt
-            z = rng.standard_normal((2, nb))
-            dw = sq_dt * z[0]
-            dwp = sq_dt * z[1]
-
-            mu_m, sig_m, sig2_m = adv.moments(t, yv, uniforms)
-            if not np.all(sig_m * sig_m <= sig2_m):
-                raise AssertionError(
-                    "internal invariant failure: (sigma,nu)^2 > (sigma^2,nu)")
-            f = policy_scale * (policy.fraction_at(t, yv) if isinstance(policy, PolicyField)
-                                else float(policy))
-
-            b_y = np.asarray(m.b(yv))
-            r_y = np.asarray(m.r(yv))
-            beta_y = np.asarray(m.beta(yv))
-            vol = np.sqrt(sig2_m)
-            ln_x += (r_y + f * (b_y + mu_m) - 0.5 * f * f * sig2_m) * dt + f * vol * dw
-            load_w = rho * sig_m / vol
-            load_perp = np.sqrt(np.maximum(1.0 - load_w * load_w, 0.0))
-            yv = yv + beta_y * dt + load_w * dw + load_perp * dwp
-
-        if not np.all(np.isfinite(ln_x)):
-            bad = int(np.argmax(~np.isfinite(ln_x)))
+        ln_x = _log_wealth(policy, adv, m, cfg, scales, bi)
+        finite = np.all(np.isfinite(ln_x), axis=0)
+        if not np.all(finite):
+            bad = int(np.argmin(finite))
             raise FloatingPointError(
                 f"non-finite wealth on path {bi * BATCH_SIZE + bad}")
-        yield cfg.x0 * np.exp(ln_x)
+        np.exp(ln_x, out=ln_x)
+        ln_x *= cfg.x0
+        yield ln_x
 
 
 def _resolve_q(policy, q) -> float:
@@ -176,29 +197,51 @@ def _resolve_q(policy, q) -> float:
     return float(q)
 
 
-def _estimate(batches, q: float) -> UtilityEstimate:
+class _UtilityMoments:
     """E[X_T^q / q] from terminal-wealth batches by a merge-safe (count, mean,
     M2) accumulation: batch order is fixed, so the result is independent of
     how batches would be distributed across workers."""
-    n = 0
-    mean = 0.0
-    m2 = 0.0
-    min_x = math.inf
-    max_x = -math.inf
-    for x_t in batches:
-        u = x_t**q / q
+
+    def __init__(self, q: float):
+        self.q = q
+        self.n = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+        self.min_x = math.inf
+        self.max_x = -math.inf
+
+    def add(self, x_t: np.ndarray):
+        u = x_t**self.q / self.q
         nb = len(u)
         mean_b = float(np.mean(u))
         m2_b = float(np.sum((u - mean_b) ** 2))
-        delta = mean_b - mean
-        total = n + nb
-        mean += delta * nb / total
-        m2 += m2_b + delta * delta * n * nb / total
-        n = total
-        min_x = min(min_x, float(np.min(x_t)))
-        max_x = max(max_x, float(np.max(x_t)))
-    var = m2 / (n - 1) if n > 1 else 0.0
-    return UtilityEstimate(mean, math.sqrt(var / n), n, min_x, max_x)
+        delta = mean_b - self.mean
+        total = self.n + nb
+        self.mean += delta * nb / total
+        self.m2 += m2_b + delta * delta * self.n * nb / total
+        self.n = total
+        self.min_x = min(self.min_x, float(np.min(x_t)))
+        self.max_x = max(self.max_x, float(np.max(x_t)))
+
+    def estimate(self) -> UtilityEstimate:
+        n = self.n
+        var = self.m2 / (n - 1) if n > 1 else 0.0
+        return UtilityEstimate(self.mean, math.sqrt(var / n), n, self.min_x, self.max_x)
+
+
+def simulate_scales(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
+                    scales: tuple[float, ...],
+                    q: float | PowerUtility | None = None) -> tuple[UtilityEstimate, ...]:
+    """E[X_T^q / q] under (scale * policy, adversary) for each scale, all on
+    one set of paths; each estimate equals simulate_eu's at that policy_scale
+    bit for bit."""
+    q = _resolve_q(policy, q)
+    scales = tuple(scales)
+    moments = [_UtilityMoments(q) for _ in scales]
+    for x_t in _terminal_wealth_batches(policy, adv, m, cfg, scales):
+        for acc, row in zip(moments, x_t):
+            acc.add(row)
+    return tuple(acc.estimate() for acc in moments)
 
 
 def simulate_eu(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
@@ -210,21 +253,23 @@ def simulate_eu(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
     fraction; policy_scale multiplies the fraction pathwise (used for the
     deviation checks).  q defaults to the policy field's utility exponent.
     """
-    q = _resolve_q(policy, q)
-    return _estimate(_terminal_wealth_batches(policy, adv, m, cfg, policy_scale), q)
+    return simulate_scales(policy, adv, m, cfg, (policy_scale,), q)[0]
 
 
 def terminal_wealths(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
                      policy_scale: float = 1.0) -> np.ndarray:
     """All terminal wealths (same paths and seed scheme as simulate_eu)."""
-    return np.concatenate(list(
-        _terminal_wealth_batches(policy, adv, m, cfg, policy_scale)))
+    return np.concatenate([x_t[0] for x_t in _terminal_wealth_batches(
+        policy, adv, m, cfg, (policy_scale,))])
 
 
 def utility_estimate(x_t: np.ndarray, q: float) -> UtilityEstimate:
     """The estimate simulate_eu returns, from the wealths terminal_wealths
     returns for the same arguments (merged over the same batches)."""
-    return _estimate((x_t[i:i + BATCH_SIZE] for i in range(0, len(x_t), BATCH_SIZE)), q)
+    acc = _UtilityMoments(q)
+    for i in range(0, len(x_t), BATCH_SIZE):
+        acc.add(x_t[i:i + BATCH_SIZE])
+    return acc.estimate()
 
 
 @dataclass(frozen=True)
@@ -270,7 +315,9 @@ def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
     (c) policy scalings under nu* must not push EU above V0_hat + 3 SE_combined.
     Violations are reported as findings, never raised.
     """
-    base = simulate_eu(pf, AdversaryPolicy.field(pf), m, cfg, q=util)
+    # the base run and the policy scalings share nu*'s paths
+    base, *scaled = simulate_scales(pf, AdversaryPolicy.field(pf), m, cfg,
+                                    (1.0, *policy_scales), q=util)
     pde_value = value_function(s, 0.0, cfg.x0, cfg.y0, util.q)
     findings: list[SaddleFinding] = []
 
@@ -299,9 +346,7 @@ def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
         findings.append(SaddleFinding("adversary", adv.label, est.mean,
                                       est.std_error, bound, est.mean >= bound))
 
-    nu_field = AdversaryPolicy.field(pf)
-    for scale in policy_scales:
-        est = simulate_eu(pf, nu_field, m, cfg, q=util, policy_scale=scale)
+    for scale, est in zip(policy_scales, scaled):
         se_comb = math.hypot(est.std_error, base.std_error)
         bound = base.mean + 3.0 * se_comb
         findings.append(SaddleFinding("policy-scale", f"{scale:g}*pi*", est.mean,

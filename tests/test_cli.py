@@ -102,15 +102,19 @@ class TestExitCodes:
 
     def test_ramp_rounding_past_its_tail_names_the_node(self, tmp_path, capsys):
         # the ramp's polynomial passes 1 by ~1e-13 just left of its right tail,
-        # so b + mu_minus dips below 0 there while the exact tail check holds
+        # so b + mu_minus dips below 0 there while the exact tail check holds;
+        # validate checks the grid's nodes as solve does, and names the same one
         ramp = {"kind": "smooth-ramp", "left": 0.0, "right": -0.1, "tail_radius": 1.0}
         path = write_config(tmp_path, {"model.b": ramp, "grid.horizon": 0.001,
                                        "grid.n_t": 21, "grid.n_y": 8001, "grid.theta": 1.0})
-        assert main(["validate", "--config", path]) == 0
-        capsys.readouterr()
-        assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
-        m = re.search(r"b \+ mu_minus >= 0 violated at y = (\S+):", capsys.readouterr().err)
-        assert m is not None and 0.998 < float(m.group(1)) < 1.0
+        named = []
+        for argv in (["validate"], ["solve", "--out", str(tmp_path / "o")]):
+            assert main(argv + ["--config", path]) == 1
+            m = re.search(r"b \+ mu_minus >= 0 violated at y = (\S+):",
+                          capsys.readouterr().err)
+            assert m is not None and 0.998 < float(m.group(1)) < 1.0
+            named.append(m.group(1))
+        assert named[0] == named[1]
 
     @pytest.mark.parametrize("key, value", [
         ("rectangle.mu_plus", float("nan")),

@@ -218,3 +218,48 @@ class TestResidualNorm:
         u = np.repeat(closed_form_b0(g.t_nodes(), K, 0.5, 1.0)[:, None], g.n_y, axis=1)
         s = ValueSurface.from_u(g, u, q=0.5)
         assert residual_norm(s, smoke_model, K, smoke_util) <= 1e-8
+
+
+class TestNodeLookup:
+    """_bilinear finds the y-bracket from the node spacing; its y-step must be
+    np.interp on the same row, word for word."""
+
+    @staticmethod
+    def words(a):
+        return np.asarray(a, dtype=float).view(np.uint64)
+
+    @pytest.mark.parametrize("n_y, y_radius", [(3, 3.0), (4, 3.0), (5, 1.0), (121, 4.0),
+                                               (201, 3.0), (2001, 7.3)])
+    def test_matches_np_interp(self, n_y, y_radius):
+        rng = np.random.default_rng(n_y)
+        y_nodes = GridSpec(1.0, 2, n_y, y_radius).y_nodes()
+        t_nodes = np.array([0.0, 1.0])
+        values = rng.standard_normal((2, n_y))
+        values[:, n_y // 2] = -0.0  # a node value whose sign a formula could lose
+        ys = np.concatenate([
+            rng.uniform(-y_radius, y_radius, 20_000),
+            y_nodes, np.nextafter(y_nodes, np.inf), np.nextafter(y_nodes, -np.inf),
+            rng.uniform(-3 * y_radius, 3 * y_radius, 2_000),
+            [np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0]])
+        for t in (0.0, 0.37, 1.0):
+            row = (1.0 - t) * values[0] + t * values[1]
+            got = pde._bilinear(t_nodes, y_nodes, values, t, ys)
+            assert np.array_equal(self.words(got), self.words(np.interp(ys, y_nodes, row)))
+
+    def test_nan_gives_nan_without_warning(self):
+        # tier-1 turns RuntimeWarnings into errors, so this also checks that no
+        # NaN reaches an integer cast
+        g = GridSpec(1.0, 3, 5, 3.0)
+        values = np.arange(15.0).reshape(3, 5)
+        got = pde._bilinear(g.t_nodes(), g.y_nodes(), values, 0.25, [np.nan, 1.5, np.nan])
+        assert np.isnan(got[0]) and np.isnan(got[2])
+        assert got[1] == np.interp(1.5, g.y_nodes(), 0.5 * values[0] + 0.5 * values[1])
+
+    def test_keeps_the_shape_of_y(self):
+        g = GridSpec(1.0, 3, 5, 3.0)
+        values = np.arange(15.0).reshape(3, 5)
+        ys = np.array([[0.2, -4.0], [1.5, 3.0]])
+        got = pde._bilinear(g.t_nodes(), g.y_nodes(), values, 0.5, ys)
+        assert got.shape == (2, 2)
+        assert np.array_equal(got, np.interp(ys, g.y_nodes(), values[1]))
+        assert pde._bilinear(g.t_nodes(), g.y_nodes(), values, 0.5, 0.2) == got[0, 0]

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
-                        PolicyField, SimConfig, UncertaintyRectangle,
-                        WorstCaseMeasure, build_policy, simulate_eu, solve_hjbi,
-                        terminal_wealths, value_function, verify_saddle)
+                        PolicyField, PowerUtility, SimConfig, UncertaintyRectangle,
+                        UtilityEstimate, WorstCaseMeasure, build_policy, simulate_eu,
+                        simulate_scales, solve_hjbi, terminal_wealths, value_function,
+                        verify_saddle)
+from robustport.simulate import BATCH_SIZE
 
 from oracles import lognormal_eu
 
@@ -42,6 +44,21 @@ def smoke_pipeline(smoke_model, smoke_util):
     s = solve_hjbi(smoke_model, K, smoke_util, g)
     pf = build_policy(s, smoke_model, K, smoke_util)
     return s, pf
+
+
+TAIL_K = UncertaintyRectangle(0.0, 0.3, 0.2, 0.4)
+TAIL_UTIL = PowerUtility(0.5)
+
+
+@pytest.fixture(scope="module")
+def tail_pipeline():
+    """mu- = 0 lets the tail branch win: two-atom measures on ~40% of nodes."""
+    zero = CoefficientFn.constant(0.0)
+    m = MarketModel(CoefficientFn.ramp(0.0, 0.4, 1.0), zero, zero, 0.9)
+    s = solve_hjbi(m, TAIL_K, TAIL_UTIL, GridSpec(1.0, 201, 61, 3.0))
+    pf = build_policy(s, m, TAIL_K, TAIL_UTIL)
+    assert 0.3 < np.mean(pf.weight_a < 1.0) < 0.5
+    return m, s, pf
 
 
 class TestSimulateEU:
@@ -216,3 +233,84 @@ class TestVerifySaddle:
                                policy_scales=(3.0,))
         scale_findings = [f for f in report.findings if f.kind == "policy-scale"]
         assert scale_findings and all(f.passed for f in scale_findings)
+
+
+class TestSharedPaths:
+    """The policy scalings of one adversary run on one set of paths."""
+
+    @pytest.mark.parametrize("chatter", [False, True])
+    def test_scales_equal_single_scale_runs(self, tail_pipeline, chatter):
+        m, _, pf = tail_pipeline
+        adv = AdversaryPolicy(pf=pf, label="nu*", chatter=chatter)
+        cfg = SimConfig(n_paths=BATCH_SIZE + 500, n_steps=6, seed=21, x0=1.3, y0=0.2,
+                        horizon=1.0)
+        scales = (0.0, 0.5, 1.0, 1.5)
+        together = simulate_scales(pf, adv, m, cfg, scales)
+        assert together == tuple(simulate_eu(pf, adv, m, cfg, policy_scale=s)
+                                 for s in scales)
+
+    def test_tail_report_is_pinned(self, tail_pipeline):
+        # the values of the engine that ran each (adversary, scale) pair alone
+        m, s, pf = tail_pipeline
+        cfg = SimConfig(n_paths=4096, n_steps=10, seed=31001, x0=1.0, y0=0.0, horizon=1.0)
+        report = verify_saddle(s, pf, m, TAIL_K, TAIL_UTIL, cfg)
+        assert report.base == UtilityEstimate(
+            mean=2.671484343424079, std_error=0.053746303189019955, n_paths=4096,
+            min_terminal_wealth=0.02089384130130669, max_terminal_wealth=1002.2704845486858)
+        assert report.pde_value == 2.6577349121978466
+        assert [(f.kind, f.label, f.eu, f.std_error, f.bound, f.passed)
+                for f in report.findings] == [
+            ('value-match', 'EU(pi*, nu*) vs PDE', 2.671484343424079, 0.053746303189019955,
+             2.6577349121978466, True),
+            ('adversary', 'point(0,0.2)', 3.328723612936602, 0.036699133229550825,
+             2.4762423823179236, True),
+            ('adversary', 'point(0,0.4)', 2.6728006867195573, 0.05379306451706498,
+             2.443358873408983, True),
+            ('adversary', 'point(0.3,0.2)', 6.102179647501579, 0.08378607763312766,
+             2.3728559000288207, True),
+            ('adversary', 'point(0.3,0.4)', 4.999348274142724, 0.11550523900933195,
+             2.2892918158861892, True),
+            ('adversary', 'random(0.295,0.378)', 5.119284892654624, 0.11177150900148485,
+             2.299417389800681, True),
+            ('adversary', 'random(0.170,0.237)', 4.584053568259211, 0.06439740043820665,
+             2.419847278175012, True),
+            ('adversary', 'random(0.176,0.344)', 4.174570553840946, 0.07905227840499669,
+             2.384706815630208, True),
+            ('adversary', 'chattering', 2.672534476237545, 0.053784917160779586,
+             2.4433761634210334, True),
+            ('policy-scale', '0*pi*', 2.0, 0.0, 2.832723252991139, True),
+            ('policy-scale', '0.5*pi*', 2.46173888930319, 0.02122860662465713,
+             2.844844862607065, True),
+            ('policy-scale', '0.8*pi*', 2.6398340119483312, 0.03966400381464758,
+             2.871876670487392, True),
+            ('policy-scale', '1.2*pi*', 2.6153563993201474, 0.06827608139853726,
+             2.932161529956832, True),
+            ('policy-scale', '1.5*pi*', 2.3616274501760586, 0.08791339848634715,
+             2.9806070968071774, True),
+        ]
+
+    def test_one_path_set_per_adversary(self, tail_pipeline, monkeypatch):
+        # nu* with the base and its five scalings, 4 corners, 3 random points
+        # and chattering: 9 path sets, each drawing its normals once per step
+        # and batch (one run per (adversary, scale) pair drew 14 times as many)
+        m, s, pf = tail_pipeline
+        draws = []
+        default_rng = np.random.default_rng
+
+        class Counting:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def standard_normal(self, *args, **kwargs):
+                draws.append(1)
+                return self._gen.standard_normal(*args, **kwargs)
+
+            def __getattr__(self, attr):
+                return getattr(self._gen, attr)
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a, **k: Counting(default_rng(*a, **k)))
+        cfg = SimConfig(n_paths=BATCH_SIZE + 1, n_steps=2, seed=5, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        verify_saddle(s, pf, m, TAIL_K, TAIL_UTIL, cfg)
+        assert len(draws) == 9 * cfg.n_steps * 2
