@@ -1,10 +1,10 @@
 """Robust portfolio choice under joint drift/volatility uncertainty.
 
 Pipeline: describe the market (model), compute worst-case measures in closed
-form (worst_case), evaluate the game Hamiltonian and its saddle (hamiltonian),
-solve the reduced HJBI PDE (pde), extract the policy field (strategy), and
-verify the saddle by Monte-Carlo simulation (simulate).  The cli module wires
-these to YAML configs and CSV artifacts.
+form (worst_case), solve the reduced HJBI PDE, whose Hamiltonian takes its
+saddle through the ratio minimizer (pde), extract the policy field and the
+saddle fraction (strategy), and verify the saddle by Monte-Carlo simulation
+(simulate).  The cli module wires these to YAML configs and CSV artifacts.
 """
 
 from .model import (CoefficientFn, GridSpec, MarketModel, PowerUtility,
@@ -12,8 +12,6 @@ from .model import (CoefficientFn, GridSpec, MarketModel, PowerUtility,
                     validate_assumptions)
 from .worst_case import (BranchRegion, KappaBranch, RatioMin, WorstCaseMeasure,
                          brute_force_min, minimize_ratio, min_ratio_values)
-from .hamiltonian import (DerivativeBundle, SaddlePoint, hamiltonian_measure,
-                          hamiltonian_point, saddle_point)
 from .pde import (SolveDiagnostics, SolverError, ValueSurface, residual_norm,
                   solve_hjbi)
 from .strategy import PolicyField, build_policy, value_function
@@ -29,8 +27,6 @@ __all__ = [
     "validate_assumptions",
     "BranchRegion", "KappaBranch", "RatioMin", "WorstCaseMeasure",
     "brute_force_min", "minimize_ratio", "min_ratio_values",
-    "DerivativeBundle", "SaddlePoint", "hamiltonian_measure",
-    "hamiltonian_point", "saddle_point",
     "SolveDiagnostics", "SolverError", "ValueSurface", "residual_norm",
     "solve_hjbi",
     "PolicyField", "build_policy", "value_function",

@@ -12,6 +12,7 @@ worst-case branch.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -75,8 +76,8 @@ def _cached_policy(args):
     if cached != solve_config_hash(cfg):
         why = "has no provenance line" if cached is None else "is stale (config changed)"
         raise MissingArtifact(f"cached surface in {out} {why}; re-run `robustport solve`")
-    # a matching hash means the surface was solved on cfg.grid with cfg.utility.q
-    surface = csvio.read_surface(csv_path, cfg.grid, cfg.utility.q)
+    # a matching hash means the surface was solved on cfg.grid
+    surface = csvio.read_surface(csv_path, cfg.grid)
     return cfg, out, surface, build_policy(surface, cfg.model, cfg.rectangle, cfg.utility)
 
 
@@ -169,6 +170,9 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _load_effective_config(args)
     k = cfg.rectangle
+    for flag, v in (("--b-val", args.b_val), ("--kappa", args.kappa)):
+        if not math.isfinite(v):
+            raise ConfigError(f"{flag} must be finite, got {v}")
     measure, value, branch = minimize_ratio(args.b_val, args.kappa, k)
     try:
         brute = brute_force_min(args.b_val, args.kappa, k, resolution=args.resolution)

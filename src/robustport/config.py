@@ -17,14 +17,16 @@ Schema (all keys validated, unknown keys rejected)::
 Coefficient kinds: constant {value, tail_radius?}, smooth-ramp {left, right,
 tail_radius}, piecewise-linear-clamped {left, right, tail_radius, knots}.
 grid.y_radius defaults to the coefficient tail radius + 2; grid.theta to 0.5.
-The simulation horizon is grid.horizon (no separate key).
+The simulation horizon is grid.horizon (no separate key).  Keys annotated int
+(n_t, n_y, n_paths, n_steps, seed) take integers; every other number may be
+an integer or a float.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import yaml
 
@@ -65,6 +67,27 @@ class RunConfig:
         return cfg
 
 
+# Each section's dataclass and its keys in dump order.  A key is required
+# unless its field has a default or parse_config supplies one; a value is read
+# by its field's annotation.
+_SECTIONS = {
+    "model": (MarketModel, ("b", "beta", "r", "rho")),
+    "rectangle": (UncertaintyRectangle,
+                  ("mu_minus", "mu_plus", "sigma_minus", "sigma_plus")),
+    "utility": (PowerUtility, ("q",)),
+    "grid": (GridSpec, ("horizon", "n_t", "n_y", "y_radius", "theta")),
+    "sim": (SimConfig, ("n_paths", "n_steps", "seed", "x0", "y0")),
+}
+
+# each coefficient kind's keys after `kind`, in dump order; a constant's
+# `value` is its left and right value, and its tail_radius is optional
+_KINDS = {
+    "constant": ("value", "tail_radius"),
+    "smooth-ramp": ("left", "right", "tail_radius"),
+    "piecewise-linear-clamped": ("left", "right", "tail_radius", "knots"),
+}
+
+
 def _require_mapping(node, path: str) -> dict:
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
@@ -81,121 +104,66 @@ def _check_keys(node: dict, path: str, required: tuple[str, ...],
         raise ConfigError(f"{path}: missing required key(s) {missing}")
 
 
-def _number(node: dict, path: str, key: str, default=None) -> float:
-    if key not in node:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: missing")
-        return default
-    v = node[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
-
-
-def _integer(node: dict, path: str, key: str, default=None) -> int:
-    if key not in node:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: missing")
-        return default
-    v = node[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
-    return v
+def _value(v, path: str, annotation: str):
+    """A field's value: "int" takes integers only, "float" any number (bools
+    are neither), "CoefficientFn" a coefficient mapping."""
+    if annotation == "CoefficientFn":
+        return _coefficient(v, path)
+    if isinstance(v, bool) or not isinstance(v, int if annotation == "int" else (int, float)):
+        what = "an integer" if annotation == "int" else "a number"
+        raise ConfigError(f"{path}: expected {what}, got {v!r}")
+    return v if annotation == "int" else float(v)
 
 
 def _coefficient(node, path: str) -> CoefficientFn:
     node = _require_mapping(node, path)
     kind = node.get("kind")
+    if kind not in _KINDS:
+        raise ConfigError(f"{path}.kind: expected one of {' / '.join(_KINDS)}, "
+                          f"got {kind!r}")
+    keys = _KINDS[kind]
+    optional = ("tail_radius",) if kind == "constant" else ()
+    _check_keys(node, path, ("kind", *(k for k in keys if k not in optional)), optional)
+    knots = node.get("knots", [])
+    if not isinstance(knots, list) or any(not isinstance(p, list) or len(p) != 2
+                                          for p in knots):
+        raise ConfigError(f"{path}.knots: expected a list of [y, value] pairs")
+    values = {k: _value(node[k], f"{path}.{k}", "float")
+              for k in keys if k in node and k != "knots"}
+    values["knots"] = tuple(tuple(_value(v, f"{path}.knots", "float") for v in p)
+                            for p in knots)
+    if kind == "constant":
+        values["left"] = values["right"] = values.pop("value")
     try:
-        if kind == "constant":
-            _check_keys(node, path, ("kind", "value"), ("tail_radius",))
-            v = _number(node, path, "value")
-            n = _number(node, path, "tail_radius", 1.0)
-            return CoefficientFn("constant", v, v, n)
-        if kind == "smooth-ramp":
-            _check_keys(node, path, ("kind", "left", "right", "tail_radius"))
-            return CoefficientFn.ramp(_number(node, path, "left"),
-                                      _number(node, path, "right"),
-                                      _number(node, path, "tail_radius"))
-        if kind == "piecewise-linear-clamped":
-            _check_keys(node, path, ("kind", "left", "right", "tail_radius", "knots"))
-            knots = node["knots"]
-            if (not isinstance(knots, list)
-                    or any(not isinstance(p, list) or len(p) != 2 for p in knots)):
-                raise ConfigError(f"{path}.knots: expected a list of [y, value] pairs")
-            return CoefficientFn.piecewise(_number(node, path, "left"),
-                                           _number(node, path, "right"),
-                                           _number(node, path, "tail_radius"),
-                                           knots)
+        return CoefficientFn(kind, **values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: expected one of constant / smooth-ramp / "
-                      f"piecewise-linear-clamped, got {kind!r}")
+
+
+def _section(root: dict, name: str, **defaults):
+    """Build section `name` from its mapping.  `defaults` adds to the field
+    defaults; a default whose name is not a key is always used."""
+    cls, keys = _SECTIONS[name]
+    node = _require_mapping(root[name], name)
+    annotations = {f.name: f.type for f in fields(cls)}
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING} | defaults
+    _check_keys(node, name, tuple(k for k in keys if k not in defaults),
+                tuple(k for k in keys if k in defaults))
+    values = {k: _value(node[k], f"{name}.{k}", annotations[k]) for k in keys if k in node}
+    try:
+        return cls(**(defaults | values))
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def parse_config(data) -> RunConfig:
     root = _require_mapping(data, "config")
-    _check_keys(root, "config", ("model", "rectangle", "utility", "grid", "sim"),
-                ("output_dir",))
-
-    mnode = _require_mapping(root["model"], "model")
-    _check_keys(mnode, "model", ("b", "beta", "r", "rho"))
-    try:
-        model = MarketModel(
-            b=_coefficient(mnode["b"], "model.b"),
-            beta=_coefficient(mnode["beta"], "model.beta"),
-            r=_coefficient(mnode["r"], "model.r"),
-            rho=_number(mnode, "model", "rho"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-    rnode = _require_mapping(root["rectangle"], "rectangle")
-    _check_keys(rnode, "rectangle", ("mu_minus", "mu_plus", "sigma_minus", "sigma_plus"))
-    try:
-        rect = UncertaintyRectangle(
-            _number(rnode, "rectangle", "mu_minus"),
-            _number(rnode, "rectangle", "mu_plus"),
-            _number(rnode, "rectangle", "sigma_minus"),
-            _number(rnode, "rectangle", "sigma_plus"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"rectangle: {exc}") from exc
-
-    unode = _require_mapping(root["utility"], "utility")
-    _check_keys(unode, "utility", ("q",))
-    try:
-        utility = PowerUtility(_number(unode, "utility", "q"))
-    except ValueError as exc:
-        raise ConfigError(f"utility: {exc}") from exc
-
-    gnode = _require_mapping(root["grid"], "grid")
-    _check_keys(gnode, "grid", ("horizon", "n_t", "n_y"), ("y_radius", "theta"))
-    try:
-        grid = GridSpec(
-            horizon=_number(gnode, "grid", "horizon"),
-            n_t=_integer(gnode, "grid", "n_t"),
-            n_y=_integer(gnode, "grid", "n_y"),
-            y_radius=_number(gnode, "grid", "y_radius", default_y_radius(model)),
-            theta=_number(gnode, "grid", "theta", 0.5),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-    snode = _require_mapping(root["sim"], "sim")
-    _check_keys(snode, "sim", ("n_paths", "n_steps", "seed", "x0", "y0"))
-    try:
-        sim = SimConfig(
-            n_paths=_integer(snode, "sim", "n_paths"),
-            n_steps=_integer(snode, "sim", "n_steps"),
-            seed=_integer(snode, "sim", "seed"),
-            x0=_number(snode, "sim", "x0"),
-            y0=_number(snode, "sim", "y0"),
-            horizon=grid.horizon,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from exc
-
+    _check_keys(root, "config", tuple(_SECTIONS), ("output_dir",))
+    model = _section(root, "model")
+    rect = _section(root, "rectangle")
+    utility = _section(root, "utility")
+    grid = _section(root, "grid", y_radius=default_y_radius(model))
+    sim = _section(root, "sim", horizon=grid.horizon)
     out = root.get("output_dir")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"output_dir: expected a string, got {out!r}")
@@ -214,45 +182,18 @@ def load_config(path: str) -> RunConfig:
 
 
 def _coefficient_dict(f: CoefficientFn) -> dict:
-    if f.kind == "constant":
-        return {"kind": "constant", "value": f.left, "tail_radius": f.tail_radius}
-    d = {"kind": f.kind, "left": f.left, "right": f.right, "tail_radius": f.tail_radius}
-    if f.kind == "piecewise-linear-clamped":
-        d["knots"] = [[a, b] for a, b in f.knots]
-    return d
+    values = {"value": f.left, "left": f.left, "right": f.right,
+              "tail_radius": f.tail_radius, "knots": [list(p) for p in f.knots]}
+    return {"kind": f.kind, **{k: values[k] for k in _KINDS[f.kind]}}
 
 
 def canonical_dict(cfg: RunConfig) -> dict:
     """Fully-defaulted plain-dict form; dump -> parse round-trips identically."""
-    d = {
-        "model": {
-            "b": _coefficient_dict(cfg.model.b),
-            "beta": _coefficient_dict(cfg.model.beta),
-            "r": _coefficient_dict(cfg.model.r),
-            "rho": cfg.model.rho,
-        },
-        "rectangle": {
-            "mu_minus": cfg.rectangle.mu_minus,
-            "mu_plus": cfg.rectangle.mu_plus,
-            "sigma_minus": cfg.rectangle.sigma_minus,
-            "sigma_plus": cfg.rectangle.sigma_plus,
-        },
-        "utility": {"q": cfg.utility.q},
-        "grid": {
-            "horizon": cfg.grid.horizon,
-            "n_t": cfg.grid.n_t,
-            "n_y": cfg.grid.n_y,
-            "y_radius": cfg.grid.y_radius,
-            "theta": cfg.grid.theta,
-        },
-        "sim": {
-            "n_paths": cfg.sim.n_paths,
-            "n_steps": cfg.sim.n_steps,
-            "seed": cfg.sim.seed,
-            "x0": cfg.sim.x0,
-            "y0": cfg.sim.y0,
-        },
-    }
+    d = {}
+    for name, (_, keys) in _SECTIONS.items():
+        values = [getattr(getattr(cfg, name), k) for k in keys]
+        d[name] = {k: _coefficient_dict(v) if isinstance(v, CoefficientFn) else v
+                   for k, v in zip(keys, values)}
     if cfg.output_dir is not None:
         d["output_dir"] = cfg.output_dir
     return d

@@ -86,13 +86,13 @@ def write_surface(path: str | Path, s: ValueSurface, config_hash: str, seed: int
                [*_node_columns(s.t, s.y), s.u.ravel(), s.u_y.ravel()])
 
 
-def read_surface(path: str | Path, grid: GridSpec, q: float) -> ValueSurface:
+def read_surface(path: str | Path, grid: GridSpec) -> ValueSurface:
     data = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
     if data.shape != (grid.n_t * grid.n_y, 4):
         raise ValueError(f"surface file {path} does not match the configured "
                          f"{grid.n_t}x{grid.n_y} grid")
     # the u_y column is an export; the reload of u is exact, so is its u_y
-    return ValueSurface.from_u(grid, data[:, 2].reshape(grid.n_t, grid.n_y), q=q)
+    return ValueSurface.from_u(grid, data[:, 2].reshape(grid.n_t, grid.n_y))
 
 
 def write_policy_csv(path: str | Path, pf: PolicyField, config_hash: str, seed: int):

@@ -252,8 +252,9 @@ def validate_assumptions(m: MarketModel, k: UncertaintyRectangle) -> ValidationR
 
     b takes its least value at a tail or a knot, so the check is exact there,
     with no tolerance (rounding aside: near its right tail the ramp's
-    polynomial can pass the tail value by 1e-13 of the rise).  The other standing assumptions (bounded, flat-tailed,
-    finite coefficients, r >= 0) hold for every model the constructors accept.
+    polynomial can pass the tail value by 1e-13 of the rise).  The other
+    standing assumptions (bounded, flat-tailed, finite coefficients, r >= 0)
+    hold for every model the constructors accept.
     """
     ys, vs = m.b._grid()
     i = int(np.argmin(vs))

@@ -72,7 +72,6 @@ class ValueSurface:
     y: np.ndarray
     u: np.ndarray
     u_y: np.ndarray
-    q: float = 0.0
     diagnostics: SolveDiagnostics | None = None
 
     def __post_init__(self):
@@ -80,12 +79,11 @@ class ValueSurface:
             arr.setflags(write=False)
 
     @classmethod
-    def from_u(cls, grid: GridSpec, u: np.ndarray, **kw) -> "ValueSurface":
+    def from_u(cls, grid: GridSpec, u: np.ndarray) -> "ValueSurface":
         u = np.asarray(u, dtype=float)
         if u.shape != (grid.n_t, grid.n_y):
             raise ValueError(f"u must have shape {(grid.n_t, grid.n_y)}")
-        return cls(grid, grid.t_nodes(), grid.y_nodes(), u,
-                   _d_dy(u, grid.dy), **kw)
+        return cls(grid, grid.t_nodes(), grid.y_nodes(), u, _d_dy(u, grid.dy))
 
     def interp_u(self, t: float, y) -> np.ndarray:
         """Bilinear interpolation of u at (t, y); clamped to the grid hull."""
@@ -268,7 +266,7 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
                 f"(|u| jumped to {new_max:.3g}); dt = {dt:.3g} is too large")
         prev_max = new_max
 
-    surface = ValueSurface.from_u(g, u, q=q)
+    surface = ValueSurface.from_u(g, u)
     return replace(surface, diagnostics=SolveDiagnostics(
         time_steps=g.n_t - 1,
         max_abs_u=float(np.max(np.abs(u))),

@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 BATCH_SIZE = 65536
+# verify_saddle: constant points drawn from K besides its corners, and the
+# allowance of the PDE value match on top of 3 standard errors
+N_RANDOM_ADVERSARIES = 3
+PDE_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -304,14 +308,14 @@ class SaddleReport:
 
 def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
                   k: UncertaintyRectangle, util: PowerUtility, cfg: SimConfig,
-                  n_random_adversaries: int = 3,
-                  policy_scales: tuple[float, ...] = (0.0, 0.5, 0.8, 1.2, 1.5),
-                  pde_tolerance: float = 1e-3) -> SaddleReport:
+                  policy_scales: tuple[float, ...] = (0.0, 0.5, 0.8, 1.2, 1.5)
+                  ) -> SaddleReport:
     """Monte-Carlo saddle verification.
 
-    (a) EU(pi*, nu*) must match the PDE value within 3 SE + pde_tolerance;
-    (b) adversary deviations (corners of K, random constant points,
-        chattering) must not push EU below V0_hat - 3 SE_combined;
+    (a) EU(pi*, nu*) must match the PDE value within 3 SE + PDE_TOLERANCE;
+    (b) adversary deviations (corners of K, N_RANDOM_ADVERSARIES random
+        constant points, chattering) must not push EU below
+        V0_hat - 3 SE_combined;
     (c) policy scalings under nu* must not push EU above V0_hat + 3 SE_combined.
     Violations are reported as findings, never raised.
     """
@@ -321,7 +325,7 @@ def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
     pde_value = value_function(s, 0.0, cfg.x0, cfg.y0, util.q)
     findings: list[SaddleFinding] = []
 
-    tol = 3.0 * base.std_error + pde_tolerance
+    tol = 3.0 * base.std_error + PDE_TOLERANCE
     findings.append(SaddleFinding(
         "value-match", "EU(pi*, nu*) vs PDE", base.mean, base.std_error,
         pde_value, abs(base.mean - pde_value) <= tol))
@@ -332,7 +336,7 @@ def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
         for sig in (k.sigma_minus, k.sigma_plus)
     ]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(10_000,)))
-    for i in range(n_random_adversaries):
+    for _ in range(N_RANDOM_ADVERSARIES):
         mu = float(rng.uniform(k.mu_minus, k.mu_plus))
         sig = float(rng.uniform(k.sigma_minus, k.sigma_plus))
         adversaries.append(AdversaryPolicy.constant_point(mu, sig, k,

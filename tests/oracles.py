@@ -1,9 +1,28 @@
-"""Independent test oracles: no code shared with the implementation paths they
-check (grid searches, quadratic closed forms)."""
+"""Test oracles: grid searches and quadratic closed forms that share no code
+with the implementation paths they check, and the pointwise game Hamiltonian
+with its saddle.
+
+With first derivatives p = (p1, p2) and second derivatives q = (q11, q12, q22)
+of a candidate value function,
+
+    H(pi, mu, sigma) = 1/2 pi^2 sigma^2 q11 + rho pi sigma q12 + 1/2 q22
+                       + x r(y) p1 + pi b(y) p1 + pi mu p1 + beta(y) p2.
+
+For q11 < 0 the max-min over (pi, measures on K) has a saddle; the adversary
+part reduces to the five-branch ratio minimizer with kappa = rho*q12/p1.
+saddle_point takes that part from robustport's minimize_ratio, so it is not
+independent of the minimizer: it checks how strategy assembles the saddle in
+the separated variables, and the grid searches check the minimizer itself.
+"""
 
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from robustport.model import MarketModel, UncertaintyRectangle
+from robustport.worst_case import WorstCaseMeasure, minimize_ratio
 
 
 def lognormal_eu(x0, q, f, mu, sigma, r0, b0, horizon):
@@ -99,3 +118,86 @@ def reference_csv(config_hash, seed, version, header, rows):
     lines = [f"# config_hash={config_hash} seed={seed} version={version}", header]
     lines += [",".join(cell(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class DerivativeBundle:
+    """Value-function derivatives (v_x, v_y, v_xx, v_xy, v_yy)."""
+
+    p1: float
+    p2: float
+    q11: float
+    q12: float
+    q22: float
+
+
+def hamiltonian_point(pi: float, mu: float, sigma: float, x: float, y: float,
+                      d: DerivativeBundle, m: MarketModel) -> float:
+    return (0.5 * pi * pi * sigma * sigma * d.q11
+            + m.rho * pi * sigma * d.q12
+            + 0.5 * d.q22
+            + x * float(m.r(y)) * d.p1
+            + pi * float(m.b(y)) * d.p1
+            + pi * mu * d.p1
+            + float(m.beta(y)) * d.p2)
+
+
+def hamiltonian_measure(pi: float, nu: WorstCaseMeasure, x: float, y: float,
+                        d: DerivativeBundle, m: MarketModel) -> float:
+    """Measure-averaged Hamiltonian: the atom average, equivalently the point
+    formula with (mu, sigma, sigma^2) replaced by the measure moments."""
+    mu_m, sig_m, sig2_m = nu.moments()
+    return (0.5 * pi * pi * sig2_m * d.q11
+            + m.rho * pi * sig_m * d.q12
+            + 0.5 * d.q22
+            + x * float(m.r(y)) * d.p1
+            + pi * float(m.b(y)) * d.p1
+            + pi * mu_m * d.p1
+            + float(m.beta(y)) * d.p2)
+
+
+class SaddlePoint(NamedTuple):
+    pi_star: float
+    nu_star: WorstCaseMeasure
+    value: float
+
+
+def saddle_point(x: float, y: float, d: DerivativeBundle, m: MarketModel,
+                 k: UncertaintyRectangle) -> SaddlePoint:
+    """Pointwise saddle (pi*, nu*) of max_pi min_nu H and the saddle value.
+
+    Requires q11 < 0 (strict concavity in pi).  For p1 != 0 the worst measure
+    is the ratio minimizer at kappa = rho*q12/p1 and
+
+        value = 1/2 q22 + beta p2 + x r p1 - p1^2/(2 q11) * min_ratio.
+
+    For p1 = 0 only the volatility moments matter; the minimum of
+    (sigma,nu)^2/(sigma^2,nu) over the Bernoulli closure sits at mean
+    sigma-*sigma+/sigma_M with value sigma-*sigma+/sigma_M^2.
+    """
+    if d.q11 >= 0:
+        raise ValueError("saddle requires q11 < 0")
+    b_val = float(m.b(y))
+    const = 0.5 * d.q22 + float(m.beta(y)) * d.p2 + x * float(m.r(y)) * d.p1
+    s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
+
+    if d.p1 != 0.0:
+        kappa = m.rho * d.q12 / d.p1
+        nu, min_val, _ = minimize_ratio(b_val, kappa, k)
+        _, sig_m, _ = nu.moments()
+        denom = (2.0 * s_mid * sig_m - s_lo * s_hi) * d.q11
+        pi_star = -((b_val + nu.mean_mu) * d.p1 + sig_m * m.rho * d.q12) / denom
+        value = const - d.p1 * d.p1 / (2.0 * d.q11) * min_val
+        return SaddlePoint(pi_star, nu, value)
+
+    # p1 == 0: mean sigma-*sigma+/sigma_M is attainable by the Bernoulli family
+    sbar = s_lo * s_hi / s_mid
+    if s_hi > s_lo:
+        alpha = (s_hi - sbar) / (s_hi - s_lo)
+        nu = WorstCaseMeasure.bernoulli(k.mu_minus, s_lo, s_hi, alpha)
+    else:
+        nu = WorstCaseMeasure.point(k.mu_minus, s_lo)
+    _, sig_m, sig2_m = nu.moments()
+    pi_star = -sig_m * m.rho * d.q12 / (sig2_m * d.q11)
+    value = const - m.rho**2 * d.q12**2 * s_lo * s_hi / (2.0 * d.q11 * s_mid**2)
+    return SaddlePoint(pi_star, nu, value)

@@ -21,12 +21,11 @@ from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
                         build_policy, simulate_eu, solve_hjbi, value_function,
                         verify_saddle)
 from robustport.cli import main as cli_main
-from robustport.hamiltonian import DerivativeBundle, saddle_point
 from robustport.pde import residual_norm
 from robustport.worst_case import (BranchRegion, brute_force_min, minimize_ratio,
                                    _thresholds)
 
-from oracles import grid_minimax_value, lognormal_eu
+from oracles import DerivativeBundle, grid_minimax_value, lognormal_eu, saddle_point
 
 SMOKE_RECT = UncertaintyRectangle(0.1, 0.3, 0.2, 0.4)
 SMOKE_MODEL = MarketModel(CoefficientFn.constant(0.0), CoefficientFn.constant(0.0),

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -80,6 +81,41 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="model.b"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("grid.n_t", 2.0, "grid.n_t: expected an integer, got 2.0"),
+        ("sim.seed", True, "sim.seed: expected an integer, got True"),
+        ("model.rho", "a", "model.rho: expected a number, got 'a'"),
+        ("model.b", {"kind": "smooth-ramp", "left": "x", "right": 0.2, "tail_radius": 1.0},
+         "model.b.left: expected a number, got 'x'"),
+        ("model.b", {"kind": "smooth-ramp", "left": 0.0, "right": 0.2, "tail_radius": 1.0,
+                     "knots": []},
+         "model.b: unknown key(s) ['knots']"),
+        ("model.b", {"kind": "constant"}, "model.b: missing required key(s) ['value']"),
+        ("model.r", {"kind": "piecewise-linear-clamped", "left": 0.0, "right": 0.0,
+                     "tail_radius": 1.0, "knots": [[[0.5], 0.0]]},
+         "model.r.knots: expected a number, got [0.5]"),
+        ("model.rho", 2.0, "model: rho must lie in [0, 1], got 2.0"),
+        ("grid.theta", 3, "grid: theta must lie in [0, 1]"),
+    ])
+    def test_messages_name_their_path_once(self, tmp_path, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, {key: value}))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name, digest", [("smoke", "9cd8541f6f4e11a6"),
+                                              ("ramp", "8c1542bc901ed53a")])
+    def test_shipped_config_hashes(self, name, digest):
+        # the hash keys the cached surface.csv; a new value orphans every cache
+        cfg = load_config(str(Path(__file__).parent.parent / "configs" / f"{name}.yaml"))
+        assert solve_config_hash(cfg) == digest
+
+    def test_integer_valued_floats_load_as_floats(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"grid.horizon": 2, "grid.n_t": 401,
+                                                  "model.rho": 1, "sim.x0": 3}))
+        assert cfg.grid.horizon == cfg.sim.horizon == 2.0
+        assert all(type(v) is float for v in (cfg.grid.horizon, cfg.model.rho, cfg.sim.x0))
+        assert type(cfg.grid.n_t) is int
+
 
 class TestExitCodes:
     def test_validate_ok(self, tmp_path, capsys):
@@ -150,6 +186,14 @@ class TestExitCodes:
     def test_small_oracle_resolution_is_config_error(self, tmp_path):
         assert main(["oracle", "--config", write_config(tmp_path), "--b-val", "0",
                      "--kappa", "-3", "--resolution", "3"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--b-val", "--kappa"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_oracle_input_is_config_error(self, tmp_path, capsys, flag, bad):
+        values = {"--b-val": "0", "--kappa": "-3", flag: bad}
+        assert main(["oracle", "--config", write_config(tmp_path),
+                     *(f"{f}={v}" for f, v in values.items())]) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
 
     def test_stale_surface_is_exit_3(self, tmp_path):
         path = write_config(tmp_path)

@@ -3,7 +3,7 @@ import importlib
 import pytest
 
 MODULES = ["robustport"] + [f"robustport.{name}" for name in (
-    "model", "worst_case", "hamiltonian", "pde", "strategy", "simulate", "csvio",
+    "model", "worst_case", "pde", "strategy", "simulate", "csvio",
     "config", "cli")]
 
 

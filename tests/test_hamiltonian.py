@@ -3,10 +3,9 @@ import pytest
 
 from robustport import (CoefficientFn, MarketModel, UncertaintyRectangle,
                         WorstCaseMeasure)
-from robustport.hamiltonian import (DerivativeBundle, hamiltonian_measure,
-                                    hamiltonian_point, saddle_point)
 
-from oracles import grid_minimax_value, pure_min_substituted
+from oracles import (DerivativeBundle, grid_minimax_value, hamiltonian_measure,
+                     hamiltonian_point, pure_min_substituted, saddle_point)
 
 K = UncertaintyRectangle(0.1, 0.3, 0.2, 0.4)
 

@@ -216,7 +216,7 @@ class TestResidualNorm:
     def test_injected_closed_form_has_tiny_residual(self, smoke_model, smoke_util):
         g = GridSpec(1.0, 201, 51, 3.0, 0.5)
         u = np.repeat(closed_form_b0(g.t_nodes(), K, 0.5, 1.0)[:, None], g.n_y, axis=1)
-        s = ValueSurface.from_u(g, u, q=0.5)
+        s = ValueSurface.from_u(g, u)
         assert residual_norm(s, smoke_model, K, smoke_util) <= 1e-8
 
 

@@ -3,8 +3,9 @@ import pytest
 
 from robustport import (GridSpec, UncertaintyRectangle, build_policy,
                         solve_hjbi, value_function)
-from robustport.hamiltonian import DerivativeBundle, saddle_point
 from robustport.worst_case import BranchRegion, _REGION_CODE
+
+from oracles import DerivativeBundle, saddle_point
 
 K = UncertaintyRectangle(0.1, 0.3, 0.2, 0.4)
 

@@ -262,6 +262,16 @@ class TestValueKernel:
         with pytest.raises(ValueError, match="kappa must be finite"):
             min_ratio_values(0.0, np.array([0.5, bad]), K)
 
+    @pytest.mark.parametrize("kernel", [
+        lambda b: branch_fields(np.array([b, 0.0]), 0.0, K),
+        lambda b: min_ratio_values(b, 0.0, K),
+        lambda b: minimize_ratio(b, 0.0, K),
+    ], ids=["branch_fields", "min_ratio_values", "minimize_ratio"])
+    def test_nan_b_fails_the_a3_precondition(self, kernel):
+        # no region mask selects a NaN node, so it must not get that far
+        with pytest.raises(ValueError, match="b \\+ mu_minus >= 0"):
+            kernel(np.nan)
+
 
 class TestDegenerateRectangles:
     def test_point_volatility_corner_drift(self):
