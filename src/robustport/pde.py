@@ -10,12 +10,14 @@ solves, backward from u(T, .) = 0,
 Note the factor q on the min term: it comes out of the e^{u} ansatz (the
 quadratic term scales with v_x^2 / (v v_xx) = q/(q-1)); dropping it is
 inconsistent with the flat-coefficient closed form and the Monte-Carlo value
-(see tests).  H is written once (`_operator`); the stepper, the boundary data
-and the residual all evaluate it.  Diffusion is treated theta-implicitly
-(one LAPACK dgtsv tridiagonal solve for the predictor and one for the
-corrector per step); H is explicit: a lagged predictor from the later-time
-level plus one trapezoidal correction (second order in time at theta = 1/2,
-no Newton iterations on the nonsmooth min term).  Boundary data
+(see tests).  H is written once (`_operator`) and prepared once per solve:
+its y-only terms, with the b-only parts of the min term
+(`worst_case.ratio_kernel`), are formed before the time loop.  The stepper,
+the boundary data and the residual all evaluate it.  Diffusion is treated
+theta-implicitly (one LAPACK dgtsv tridiagonal solve for the predictor and
+one for the corrector per step); H is explicit: a lagged predictor from the
+later-time level plus one trapezoidal correction (second order in time at
+theta = 1/2, no Newton iterations on the nonsmooth min term).  Boundary data
 at +-y_radius are the flat-tail solutions u = (T - t) H(+-y_radius, 0): H at
 u_y = 0 on constant coefficients, hence y_radius >= tail radius N (default
 N + 2 for margin).
@@ -26,13 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-# not called: kept so the benchmark's tracer, which wraps pde.solve_banded, resolves
-from scipy.linalg import solve_banded  # noqa: F401
 from scipy.linalg.lapack import dgtsv
 
 from .model import (GridSpec, MarketModel, PowerUtility, UncertaintyRectangle,
                     validate_assumptions)
-from .worst_case import min_ratio_values
+from .worst_case import ratio_kernel
+
+# not called: bench/tracing.py wraps pde.min_ratio_values and pde.solve_banded
+# by name, so both must resolve here
+from scipy.linalg import solve_banded  # noqa: F401
+from .worst_case import min_ratio_values  # noqa: F401
 
 __all__ = [
     "SolverError",
@@ -160,16 +165,18 @@ def checked_b(m: MarketModel, k: UncertaintyRectangle, y: np.ndarray) -> np.ndar
 def _operator(m: MarketModel, k: UncertaintyRectangle, q: float, y: np.ndarray):
     """H(y, .) at the nodes y: u_y -> beta u_y + u_y^2/2 + q r
     + q/(2(1-q)) min_ratio(b, rho u_y).  u_y may carry leading axes.
+    Everything that depends on y alone is formed here, once per solve.
 
     Raises SolverError naming the first node where b + mu_minus < 0 (A3)."""
-    b = checked_b(m, k, y)
+    min_ratio = ratio_kernel(checked_b(m, k, y), k)
     beta = np.asarray(m.beta(y))
     qr = q * np.asarray(m.r(y))
     coef = q / (2.0 * (1.0 - q))  # > 0 for q in (0,1), < 0 for q < 0
+    rho = m.rho
 
     def h(u_y: np.ndarray) -> np.ndarray:
         # the min term first: its temporaries peak before the others exist
-        min_term = min_ratio_values(b, m.rho * u_y, k)
+        min_term = min_ratio(rho * u_y)
         return beta * u_y + 0.5 * u_y**2 + qr + coef * min_term
 
     return h
@@ -199,7 +206,7 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
     q = util.q
     t_nodes = g.t_nodes()
     y_nodes = g.y_nodes()
-    beta_vec = np.asarray(m.beta(y_nodes))
+    abs_beta = np.abs(np.asarray(m.beta(y_nodes)))
     h = _operator(m, k, q, y_nodes[1:-1])
     # flat tails: u is y-independent there, so u_y = 0 and u_t = -H(edge, 0)
     bc = (g.horizon - t_nodes)[:, None] * _operator(m, k, q, y_nodes[[0, -1]])(np.zeros(2))
@@ -223,10 +230,11 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
                 raise SolverError(f"tridiagonal solve failed at t = {t_nodes[i]:.6g} "
                                   f"(LAPACK dgtsv info {info})")
             out[1:-1] = x
-        out[[0, -1]] = bc[i]
+        out[0] = bc[i, 0]
+        out[-1] = bc[i, 1]
 
     def check_finite(row: np.ndarray, i: int):
-        if not np.all(np.isfinite(row)):
+        if not np.isfinite(row).all():
             j = int(np.argmax(~np.isfinite(row)))
             raise SolverError(
                 f"non-finite value at t = {t_nodes[i]:.6g}, y = {y_nodes[j]:.6g}")
@@ -235,6 +243,8 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
     u[-1, [0, -1]] = bc[-1]
 
     d_exp = (1.0 - theta) * dt / (2.0 * dy * dy)
+    two_dy = 2.0 * dy
+    pred = np.empty(g.n_y)
     max_cfl = 0.0
     prev_max = 0.0
 
@@ -242,24 +252,25 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
         uo = u[i + 1]
         uy = _d_dy(uo, dy)
 
-        cfl = dt * float(np.max(np.abs(beta_vec) + np.abs(uy))) / dy
+        cfl = dt * float((abs_beta + np.abs(uy)).max()) / dy
         max_cfl = max(max_cfl, cfl)
         if cfl > 1.0:
             raise SolverError(
                 f"dt = {dt:.3g} violates the advection CFL bound at t = {t_nodes[i]:.6g} "
-                f"(dt*max|beta + u_y|/dy = {cfl:.3g} > 1)")
+                f"(dt*max(|beta| + |u_y|)/dy = {cfl:.3g} > 1)")
 
         # predictor: H lagged at the later-time level
         base = uo[1:-1] + d_exp * (uo[:-2] - 2.0 * uo[1:-1] + uo[2:])
         h_old = h(uy[1:-1])
-        pred = np.empty_like(uo)
         implicit_solve(base + dt * h_old, pred, i)
         check_finite(pred, i)
-        # one trapezoidal correction of H (2nd order in time)
-        implicit_solve(base + 0.5 * dt * (h_old + h(_d_dy(pred, dy)[1:-1])), u[i], i)
+        # one trapezoidal correction of H (2nd order in time), with the
+        # predictor's u_y on the interior only: _d_dy's central difference
+        implicit_solve(base + 0.5 * dt * (h_old + h((pred[2:] - pred[:-2]) / two_dy)),
+                       u[i], i)
 
         check_finite(u[i], i)
-        new_max = float(np.max(np.abs(u[i])))
+        new_max = float(np.abs(u[i]).max())
         if new_max > max(10.0 * prev_max + 1.0, 1e6):
             raise SolverError(
                 f"explicit update growth detected at t = {t_nodes[i]:.6g} "

@@ -31,6 +31,7 @@ __all__ = [
     "WorstCaseMeasure",
     "RatioMin",
     "minimize_ratio",
+    "ratio_kernel",
     "min_ratio_values",
     "branch_fields",
     "brute_force_min",
@@ -225,46 +226,67 @@ def branch_fields(b_vals, kappas, k: UncertaintyRectangle):
     }
 
 
-def min_ratio_values(b_vals, kappas, k: UncertaintyRectangle) -> np.ndarray:
-    """Minimal ratio only, for the PDE operator: branch_fields(...)["value"]
-    bit for bit, without the measure fields, masks and scatters.
+def ratio_kernel(b_vals, k: UncertaintyRectangle):
+    """The minimal ratio at fixed b, prepared for many kappas: returns
+    values(kappas) = branch_fields(b_vals, kappas, k)["value"] bit for bit,
+    without the measure fields, masks and scatters.
 
-    Evaluates each branch's value expression over every node, in
-    branch_fields' operand order, and selects by the same half-open regions.
-    b_vals and kappas broadcast (the residual passes 1-D b against 2-D kappa).
+    The A3 check, m±, the region thresholds and the b-only terms are formed
+    here once; values does only the kappa-dependent arithmetic, in
+    branch_fields' operand order, evaluating each branch's value expression
+    over every node and selecting by the same half-open regions.  b_vals and
+    kappas broadcast (the residual passes 1-D b against 2-D kappa).
 
-    Why two kernels: the stepper calls this on one row of a few hundred
-    nodes per step, where numpy's per-call overhead is the cost, and this
-    form issues no masks or scatters.  build_policy calls branch_fields once
-    on the whole surface, where the work is the cost: branch_fields written
-    in this select-every-branch form gives the same bits on the policy
-    inputs of the benchmark's four ladder models at three levels and on
-    random rectangles, but is 2.6-6.3x slower there (ramp model, 642,321
-    nodes: 37 -> 149 ms on 2 CPUs), because one branch holds most nodes and
-    every branch's six fields would be computed over all of them.
+    Raises ValueError if b + mu_minus >= 0 fails (NaN included); values
+    raises ValueError on a non-finite kappa.
     """
     b = np.asarray(b_vals, dtype=float)
-    kap = np.asarray(kappas, dtype=float)
     s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
     m_lo = b + k.mu_minus
     m_hi = b + k.mu_plus
-    if not np.all(m_lo >= 0):  # NaN fails it too
+    if not (m_lo >= 0).all():  # NaN fails it too
         raise ValueError("precondition b + mu_minus >= 0 violated")
-    if not np.all(np.isfinite(kap)):
-        raise ValueError("kappa must be finite")
     t1, t2, t3, t4 = _thresholds(m_lo, m_hi, k)
 
     prod = s_lo * s_hi
-    low = kap * (2.0 * m_hi * s_mid + kap * prod) / s_mid**2
-    high = kap * (2.0 * m_lo * s_mid + kap * prod) / s_mid**2
-    # np.square is what `array ** 2` runs; a numpy scalar's `** 2` calls pow(),
-    # which can differ in the last bit
-    plus = np.square(m_hi + kap * s_lo) / s_lo**2
-    minus = np.square(m_lo + kap * s_hi) / s_hi**2
-    return np.where(kap <= t1, low,
-                    np.where(kap <= t2, plus,
-                             np.where(kap <= t3, 0.0,
-                                      np.where(kap <= t4, minus, high))))
+    lin_hi = 2.0 * m_hi * s_mid
+    lin_lo = 2.0 * m_lo * s_mid
+    s_mid_sq, s_lo_sq, s_hi_sq = s_mid**2, s_lo**2, s_hi**2
+
+    def values(kappas) -> np.ndarray:
+        kap = np.asarray(kappas, dtype=float)
+        if not np.isfinite(kap).all():
+            raise ValueError("kappa must be finite")
+        quad = kap * prod
+        low = kap * (lin_hi + quad) / s_mid_sq
+        high = kap * (lin_lo + quad) / s_mid_sq
+        # np.square is what `array ** 2` runs; a numpy scalar's `** 2` calls
+        # pow(), which can differ in the last bit
+        plus = np.square(m_hi + kap * s_lo) / s_lo_sq
+        minus = np.square(m_lo + kap * s_hi) / s_hi_sq
+        return np.where(kap <= t1, low,
+                        np.where(kap <= t2, plus,
+                                 np.where(kap <= t3, 0.0,
+                                          np.where(kap <= t4, minus, high))))
+
+    return values
+
+
+def min_ratio_values(b_vals, kappas, k: UncertaintyRectangle) -> np.ndarray:
+    """Minimal ratio only: ratio_kernel(b_vals, k)(kappas).
+
+    Why two kernels: the PDE operator prepares ratio_kernel once per solve
+    and evaluates it on one row of a few hundred nodes per step, where
+    numpy's per-call overhead is the cost, and its form issues no masks or
+    scatters.  build_policy calls branch_fields once on the whole surface,
+    where the work is the cost: branch_fields written in this
+    select-every-branch form gives the same bits on the policy inputs of the
+    benchmark's four ladder models at three levels and on random
+    rectangles, but is 2.6-6.3x slower there (ramp model, 642,321 nodes:
+    37 -> 149 ms on 2 CPUs), because one branch holds most nodes and every
+    branch's six fields would be computed over all of them.
+    """
+    return ratio_kernel(b_vals, k)(kappas)
 
 
 def minimize_ratio(b_val: float, kappa: float, k: UncertaintyRectangle) -> RatioMin:

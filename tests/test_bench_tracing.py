@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from robustport import AdversaryPolicy, SimConfig, cli, simulate
+from robustport import AdversaryPolicy, GridSpec, SimConfig, cli, pde, simulate
 from robustport.strategy import PolicyField
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -33,3 +33,17 @@ def test_tracer_installs_and_restores(smoke_model):
     names = [span[0] for span in tracer.spans]
     assert names.count("simulate.simulate_eu") == 1
     assert names.count("numpy.rng") == cfg.n_steps
+
+
+def test_tracer_sees_the_solver_seams(ramp_model, smoke_util, smoke_rect):
+    # the tracer also wraps pde.min_ratio_values and pde.solve_banded, which
+    # the solver no longer calls; install fails if either name is gone
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        pde.solve_hjbi(ramp_model, smoke_rect, smoke_util, GridSpec(1.0, 21, 13, 4.0))
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("pde.solve_hjbi") == 1
+    assert names.count("pde.residual_norm") == 1

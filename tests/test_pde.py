@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from robustport import (CoefficientFn, GridSpec, MarketModel, PowerUtility,
                         UncertaintyRectangle, pde, residual_norm, solve_hjbi)
 from robustport.pde import SolverError, ValueSurface
+from robustport.worst_case import BranchRegion, branch_fields
 
 from oracles import closed_form_b0, flat_tail_u
 
@@ -117,13 +120,23 @@ class TestTinyGrids:
         assert np.max(np.abs(s.u[:, 0] - flat_tail_u(s.t, 0.0, 0.0, K, 0.5, 1.0))) <= 1e-12
 
 
+def patch_kernel(monkeypatch, wrap):
+    """Route every evaluation of the prepared ratio kernel through
+    wrap(values, kappa)."""
+    factory = pde.ratio_kernel
+
+    def prepared(b, k):
+        values = factory(b, k)
+        return lambda kappa: wrap(values, kappa)
+
+    monkeypatch.setattr(pde, "ratio_kernel", prepared)
+
+
 class TestKernelCalls:
     def test_two_calls_per_step_plus_boundary_and_residual(self, ramp_model, smoke_util,
                                                            monkeypatch):
         calls = []
-        kernel = pde.min_ratio_values
-        monkeypatch.setattr(pde, "min_ratio_values",
-                            lambda *a: calls.append(a[1].shape) or kernel(*a))
+        patch_kernel(monkeypatch, lambda values, kap: calls.append(kap.shape) or values(kap))
         g = GridSpec(1.0, 101, 21, 4.0, 0.5)
         solve_hjbi(ramp_model, K, smoke_util, g)
         assert len(calls) == 2 * (g.n_t - 1) + 2
@@ -134,14 +147,13 @@ class TestKernelCalls:
     def test_non_finite_predictor_is_a_solver_error(self, ramp_model, smoke_util,
                                                     monkeypatch):
         calls = []
-        kernel = pde.min_ratio_values
 
-        def first_predictor_inf(*a):
+        def first_predictor_inf(values, kap):
             calls.append(None)
-            v = kernel(*a)
+            v = values(kap)
             return np.full_like(v, np.inf) if len(calls) == 2 else v
 
-        monkeypatch.setattr(pde, "min_ratio_values", first_predictor_inf)
+        patch_kernel(monkeypatch, first_predictor_inf)
         g = GridSpec(1.0, 101, 21, 4.0, 0.5)
         with pytest.raises(SolverError, match=r"non-finite value at t = 0\.99, y = -3\.6"):
             solve_hjbi(ramp_model, K, smoke_util, g)
@@ -193,6 +205,16 @@ class TestGuardsAndErrors:
         g = GridSpec(1.0, 51, 201, 3.0, 0.5)  # dt = 0.02 >> dy^2
         with pytest.raises(SolverError, match="dt = 0.02"):
             solve_hjbi(smoke_model, K, smoke_util, g)
+
+    def test_advection_guard_names_dt_and_bound(self, smoke_util):
+        # theta = 1 passes the diffusion guard at dt = 0.5; 0.5 * 5 / 0.1 = 25
+        zero = CoefficientFn.constant(0.0)
+        m = MarketModel(zero, CoefficientFn.constant(5.0), zero, 0.5)
+        g = GridSpec(1.0, 3, 61, 3.0, theta=1.0)
+        msg = (r"dt = 0\.5 violates the advection CFL bound at t = 0\.5 "
+               r"\(dt\*max\(\|beta\| \+ \|u_y\|\)/dy = 25 > 1\)")
+        with pytest.raises(SolverError, match=msg):
+            solve_hjbi(m, K, smoke_util, g)
 
     def test_radius_check(self, ramp_model, smoke_util):
         g = GridSpec(1.0, 401, 101, 1.5, 0.5)  # tail radius is 2
@@ -263,3 +285,43 @@ class TestNodeLookup:
         assert got.shape == (2, 2)
         assert np.array_equal(got, np.interp(ys, g.y_nodes(), values[1]))
         assert pde._bilinear(g.t_nodes(), g.y_nodes(), values, 0.5, 0.2) == got[0, 0]
+
+
+class TestGoldenBits:
+    """u and the diagnostics on small grids, pinned to the bit: a change to
+    the stepper or the kernel that claims identical output must keep these."""
+
+    TAIL_B = CoefficientFn.ramp(0.0, 0.4, 1.0)
+    TAIL_K = UncertaintyRectangle(0.0, 0.3, 0.2, 0.4)
+
+    @staticmethod
+    def fingerprint(s):
+        return hashlib.sha256(s.u.tobytes()).hexdigest(), repr(s.diagnostics)
+
+    @pytest.mark.parametrize("q, region, count, digest, diagnostics", [
+        (0.5, BranchRegion.HIGH_TAIL, 1929,
+         "e76454fbadb55ee737edf2966b2d57f07cd89b225ebcb873155761a51d5ff1ad",
+         "SolveDiagnostics(time_steps=200, max_abs_u=0.5, "
+         "max_abs_u_y=0.3408246067704204, max_advection_cfl=0.006794126479329373, "
+         "max_residual=4.576881549955836e-05)"),
+        (-2.0, BranchRegion.ZERO, 1969,
+         "5add78373db5d203def6c80d57538e77f084b472c70062e849cccafebea737ed",
+         "SolveDiagnostics(time_steps=200, max_abs_u=0.3333333333333333, "
+         "max_abs_u_y=0.1791686099314178, max_advection_cfl=0.003573774538170456, "
+         "max_residual=3.282474314975081e-05)"),
+    ], ids=["high-tail", "zero"])
+    def test_tail_market(self, q, region, count, digest, diagnostics):
+        zero = CoefficientFn.constant(0.0)
+        m = MarketModel(self.TAIL_B, zero, zero, 0.9)
+        s = solve_hjbi(m, self.TAIL_K, PowerUtility(q), GridSpec(1.0, 201, 25, 3.0))
+        codes = branch_fields(m.b(s.y)[None, :], m.rho * s.u_y, self.TAIL_K)["code"]
+        assert int(np.sum(codes == list(BranchRegion).index(region))) == count
+        assert self.fingerprint(s) == (digest, diagnostics)
+
+    def test_ramp_model(self, ramp_model, smoke_util):
+        s = solve_hjbi(ramp_model, K, smoke_util, GridSpec(1.0, 201, 25, 4.0))
+        assert self.fingerprint(s) == (
+            "e461d19993fa8d0fb669269ab6d8d35ea5fdce66169e492b1831b916443bcafc",
+            "SolveDiagnostics(time_steps=200, max_abs_u=0.28625, "
+            "max_abs_u_y=0.11112716616349012, max_advection_cfl=0.0023991298096162207, "
+            "max_residual=1.3533285511679871e-06)")

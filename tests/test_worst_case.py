@@ -3,7 +3,8 @@ import pytest
 
 from robustport import UncertaintyRectangle
 from robustport.worst_case import (BranchRegion, WorstCaseMeasure, branch_fields,
-                                   brute_force_min, min_ratio_values, minimize_ratio)
+                                   brute_force_min, min_ratio_values, minimize_ratio,
+                                   ratio_kernel)
 
 from oracles import psi, psi_critical_points
 
@@ -204,8 +205,18 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def value_kernels(b, kap, k):
+    """The value-only kernel, called once and prepared for b."""
+    return min_ratio_values(b, kap, k), ratio_kernel(b, k)(kap)
+
+
+def all_same_bits(values, expect):
+    return all(same_bits(v, expect) for v in values)
+
+
 class TestValueKernel:
-    """min_ratio_values is branch_fields(...)["value"] bit for bit."""
+    """min_ratio_values and ratio_kernel(b, k)(kappa) are
+    branch_fields(...)["value"] bit for bit."""
 
     def test_random_draws_reach_every_region(self):
         rng = np.random.default_rng(41)
@@ -215,7 +226,7 @@ class TestValueKernel:
             b = rng.uniform(-k.mu_minus, 0.5, 400)
             kap = rng.uniform(-15, 15, 400)
             codes |= set(branch_fields(b, kap, k)["code"].tolist())
-            assert same_bits(min_ratio_values(b, kap, k), branch_fields(b, kap, k)["value"])
+            assert all_same_bits(value_kernels(b, kap, k), branch_fields(b, kap, k)["value"])
         assert codes == set(range(len(BranchRegion)))
 
     def test_region_boundaries(self):
@@ -224,22 +235,22 @@ class TestValueKernel:
             br = minimize_ratio(b, 0.0, K).branch
             t = np.array([br.t1, br.t2, br.t3, br.t4])
             kap = np.concatenate([t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf)])
-            assert same_bits(min_ratio_values(b, kap, K), branch_fields(b, kap, K)["value"])
+            assert all_same_bits(value_kernels(b, kap, K), branch_fields(b, kap, K)["value"])
 
     def test_degenerate_rectangle(self):
         k = UncertaintyRectangle(0.1, 0.3, 0.25, 0.25)
         rng = np.random.default_rng(42)
         b = rng.uniform(-0.1, 0.5, 500)
         kap = rng.uniform(-6, 6, 500)
-        assert same_bits(min_ratio_values(b, kap, k), branch_fields(b, kap, k)["value"])
+        assert all_same_bits(value_kernels(b, kap, k), branch_fields(b, kap, k)["value"])
 
     def test_1d_b_against_2d_kappa(self):
         rng = np.random.default_rng(43)
         b = rng.uniform(-0.1, 0.4, 37)
         kap = rng.uniform(-12, 12, (23, 37))
-        vec = min_ratio_values(b, kap, K)
-        assert vec.shape == (23, 37)
-        assert same_bits(vec, branch_fields(b, kap, K)["value"])
+        vecs = value_kernels(b, kap, K)
+        assert [v.shape for v in vecs] == [(23, 37)] * 2
+        assert all_same_bits(vecs, branch_fields(b, kap, K)["value"])
 
     def test_scalar_inputs(self):
         rng = np.random.default_rng(44)
@@ -249,24 +260,39 @@ class TestValueKernel:
                  (0.17151950263083726, 0.1131305006406027)]
         pairs += list(zip(rng.uniform(-0.1, 0.4, 300), rng.uniform(-12, 12, 300)))
         for b, kap in pairs:
-            v = min_ratio_values(b, kap, K)
-            assert v.shape == ()
-            assert same_bits(v, branch_fields(b, kap, K)["value"])
+            vs = value_kernels(b, kap, K)
+            assert [v.shape for v in vs] == [()] * 2
+            assert all_same_bits(vs, branch_fields(b, kap, K)["value"])
 
     def test_a3_precondition_error(self):
         with pytest.raises(ValueError, match="b \\+ mu_minus >= 0"):
             min_ratio_values(np.array([0.0, -0.2]), 1.0, K)
+
+    def test_a3_precondition_error_when_prepared(self):
+        with pytest.raises(ValueError, match="b \\+ mu_minus >= 0"):
+            ratio_kernel(np.array([0.0, -0.2]), K)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_kappa_error(self, bad):
         with pytest.raises(ValueError, match="kappa must be finite"):
             min_ratio_values(0.0, np.array([0.5, bad]), K)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_kappa_error_on_each_call(self, bad):
+        values = ratio_kernel(np.array([0.0, 0.1]), K)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="kappa must be finite"):
+                values(np.array([0.5, bad]))
+            assert same_bits(values(np.array([0.5, 1.5])),
+                             branch_fields(np.array([0.0, 0.1]), np.array([0.5, 1.5]),
+                                           K)["value"])
+
     @pytest.mark.parametrize("kernel", [
         lambda b: branch_fields(np.array([b, 0.0]), 0.0, K),
         lambda b: min_ratio_values(b, 0.0, K),
+        lambda b: ratio_kernel(b, K),
         lambda b: minimize_ratio(b, 0.0, K),
-    ], ids=["branch_fields", "min_ratio_values", "minimize_ratio"])
+    ], ids=["branch_fields", "min_ratio_values", "ratio_kernel", "minimize_ratio"])
     def test_nan_b_fails_the_a3_precondition(self, kernel):
         # no region mask selects a NaN node, so it must not get that far
         with pytest.raises(ValueError, match="b \\+ mu_minus >= 0"):
