@@ -207,6 +207,8 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
     t_nodes = g.t_nodes()
     y_nodes = g.y_nodes()
     abs_beta = np.abs(np.asarray(m.beta(y_nodes)))
+    abs_beta_lo, abs_beta_hi = abs_beta[[0, -1]].tolist()
+    abs_beta = abs_beta[1:-1]
     h = _operator(m, k, q, y_nodes[1:-1])
     # flat tails: u is y-independent there, so u_y = 0 and u_t = -H(edge, 0)
     bc = (g.horizon - t_nodes)[:, None] * _operator(m, k, q, y_nodes[[0, -1]])(np.zeros(2))
@@ -250,9 +252,15 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
 
     for i in range(g.n_t - 2, -1, -1):
         uo = u[i + 1]
-        uy = _d_dy(uo, dy)
-
-        cfl = dt * float((abs_beta + np.abs(uy)).max()) / dy
+        uy = (uo[2:] - uo[:-2]) / two_dy
+        # the advection CFL covers the edge columns too: _d_dy's one-sided
+        # stencils there, on Python floats; uo is finite, so the max is the
+        # one over _d_dy(uo)
+        u0, u1, u2 = uo[:3].tolist()
+        v2, v1, v0 = uo[-3:].tolist()
+        cfl = dt * max(float((abs_beta + np.abs(uy)).max()),
+                       abs_beta_lo + abs((-3.0 * u0 + 4.0 * u1 - u2) / two_dy),
+                       abs_beta_hi + abs((3.0 * v0 - 4.0 * v1 + v2) / two_dy)) / dy
         max_cfl = max(max_cfl, cfl)
         if cfl > 1.0:
             raise SolverError(
@@ -261,7 +269,7 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
 
         # predictor: H lagged at the later-time level
         base = uo[1:-1] + d_exp * (uo[:-2] - 2.0 * uo[1:-1] + uo[2:])
-        h_old = h(uy[1:-1])
+        h_old = h(uy)
         implicit_solve(base + dt * h_old, pred, i)
         check_finite(pred, i)
         # one trapezoidal correction of H (2nd order in time), with the

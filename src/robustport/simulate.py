@@ -13,11 +13,19 @@ worst-case measure field nu*(t, y) applied through its moments (a relaxed
 control); or the same field realized by chattering, where each path draws one
 atom of nu*(t, Y) per step.
 
-The fraction f never enters dY, so under one adversary every policy scaling
-shares the factor paths: simulate_scales advances one ln X row per scale over
-one set of normals, coefficients and adversary moments, and verify_saddle runs
-the base and its policy scalings as one path set under nu*.  Each row keeps
-the arithmetic of a run of its scale alone, so the estimates are unchanged.
+The fraction f never enters dY, and an adversary enters it only through the
+loadings rho sig_m / sqrt(sig2_m) and sqrt(1 - that^2).  So every policy
+scaling under one adversary shares the factor paths, and so do fixed points
+whose two loadings are equal floats (rho sigma / sigma rounds to rho for
+every sigma of [0.2, 0.4] at rho = 0.5, for about 78% of them at 0.9): their
+Y, b(Y), r(Y) and f(t, Y) are bit-identical, and only mu and sigma^2 enter
+their ln X rows.  The path engine advances one ln X row per (adversary,
+scale) pair over one set of normals, factor paths and coefficients, forming
+each adversary's moments once per step.  verify_saddle runs one path set per
+factor path: nu* with the base and its scalings, each group of fixed points
+with equal loadings, and chattering (3 path sets for its 14 pairs when all 7
+points load alike).  Each row keeps the arithmetic of a run of its pair
+alone, so every estimate equals that run's bit for bit.
 
 Reproducibility: paths are processed in fixed batches of 65536.  Batch b draws
 its two normal increments per step from
@@ -134,20 +142,61 @@ class UtilityEstimate:
     max_terminal_wealth: float
 
 
-def _log_wealth(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
-                scales: tuple[float, ...], bi: int) -> np.ndarray:
-    """ln X_T on the paths of batch bi, one row per policy scale (the path
-    engine).  Only ln X is advanced per scale, each row with the arithmetic
-    of a run of its scale alone; everything else is computed once per step.
-    The per-step arrays die on return, before the caller turns ln X into
-    wealth."""
+def _loadings(rho: float, sig_m, vol):
+    """The factor's loadings (load_w, load_perp) on (dw, dw_perp) under
+    adversary moments sig_m and vol = sqrt(sig2_m)."""
+    load_w = rho * sig_m / vol
+    return load_w, np.sqrt(np.maximum(1.0 - load_w * load_w, 0.0))
+
+
+def _path_sets(adversaries, rho: float) -> list[list[int]]:
+    """Partition the indices of `adversaries` into path sets, in order of
+    first appearance: one per adversary object, except that fixed points
+    whose factor loadings are equal floats share one (their Y paths are then
+    bit-identical).  Grouped by identity and loadings: a field adversary's
+    arrays cannot be hashed."""
+    def loadings(adv):
+        if adv.pf is not None:
+            return None
+        sig = adv.point[1]
+        return _loadings(rho, sig, np.sqrt(sig * sig))
+
+    sets: list[list[int]] = []
+    keys: list = []
+    for i, adv in enumerate(adversaries):
+        key = loadings(adv)
+        for members, k in zip(sets, keys):
+            if adversaries[members[0]] is adv or (key is not None and k == key):
+                members.append(i)
+                break
+        else:
+            sets.append([i])
+            keys.append(key)
+    return sets
+
+
+def _log_wealth(policy, rows, m: MarketModel, cfg: SimConfig, bi: int) -> np.ndarray:
+    """ln X_T on the paths of batch bi, one row per (adversary, scale) in
+    rows (the path engine).  Y is driven by the first row's adversary; only
+    ln X is advanced per row, each with the arithmetic of a run of its row
+    alone.  Each adversary's moments and b(Y) + mu_m are formed once per
+    step, the rest of the step once.  The per-step arrays die on return,
+    before the caller turns ln X into wealth."""
     dt = cfg.horizon / cfg.n_steps
     sq_dt = math.sqrt(dt)
     rho = m.rho
     nb = min(BATCH_SIZE, cfg.n_paths - bi * BATCH_SIZE)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi,)))
     uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi, 1)))
-    ln_x = np.zeros((len(scales), nb))
+    ln_x = np.zeros((len(rows), nb))
+    # the ln X rows of each adversary object, in order of first appearance
+    by_adv: list[tuple[AdversaryPolicy, list]] = []
+    for lx, (adv, scale) in zip(ln_x, rows):
+        mine = next((r for a, r in by_adv if a is adv), None)
+        if mine is None:
+            mine = []
+            by_adv.append((adv, mine))
+        mine.append((lx, scale))
     yv = np.full(nb, cfg.y0)
     for step in range(cfg.n_steps):
         t = step * dt
@@ -155,32 +204,41 @@ def _log_wealth(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
         z *= sq_dt
         dw, dwp = z
 
-        mu_m, sig_m, sig2_m = adv.moments(t, yv, uniforms)
-        if not np.all(sig_m * sig_m <= sig2_m):
-            raise AssertionError(
-                "internal invariant failure: (sigma,nu)^2 > (sigma^2,nu)")
         frac = (policy.fraction_at(t, yv) if isinstance(policy, PolicyField)
                 else float(policy))
-
-        excess = np.asarray(m.b(yv)) + mu_m
+        b_y = np.asarray(m.b(yv))
         r_y = np.asarray(m.r(yv))
-        vol = np.sqrt(sig2_m)
-        for lx, scale in zip(ln_x, scales):
-            f = scale * frac
-            lx += (r_y + f * excess - 0.5 * f * f * sig2_m) * dt + f * vol * dw
-        load_w = rho * sig_m / vol
-        load_perp = np.sqrt(np.maximum(1.0 - load_w * load_w, 0.0))
+        for n, (adv, mine) in enumerate(by_adv, 1):
+            mu_m, sig_m, sig2_m = adv.moments(t, yv, uniforms)
+            if not np.all(sig_m * sig_m <= sig2_m):
+                raise AssertionError(
+                    "internal invariant failure: (sigma,nu)^2 > (sigma^2,nu)")
+            vol = np.sqrt(sig2_m)
+            if n == 1:
+                drive = sig_m, vol
+            excess = b_y + mu_m
+            if n == len(by_adv):
+                del b_y  # no later adversary needs it: lower the step's peak
+            for lx, scale in mine:
+                f = scale * frac
+                lx += (r_y + f * excess - 0.5 * f * f * sig2_m) * dt + f * vol * dw
+            del excess
+        load_w, load_perp = _loadings(rho, *drive)
         yv = yv + np.asarray(m.beta(yv)) * dt + load_w * dw + load_perp * dwp
     return ln_x
 
 
-def _terminal_wealth_batches(policy, adv: AdversaryPolicy, m: MarketModel,
-                             cfg: SimConfig, scales: tuple[float, ...]):
-    """Yield, batch by batch, the terminal wealths of every policy scale, one
-    row per scale, on one set of paths."""
+def _terminal_wealth_batches(policy, rows, m: MarketModel, cfg: SimConfig):
+    """Yield, batch by batch, the terminal wealths of every (adversary,
+    scale) row, one row each, on one set of paths.
+
+    Raises ValueError unless the rows' adversaries move Y alike (one
+    _path_sets set): the engine drives Y by the first row's adversary."""
+    if len(_path_sets([adv for adv, _ in rows], m.rho)) != 1:
+        raise ValueError("the rows' adversaries do not share one factor path")
     n_batches = (cfg.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
     for bi in range(n_batches):
-        ln_x = _log_wealth(policy, adv, m, cfg, scales, bi)
+        ln_x = _log_wealth(policy, rows, m, cfg, bi)
         finite = np.all(np.isfinite(ln_x), axis=0)
         if not np.all(finite):
             bad = int(np.argmin(finite))
@@ -233,19 +291,30 @@ class _UtilityMoments:
         return UtilityEstimate(self.mean, math.sqrt(var / n), n, self.min_x, self.max_x)
 
 
+def _estimates(policy, rows, m: MarketModel, cfg: SimConfig, q) -> tuple[UtilityEstimate, ...]:
+    """E[X_T^q / q] for each (adversary, scale) row, in row order, advancing
+    one path set per _path_sets set; each estimate equals a run of its row
+    alone bit for bit."""
+    q = _resolve_q(policy, q)
+    estimates = [None] * len(rows)
+    for members in _path_sets([adv for adv, _ in rows], m.rho):
+        moments = [_UtilityMoments(q) for _ in members]
+        for x_t in _terminal_wealth_batches(policy, [rows[i] for i in members], m, cfg):
+            for acc, row in zip(moments, x_t):
+                acc.add(row)
+        del x_t, row  # the last batch's wealths must not outlive their path set
+        for i, acc in zip(members, moments):
+            estimates[i] = acc.estimate()
+    return tuple(estimates)
+
+
 def simulate_scales(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
                     scales: tuple[float, ...],
                     q: float | PowerUtility | None = None) -> tuple[UtilityEstimate, ...]:
     """E[X_T^q / q] under (scale * policy, adversary) for each scale, all on
     one set of paths; each estimate equals simulate_eu's at that policy_scale
     bit for bit."""
-    q = _resolve_q(policy, q)
-    scales = tuple(scales)
-    moments = [_UtilityMoments(q) for _ in scales]
-    for x_t in _terminal_wealth_batches(policy, adv, m, cfg, scales):
-        for acc, row in zip(moments, x_t):
-            acc.add(row)
-    return tuple(acc.estimate() for acc in moments)
+    return _estimates(policy, [(adv, scale) for scale in scales], m, cfg, q)
 
 
 def simulate_eu(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
@@ -264,7 +333,7 @@ def terminal_wealths(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfi
                      policy_scale: float = 1.0) -> np.ndarray:
     """All terminal wealths (same paths and seed scheme as simulate_eu)."""
     return np.concatenate([x_t[0] for x_t in _terminal_wealth_batches(
-        policy, adv, m, cfg, (policy_scale,))])
+        policy, [(adv, policy_scale)], m, cfg)])
 
 
 def utility_estimate(x_t: np.ndarray, q: float) -> UtilityEstimate:
@@ -306,6 +375,26 @@ class SaddleReport:
         return "\n".join(lines)
 
 
+def _saddle_adversaries(pf: PolicyField, k: UncertaintyRectangle,
+                       seed: int) -> list[AdversaryPolicy]:
+    """verify_saddle's adversary deviations, in report order: the corners of
+    K, N_RANDOM_ADVERSARIES constant points drawn at the seed, and
+    chattering on pf's measure field."""
+    adversaries = [
+        AdversaryPolicy.constant_point(mu, sig, k)
+        for mu in (k.mu_minus, k.mu_plus)
+        for sig in (k.sigma_minus, k.sigma_plus)
+    ]
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(10_000,)))
+    for _ in range(N_RANDOM_ADVERSARIES):
+        mu = float(rng.uniform(k.mu_minus, k.mu_plus))
+        sig = float(rng.uniform(k.sigma_minus, k.sigma_plus))
+        adversaries.append(AdversaryPolicy.constant_point(mu, sig, k,
+                                                          label=f"random({mu:.3f},{sig:.3f})"))
+    adversaries.append(AdversaryPolicy.chattering(pf))
+    return adversaries
+
+
 def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
                   k: UncertaintyRectangle, util: PowerUtility, cfg: SimConfig,
                   policy_scales: tuple[float, ...] = (0.0, 0.5, 0.8, 1.2, 1.5)
@@ -319,9 +408,14 @@ def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
     (c) policy scalings under nu* must not push EU above V0_hat + 3 SE_combined.
     Violations are reported as findings, never raised.
     """
-    # the base run and the policy scalings share nu*'s paths
-    base, *scaled = simulate_scales(pf, AdversaryPolicy.field(pf), m, cfg,
-                                    (1.0, *policy_scales), q=util)
+    adversaries = _saddle_adversaries(pf, k, cfg.seed)
+    field = AdversaryPolicy.field(pf)
+    # one path set per factor path: nu* with the base and its scalings, each
+    # group of fixed points with equal loadings, chattering
+    base, *estimates = _estimates(
+        pf, [(field, 1.0), *((field, scale) for scale in policy_scales),
+             *((adv, 1.0) for adv in adversaries)], m, cfg, util)
+    scaled, deviations = estimates[:len(policy_scales)], estimates[len(policy_scales):]
     pde_value = value_function(s, 0.0, cfg.x0, cfg.y0, util.q)
     findings: list[SaddleFinding] = []
 
@@ -330,21 +424,7 @@ def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
         "value-match", "EU(pi*, nu*) vs PDE", base.mean, base.std_error,
         pde_value, abs(base.mean - pde_value) <= tol))
 
-    adversaries = [
-        AdversaryPolicy.constant_point(mu, sig, k)
-        for mu in (k.mu_minus, k.mu_plus)
-        for sig in (k.sigma_minus, k.sigma_plus)
-    ]
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(10_000,)))
-    for _ in range(N_RANDOM_ADVERSARIES):
-        mu = float(rng.uniform(k.mu_minus, k.mu_plus))
-        sig = float(rng.uniform(k.sigma_minus, k.sigma_plus))
-        adversaries.append(AdversaryPolicy.constant_point(mu, sig, k,
-                                                          label=f"random({mu:.3f},{sig:.3f})"))
-    adversaries.append(AdversaryPolicy.chattering(pf))
-
-    for adv in adversaries:
-        est = simulate_eu(pf, adv, m, cfg, q=util)
+    for adv, est in zip(adversaries, deviations):
         se_comb = math.hypot(est.std_error, base.std_error)
         bound = base.mean - 3.0 * se_comb
         findings.append(SaddleFinding("adversary", adv.label, est.mean,

@@ -8,7 +8,8 @@ from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
                         UtilityEstimate, WorstCaseMeasure, build_policy, simulate_eu,
                         simulate_scales, solve_hjbi, terminal_wealths, value_function,
                         verify_saddle)
-from robustport.simulate import BATCH_SIZE
+from robustport.simulate import (BATCH_SIZE, _estimates, _path_sets, _saddle_adversaries,
+                                 _terminal_wealth_batches)
 
 from oracles import lognormal_eu
 
@@ -236,7 +237,8 @@ class TestVerifySaddle:
 
 
 class TestSharedPaths:
-    """The policy scalings of one adversary run on one set of paths."""
+    """The policy scalings of one adversary, and the fixed points that load
+    the factor alike, run on one set of paths."""
 
     @pytest.mark.parametrize("chatter", [False, True])
     def test_scales_equal_single_scale_runs(self, tail_pipeline, chatter):
@@ -248,6 +250,44 @@ class TestSharedPaths:
         together = simulate_scales(pf, adv, m, cfg, scales)
         assert together == tuple(simulate_eu(pf, adv, m, cfg, policy_scale=s)
                                  for s in scales)
+
+    @pytest.mark.parametrize("seed, n_sets", [(31001, 3), (20240, 5)])
+    def test_grouped_equals_alone(self, tail_pipeline, seed, n_sets):
+        # at seed 31001 all 7 constant points load the factor alike; at 20240
+        # two random points round rho*sigma/sigma differently from the rest
+        m, s, pf = tail_pipeline
+        cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=seed, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        field = AdversaryPolicy.field(pf)
+        adversaries = _saddle_adversaries(pf, TAIL_K, seed)
+        rows = [(field, 1.0), (field, 0.5), *((adv, 1.0) for adv in adversaries)]
+        assert len(_path_sets([adv for adv, _ in rows], m.rho)) == n_sets
+        alone = tuple(simulate_eu(pf, adv, m, cfg, policy_scale=scale) for adv, scale in rows)
+        assert _estimates(pf, rows, m, cfg, TAIL_UTIL) == alone
+
+        report = verify_saddle(s, pf, m, TAIL_K, TAIL_UTIL, cfg, policy_scales=(0.5,))
+        assert report.base == alone[0]
+        found = [(f.kind, f.label, f.eu, f.std_error) for f in report.findings[1:]]
+        assert found == [("adversary", adv.label, est.mean, est.std_error)
+                         for adv, est in zip(adversaries, alone[2:])] + [
+            ("policy-scale", "0.5*pi*", alone[1].mean, alone[1].std_error)]
+
+    def test_rows_must_share_the_factor_path(self, tail_pipeline):
+        # the engine drives Y by the first row's adversary: a row that would
+        # move Y otherwise is refused, not simulated on the wrong factor path
+        m, _, pf = tail_pipeline
+        cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
+        adversaries = _saddle_adversaries(pf, TAIL_K, 20240)
+        (a, b, *_), (c,), *_ = _path_sets(adversaries, m.rho)
+        field = AdversaryPolicy.field(pf)
+        for rows in ([(adversaries[a], 1.0), (adversaries[c], 1.0)],
+                     [(field, 1.0), (adversaries[a], 1.0)],
+                     [(field, 1.0), (AdversaryPolicy.field(pf), 1.0)]):
+            with pytest.raises(ValueError, match="one factor path"):
+                next(_terminal_wealth_batches(pf, rows, m, cfg))
+        x_t = next(_terminal_wealth_batches(
+            pf, [(adversaries[a], 1.0), (adversaries[b], 0.5), (adversaries[a], 2.0)], m, cfg))
+        assert x_t.shape == (3, 10)
 
     def test_tail_report_is_pinned(self, tail_pipeline):
         # the values of the engine that ran each (adversary, scale) pair alone
@@ -290,9 +330,11 @@ class TestSharedPaths:
         ]
 
     def test_one_path_set_per_adversary(self, tail_pipeline, monkeypatch):
-        # nu* with the base and its five scalings, 4 corners, 3 random points
-        # and chattering: 9 path sets, each drawing its normals once per step
-        # and batch (one run per (adversary, scale) pair drew 14 times as many)
+        # at seed 5: nu* with the base and its five scalings; the 4 corners
+        # and 2 random points, whose factor loadings are equal floats; the
+        # third random point, whose loading rounds differently; chattering.
+        # 4 path sets, each drawing its normals once per step and batch (one
+        # run per (adversary, scale) pair drew 14 times as many)
         m, s, pf = tail_pipeline
         draws = []
         default_rng = np.random.default_rng
@@ -313,4 +355,4 @@ class TestSharedPaths:
         cfg = SimConfig(n_paths=BATCH_SIZE + 1, n_steps=2, seed=5, x0=1.0, y0=0.0,
                         horizon=1.0)
         verify_saddle(s, pf, m, TAIL_K, TAIL_UTIL, cfg)
-        assert len(draws) == 9 * cfg.n_steps * 2
+        assert len(draws) == 4 * cfg.n_steps * 2
