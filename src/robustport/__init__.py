@@ -16,7 +16,7 @@ from .pde import (SolveDiagnostics, SolverError, ValueSurface, residual_norm,
                   solve_hjbi)
 from .strategy import PolicyField, build_policy, value_function
 from .simulate import (AdversaryPolicy, SaddleReport, SimConfig, UtilityEstimate,
-                       simulate_eu, simulate_scales, terminal_wealths, verify_saddle)
+                       simulate_eu, terminal_wealths, verify_saddle)
 from .config import RunConfig, dump_config, load_config, solve_config_hash
 
 __version__ = "0.1.0"
@@ -31,6 +31,6 @@ __all__ = [
     "solve_hjbi",
     "PolicyField", "build_policy", "value_function",
     "AdversaryPolicy", "SaddleReport", "SimConfig", "UtilityEstimate",
-    "simulate_eu", "simulate_scales", "terminal_wealths", "verify_saddle",
+    "simulate_eu", "terminal_wealths", "verify_saddle",
     "RunConfig", "dump_config", "load_config", "solve_config_hash",
 ]

@@ -205,7 +205,7 @@ def cmd_convergence(args) -> int:
             print(f"solver error at level {level}: {exc}", file=sys.stderr)
             return EXIT_ASSERTION
         res = surface.diagnostics.max_residual
-        ratio = None if prev is None else prev / res
+        ratio = prev / res if prev and res else None  # a 0 residual has no ratio
         rows.append({"level": level, "n_t": n_t, "n_y": n_y,
                      "residual": res, "ratio": ratio})
         msg = f"level {level}: ({n_t}, {n_y}) residual = {res:.4e}"

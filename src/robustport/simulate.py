@@ -19,13 +19,13 @@ scaling under one adversary shares the factor paths, and so do fixed points
 whose two loadings are equal floats (rho sigma / sigma rounds to rho for
 every sigma of [0.2, 0.4] at rho = 0.5, for about 78% of them at 0.9): their
 Y, b(Y), r(Y) and f(t, Y) are bit-identical, and only mu and sigma^2 enter
-their ln X rows.  The path engine advances one ln X row per (adversary,
-scale) pair over one set of normals, factor paths and coefficients, forming
-each adversary's moments once per step.  verify_saddle runs one path set per
-factor path: nu* with the base and its scalings, each group of fixed points
-with equal loadings, and chattering (3 path sets for its 14 pairs when all 7
-points load alike).  Each row keeps the arithmetic of a run of its pair
-alone, so every estimate equals that run's bit for bit.
+their ln X rows.  The path engine takes one (adversary, scales) entry per
+adversary and advances one ln X row per scale over one set of normals, factor
+paths and coefficients, forming each adversary's moments once per step.
+verify_saddle runs one path set per factor path: nu* with its scalings, each
+group of fixed points with equal loadings, and chattering (3 path sets for
+its 14 rows when all 7 points load alike).  Each row keeps the arithmetic of
+a run of its pair alone, so its estimate equals that run's bit for bit.
 
 Reproducibility: paths are processed in fixed batches of 65536.  Batch b draws
 its two normal increments per step from
@@ -54,7 +54,6 @@ __all__ = [
     "AdversaryPolicy",
     "UtilityEstimate",
     "simulate_eu",
-    "simulate_scales",
     "terminal_wealths",
     "utility_estimate",
     "SaddleFinding",
@@ -149,36 +148,24 @@ def _loadings(rho: float, sig_m, vol):
     return load_w, np.sqrt(np.maximum(1.0 - load_w * load_w, 0.0))
 
 
-def _path_sets(adversaries, rho: float) -> list[list[int]]:
-    """Partition the indices of `adversaries` into path sets, in order of
-    first appearance: one per adversary object, except that fixed points
-    whose factor loadings are equal floats share one (their Y paths are then
-    bit-identical).  Grouped by identity and loadings: a field adversary's
-    arrays cannot be hashed."""
-    def loadings(adv):
-        if adv.pf is not None:
-            return None
-        sig = adv.point[1]
-        return _loadings(rho, sig, np.sqrt(sig * sig))
-
-    sets: list[list[int]] = []
-    keys: list = []
-    for i, adv in enumerate(adversaries):
-        key = loadings(adv)
-        for members, k in zip(sets, keys):
-            if adversaries[members[0]] is adv or (key is not None and k == key):
-                members.append(i)
-                break
-        else:
-            sets.append([i])
-            keys.append(key)
-    return sets
+def _path_sets(groups, rho: float) -> list[list[int]]:
+    """Partition the indices of the (adversary, scales) groups into path sets,
+    in order of first appearance: one per adversary object, except that fixed
+    points whose factor loadings are equal floats share one (their Y paths
+    are then bit-identical).  A field adversary is keyed by identity (its
+    arrays cannot be hashed), a fixed point by its loadings."""
+    sets: dict = {}
+    for i, (adv, _) in enumerate(groups):
+        sig = None if adv.pf is not None else adv.point[1]
+        key = id(adv) if sig is None else _loadings(rho, sig, np.sqrt(sig * sig))
+        sets.setdefault(key, []).append(i)
+    return list(sets.values())
 
 
-def _log_wealth(policy, rows, m: MarketModel, cfg: SimConfig, bi: int) -> np.ndarray:
-    """ln X_T on the paths of batch bi, one row per (adversary, scale) in
-    rows (the path engine).  Y is driven by the first row's adversary; only
-    ln X is advanced per row, each with the arithmetic of a run of its row
+def _log_wealth(policy, groups, m: MarketModel, cfg: SimConfig, bi: int) -> np.ndarray:
+    """ln X_T on the paths of batch bi, one row per scale of each (adversary,
+    scales) group, in order (the path engine).  Y is driven by the first
+    group's adversary; each row keeps the arithmetic of a run of its pair
     alone.  Each adversary's moments and b(Y) + mu_m are formed once per
     step, the rest of the step once.  The per-step arrays die on return,
     before the caller turns ln X into wealth."""
@@ -188,15 +175,7 @@ def _log_wealth(policy, rows, m: MarketModel, cfg: SimConfig, bi: int) -> np.nda
     nb = min(BATCH_SIZE, cfg.n_paths - bi * BATCH_SIZE)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi,)))
     uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi, 1)))
-    ln_x = np.zeros((len(rows), nb))
-    # the ln X rows of each adversary object, in order of first appearance
-    by_adv: list[tuple[AdversaryPolicy, list]] = []
-    for lx, (adv, scale) in zip(ln_x, rows):
-        mine = next((r for a, r in by_adv if a is adv), None)
-        if mine is None:
-            mine = []
-            by_adv.append((adv, mine))
-        mine.append((lx, scale))
+    ln_x = np.zeros((sum(len(scales) for _, scales in groups), nb))
     yv = np.full(nb, cfg.y0)
     for step in range(cfg.n_steps):
         t = step * dt
@@ -208,7 +187,8 @@ def _log_wealth(policy, rows, m: MarketModel, cfg: SimConfig, bi: int) -> np.nda
                 else float(policy))
         b_y = np.asarray(m.b(yv))
         r_y = np.asarray(m.r(yv))
-        for n, (adv, mine) in enumerate(by_adv, 1):
+        rows = iter(ln_x)
+        for n, (adv, scales) in enumerate(groups, 1):
             mu_m, sig_m, sig2_m = adv.moments(t, yv, uniforms)
             if not np.all(sig_m * sig_m <= sig2_m):
                 raise AssertionError(
@@ -217,9 +197,10 @@ def _log_wealth(policy, rows, m: MarketModel, cfg: SimConfig, bi: int) -> np.nda
             if n == 1:
                 drive = sig_m, vol
             excess = b_y + mu_m
-            if n == len(by_adv):
+            if n == len(groups):
                 del b_y  # no later adversary needs it: lower the step's peak
-            for lx, scale in mine:
+            # scales first: zip must not pull a row past this group's last
+            for scale, lx in zip(scales, rows):
                 f = scale * frac
                 lx += (r_y + f * excess - 0.5 * f * f * sig2_m) * dt + f * vol * dw
             del excess
@@ -228,17 +209,19 @@ def _log_wealth(policy, rows, m: MarketModel, cfg: SimConfig, bi: int) -> np.nda
     return ln_x
 
 
-def _terminal_wealth_batches(policy, rows, m: MarketModel, cfg: SimConfig):
+def _terminal_wealth_batches(policy, groups, m: MarketModel, cfg: SimConfig):
     """Yield, batch by batch, the terminal wealths of every (adversary,
-    scale) row, one row each, on one set of paths.
+    scales) group, one row per scale, on one set of paths.
 
-    Raises ValueError unless the rows' adversaries move Y alike (one
-    _path_sets set): the engine drives Y by the first row's adversary."""
-    if len(_path_sets([adv for adv, _ in rows], m.rho)) != 1:
-        raise ValueError("the rows' adversaries do not share one factor path")
+    Raises ValueError unless the groups' adversaries move Y alike (one
+    _path_sets set; the engine drives Y by the first group's adversary) and
+    are distinct objects (a chattering one would draw twice a step)."""
+    if (len(_path_sets(groups, m.rho)) != 1
+            or len({id(adv) for adv, _ in groups}) != len(groups)):
+        raise ValueError("the groups' adversaries are not distinct on one factor path")
     n_batches = (cfg.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
     for bi in range(n_batches):
-        ln_x = _log_wealth(policy, rows, m, cfg, bi)
+        ln_x = _log_wealth(policy, groups, m, cfg, bi)
         finite = np.all(np.isfinite(ln_x), axis=0)
         if not np.all(finite):
             bad = int(np.argmin(finite))
@@ -291,30 +274,22 @@ class _UtilityMoments:
         return UtilityEstimate(self.mean, math.sqrt(var / n), n, self.min_x, self.max_x)
 
 
-def _estimates(policy, rows, m: MarketModel, cfg: SimConfig, q) -> tuple[UtilityEstimate, ...]:
-    """E[X_T^q / q] for each (adversary, scale) row, in row order, advancing
-    one path set per _path_sets set; each estimate equals a run of its row
-    alone bit for bit."""
+def _estimates(policy, groups, m: MarketModel, cfg: SimConfig, q) -> tuple[tuple, ...]:
+    """E[X_T^q / q] for each scale of each (adversary, scales) group, one
+    tuple per group, advancing one path set per _path_sets set; each
+    estimate equals a run of its (adversary, scale) pair alone bit for bit."""
     q = _resolve_q(policy, q)
-    estimates = [None] * len(rows)
-    for members in _path_sets([adv for adv, _ in rows], m.rho):
-        moments = [_UtilityMoments(q) for _ in members]
-        for x_t in _terminal_wealth_batches(policy, [rows[i] for i in members], m, cfg):
-            for acc, row in zip(moments, x_t):
+    estimates = [None] * len(groups)
+    for members in _path_sets(groups, m.rho):
+        accs = [[_UtilityMoments(q) for _ in groups[i][1]] for i in members]
+        flat = [acc for group in accs for acc in group]
+        for x_t in _terminal_wealth_batches(policy, [groups[i] for i in members], m, cfg):
+            for acc, row in zip(flat, x_t):
                 acc.add(row)
         del x_t, row  # the last batch's wealths must not outlive their path set
-        for i, acc in zip(members, moments):
-            estimates[i] = acc.estimate()
+        for i, group in zip(members, accs):
+            estimates[i] = tuple(acc.estimate() for acc in group)
     return tuple(estimates)
-
-
-def simulate_scales(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
-                    scales: tuple[float, ...],
-                    q: float | PowerUtility | None = None) -> tuple[UtilityEstimate, ...]:
-    """E[X_T^q / q] under (scale * policy, adversary) for each scale, all on
-    one set of paths; each estimate equals simulate_eu's at that policy_scale
-    bit for bit."""
-    return _estimates(policy, [(adv, scale) for scale in scales], m, cfg, q)
 
 
 def simulate_eu(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
@@ -326,14 +301,14 @@ def simulate_eu(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
     fraction; policy_scale multiplies the fraction pathwise (used for the
     deviation checks).  q defaults to the policy field's utility exponent.
     """
-    return simulate_scales(policy, adv, m, cfg, (policy_scale,), q)[0]
+    return _estimates(policy, [(adv, (policy_scale,))], m, cfg, q)[0][0]
 
 
 def terminal_wealths(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
                      policy_scale: float = 1.0) -> np.ndarray:
     """All terminal wealths (same paths and seed scheme as simulate_eu)."""
     return np.concatenate([x_t[0] for x_t in _terminal_wealth_batches(
-        policy, [(adv, policy_scale)], m, cfg)])
+        policy, [(adv, (policy_scale,))], m, cfg)])
 
 
 def utility_estimate(x_t: np.ndarray, q: float) -> UtilityEstimate:
@@ -412,10 +387,9 @@ def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
     field = AdversaryPolicy.field(pf)
     # one path set per factor path: nu* with the base and its scalings, each
     # group of fixed points with equal loadings, chattering
-    base, *estimates = _estimates(
-        pf, [(field, 1.0), *((field, scale) for scale in policy_scales),
-             *((adv, 1.0) for adv in adversaries)], m, cfg, util)
-    scaled, deviations = estimates[:len(policy_scales)], estimates[len(policy_scales):]
+    (base, *scaled), *deviations = _estimates(
+        pf, [(field, (1.0, *policy_scales)), *((adv, (1.0,)) for adv in adversaries)],
+        m, cfg, util)
     pde_value = value_function(s, 0.0, cfg.x0, cfg.y0, util.q)
     findings: list[SaddleFinding] = []
 
@@ -424,7 +398,7 @@ def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
         "value-match", "EU(pi*, nu*) vs PDE", base.mean, base.std_error,
         pde_value, abs(base.mean - pde_value) <= tol))
 
-    for adv, est in zip(adversaries, deviations):
+    for adv, (est,) in zip(adversaries, deviations):
         se_comb = math.hypot(est.std_error, base.std_error)
         bound = base.mean - 3.0 * se_comb
         findings.append(SaddleFinding("adversary", adv.label, est.mean,

@@ -303,6 +303,18 @@ class TestPipeline:
         ratio = float(rows[3].split(",")[4])
         assert ratio >= 2.0
 
+    def test_convergence_zero_residual(self, tmp_path, capsys):
+        # mu- = 0 with b = 0 gives H = 0, so u = 0 exactly at every level:
+        # there is no improvement ratio to report, and no division by 0
+        path = write_config(tmp_path, {"rectangle.mu_minus": 0.0,
+                                       "grid.n_t": 3, "grid.n_y": 5})
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", path, "--out", str(out),
+                     "--levels", "1"]) == 0
+        assert "improvement" not in capsys.readouterr().out
+        rows = (out / "convergence.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[3:] for row in rows] == [["0", ""], ["0", ""]]
+
     def test_dump_config_round_trip(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["solve", "--config", path, "--dump-config"]) == 0

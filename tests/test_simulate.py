@@ -6,8 +6,7 @@ import pytest
 from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
                         PolicyField, PowerUtility, SimConfig, UncertaintyRectangle,
                         UtilityEstimate, WorstCaseMeasure, build_policy, simulate_eu,
-                        simulate_scales, solve_hjbi, terminal_wealths, value_function,
-                        verify_saddle)
+                        solve_hjbi, terminal_wealths, value_function, verify_saddle)
 from robustport.simulate import (BATCH_SIZE, _estimates, _path_sets, _saddle_adversaries,
                                  _terminal_wealth_batches)
 
@@ -247,9 +246,9 @@ class TestSharedPaths:
         cfg = SimConfig(n_paths=BATCH_SIZE + 500, n_steps=6, seed=21, x0=1.3, y0=0.2,
                         horizon=1.0)
         scales = (0.0, 0.5, 1.0, 1.5)
-        together = simulate_scales(pf, adv, m, cfg, scales)
-        assert together == tuple(simulate_eu(pf, adv, m, cfg, policy_scale=s)
-                                 for s in scales)
+        together = _estimates(pf, [(adv, scales)], m, cfg, None)
+        assert together == (tuple(simulate_eu(pf, adv, m, cfg, policy_scale=s)
+                                  for s in scales),)
 
     @pytest.mark.parametrize("seed, n_sets", [(31001, 3), (20240, 5)])
     def test_grouped_equals_alone(self, tail_pipeline, seed, n_sets):
@@ -258,35 +257,44 @@ class TestSharedPaths:
         m, s, pf = tail_pipeline
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=seed, x0=1.0, y0=0.0,
                         horizon=1.0)
+        # a multi-scale entry comes first in the field's path set and in the
+        # corners' one: its rows must not shift the entries after it
         field = AdversaryPolicy.field(pf)
-        adversaries = _saddle_adversaries(pf, TAIL_K, seed)
-        rows = [(field, 1.0), (field, 0.5), *((adv, 1.0) for adv in adversaries)]
-        assert len(_path_sets([adv for adv, _ in rows], m.rho)) == n_sets
-        alone = tuple(simulate_eu(pf, adv, m, cfg, policy_scale=scale) for adv, scale in rows)
-        assert _estimates(pf, rows, m, cfg, TAIL_UTIL) == alone
+        first, *rest = adversaries = _saddle_adversaries(pf, TAIL_K, seed)
+        groups = [(field, (1.0, 0.5)), (first, (1.0, 0.5)), *((adv, (1.0,)) for adv in rest)]
+        assert len(_path_sets(groups, m.rho)) == n_sets
+        grouped = _estimates(pf, groups, m, cfg, TAIL_UTIL)
+        assert grouped == tuple(tuple(simulate_eu(pf, adv, m, cfg, policy_scale=scale)
+                                      for scale in scales) for adv, scales in groups)
 
         report = verify_saddle(s, pf, m, TAIL_K, TAIL_UTIL, cfg, policy_scales=(0.5,))
-        assert report.base == alone[0]
+        (base, scaled), *deviations = grouped
+        assert report.base == base
         found = [(f.kind, f.label, f.eu, f.std_error) for f in report.findings[1:]]
         assert found == [("adversary", adv.label, est.mean, est.std_error)
-                         for adv, est in zip(adversaries, alone[2:])] + [
-            ("policy-scale", "0.5*pi*", alone[1].mean, alone[1].std_error)]
+                         for adv, (est, *_) in zip(adversaries, deviations)] + [
+            ("policy-scale", "0.5*pi*", scaled.mean, scaled.std_error)]
 
     def test_rows_must_share_the_factor_path(self, tail_pipeline):
-        # the engine drives Y by the first row's adversary: a row that would
-        # move Y otherwise is refused, not simulated on the wrong factor path
+        # the engine drives Y by the first group's adversary: a group that
+        # would move Y otherwise is refused, not simulated on the wrong factor
+        # path, and so is an adversary listed twice (a chattering one would
+        # draw its uniforms twice per step)
         m, _, pf = tail_pipeline
         cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
         adversaries = _saddle_adversaries(pf, TAIL_K, 20240)
-        (a, b, *_), (c,), *_ = _path_sets(adversaries, m.rho)
+        (a, b, *_), (c,), *_ = _path_sets([(adv, (1.0,)) for adv in adversaries], m.rho)
         field = AdversaryPolicy.field(pf)
-        for rows in ([(adversaries[a], 1.0), (adversaries[c], 1.0)],
-                     [(field, 1.0), (adversaries[a], 1.0)],
-                     [(field, 1.0), (AdversaryPolicy.field(pf), 1.0)]):
+        chat = AdversaryPolicy.chattering(pf)
+        for groups in ([(adversaries[a], (1.0,)), (adversaries[c], (1.0,))],
+                       [(field, (1.0,)), (adversaries[a], (1.0,))],
+                       [(field, (1.0,)), (AdversaryPolicy.field(pf), (1.0,))],
+                       [(adversaries[a], (1.0,)), (adversaries[a], (2.0,))],
+                       [(chat, (1.0,)), (chat, (0.5,))]):
             with pytest.raises(ValueError, match="one factor path"):
-                next(_terminal_wealth_batches(pf, rows, m, cfg))
+                next(_terminal_wealth_batches(pf, groups, m, cfg))
         x_t = next(_terminal_wealth_batches(
-            pf, [(adversaries[a], 1.0), (adversaries[b], 0.5), (adversaries[a], 2.0)], m, cfg))
+            pf, [(adversaries[a], (1.0, 2.0)), (adversaries[b], (0.5,))], m, cfg))
         assert x_t.shape == (3, 10)
 
     def test_tail_report_is_pinned(self, tail_pipeline):
