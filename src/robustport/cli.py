@@ -76,8 +76,13 @@ def _cached_policy(args):
     if cached != solve_config_hash(cfg):
         why = "has no provenance line" if cached is None else "is stale (config changed)"
         raise MissingArtifact(f"cached surface in {out} {why}; re-run `robustport solve`")
-    # a matching hash means the surface was solved on cfg.grid
-    surface = csvio.read_surface(csv_path, cfg.grid)
+    # a matching hash means the surface was solved on cfg.grid, unless the
+    # file was cut short or edited after its provenance line
+    try:
+        surface = csvio.read_surface(csv_path, cfg.grid)
+    except ValueError as exc:
+        raise MissingArtifact(f"cached surface in {out} is unreadable ({exc}); "
+                              "re-run `robustport solve`") from exc
     return cfg, out, surface, build_policy(surface, cfg.model, cfg.rectangle, cfg.utility)
 
 

@@ -5,12 +5,15 @@ Every file starts with a provenance comment line (config hash, seed, package
 version; no timestamps) followed by a header row.  Floats are written with 17
 significant digits so a reload is bit-exact and repeated runs produce
 identical bytes.  All writers go through `_write_csv`, which streams the rows
-in fixed chunks.  The `config_hash=` of `surface.csv`'s provenance line is the
-key of the surface cache (`read_config_hash`).
+in fixed chunks to a `.tmp` sibling and then renames it over the target, so
+an interrupted write never leaves a partial file under the real name.  The
+`config_hash=` of `surface.csv`'s provenance line is the key of the surface
+cache (`read_config_hash`).
 """
 
 from __future__ import annotations
 
+import os
 import re
 from importlib.metadata import PackageNotFoundError, version as _pkg_version
 from pathlib import Path
@@ -66,14 +69,21 @@ def _write_csv(path: str | Path, config_hash: str, seed: int, header: str, fmt: 
                columns):
     """Provenance line, header, then `fmt % row` for each row of the
     equal-length `columns` (arrays or sequences), _CHUNK_ROWS rows at a time,
-    so no more than one chunk of text is held at once."""
+    so no more than one chunk of text is held at once.  The rows go to
+    `<path>.tmp`, which replaces `path` only once it is complete."""
     cols = [np.asarray(c) for c in columns]
     line = fmt + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{provenance_line(config_hash, seed)}\n{header}\n")
-        for lo in range(0, len(cols[0]), _CHUNK_ROWS):
-            rows = zip(*(c[lo:lo + _CHUNK_ROWS].tolist() for c in cols))
-            fh.write("".join([line % row for row in rows]))
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"{provenance_line(config_hash, seed)}\n{header}\n")
+            for lo in range(0, len(cols[0]), _CHUNK_ROWS):
+                rows = zip(*(c[lo:lo + _CHUNK_ROWS].tolist() for c in cols))
+                fh.write("".join([line % row for row in rows]))
+    except BaseException:
+        os.remove(tmp)
+        raise
+    os.replace(tmp, path)
 
 
 def _node_columns(t: np.ndarray, y: np.ndarray):

@@ -10,8 +10,15 @@ minimum is piecewise in kappa over five regions split at
     t1 = m+ sM / (s- (sM - s+)),   t2 = -m+/s-,   t3 = -m-/s+,
     t4 = m- sM / (s+ (sM - s-)),
 
-with half-open (left-open, right-closed) region boundaries.  A brute-force
-grid search over atoms and Bernoulli mixtures is provided as an independent
+with half-open (left-open, right-closed) region boundaries.
+
+Each part of the minimizer is written once.  `_prepared` forms the b-only
+part (the A3 check b + mu- >= 0, m± and the thresholds).  `ratio_kernel` owns
+the value: prepared once for fixed b, it evaluates the five branch values for
+many kappas (the PDE's hot path; `min_ratio_values` is its one-shot form).
+`branch_fields` owns the measure: region code, atoms and weight per node.
+`minimize_ratio` composes the two at a single (b, kappa).  A brute-force grid
+search over atoms and Bernoulli mixtures is provided as an independent
 oracle.
 """
 
@@ -116,41 +123,48 @@ class RatioMin(NamedTuple):
     branch: KappaBranch
 
 
-def _thresholds(m_minus, m_plus, k: UncertaintyRectangle):
-    """Region thresholds; accepts scalars or arrays for m±."""
+def _prepared(b_vals, k: UncertaintyRectangle):
+    """The b-only part of the minimizer: (b, m-, m+, (t1, t2, t3, t4)) with
+    m± = b + mu±, as float arrays of b_vals' shape.
+
+    Raises ValueError unless b + mu_minus >= 0 (NaN fails it too): no region
+    mask would select a NaN node.  For a degenerate rectangle (sigma- ==
+    sigma+) t1 and t4 are -inf and +inf.
+    """
+    b = np.asarray(b_vals, dtype=float)
+    m_lo = b + k.mu_minus
+    m_hi = b + k.mu_plus
+    if not (m_lo >= 0).all():
+        raise ValueError("precondition b + mu_minus >= 0 violated")
     s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
     if s_lo == s_hi:
-        t1 = np.full_like(np.asarray(m_plus, dtype=float), -np.inf)
-        t4 = np.full_like(np.asarray(m_minus, dtype=float), np.inf)
+        t1 = np.full_like(m_hi, -np.inf)
+        t4 = np.full_like(m_lo, np.inf)
     else:
-        t1 = m_plus * s_mid / (s_lo * (s_mid - s_hi))
-        t4 = m_minus * s_mid / (s_hi * (s_mid - s_lo))
-    t2 = -m_plus / s_lo
-    t3 = -m_minus / s_hi
-    return t1, t2, t3, t4
+        t1 = m_hi * s_mid / (s_lo * (s_mid - s_hi))
+        t4 = m_lo * s_mid / (s_hi * (s_mid - s_lo))
+    return b, m_lo, m_hi, (t1, -m_hi / s_lo, -m_lo / s_hi, t4)
+
+
+def _finite(kappas) -> np.ndarray:
+    kap = np.asarray(kappas, dtype=float)
+    if not np.isfinite(kap).all():
+        raise ValueError("kappa must be finite")
+    return kap
 
 
 def branch_fields(b_vals, kappas, k: UncertaintyRectangle):
-    """Vectorized five-branch minimizer.
+    """The minimizing measure at every node.
 
     Returns a dict of arrays broadcast to the common shape of b_vals/kappas:
-    value, code (BranchRegion integer code), atom_mu, sigma_a, sigma_b,
-    weight_a.  Single-atom nodes have weight_a == 1 and sigma_b == sigma_a.
+    code (BranchRegion integer code), atom_mu, sigma_a, sigma_b, weight_a.
+    Single-atom nodes have weight_a == 1 and sigma_b == sigma_a.  The value
+    of the minimum is ratio_kernel's.
     """
-    b = np.asarray(b_vals, dtype=float)
-    kap = np.asarray(kappas, dtype=float)
-    b, kap = np.broadcast_arrays(b, kap)
-    shape = b.shape
-    b, kap = b.ravel(), kap.ravel()
+    b, m_lo, m_hi, ts = _prepared(b_vals, k)
+    kap = _finite(kappas)
+    b, m_lo, m_hi, t1, t2, t3, t4, kap = np.broadcast_arrays(b, m_lo, m_hi, *ts, kap)
     s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
-    m_lo = b + k.mu_minus
-    m_hi = b + k.mu_plus
-    if not np.all(m_lo >= 0):  # NaN fails it too
-        raise ValueError("precondition b + mu_minus >= 0 violated")
-
-    if not np.all(np.isfinite(kap)):
-        raise ValueError("kappa must be finite")
-    t1, t2, t3, t4 = _thresholds(m_lo, m_hi, k)
 
     low = kap <= t1
     plus = (kap > t1) & (kap <= t2)
@@ -158,11 +172,10 @@ def branch_fields(b_vals, kappas, k: UncertaintyRectangle):
     minus = (kap > t3) & (kap <= t4)
     high = kap > t4
 
-    value = np.empty_like(kap)
-    atom_mu = np.empty_like(kap)
-    sigma_a = np.empty_like(kap)
-    sigma_b = np.empty_like(kap)
-    weight_a = np.ones_like(kap)
+    atom_mu = np.empty(kap.shape)
+    sigma_a = np.empty(kap.shape)
+    sigma_b = np.empty(kap.shape)
+    weight_a = np.ones(kap.shape)
     code = np.empty(kap.shape, dtype=np.int8)
 
     prod = s_lo * s_hi
@@ -178,85 +191,58 @@ def branch_fields(b_vals, kappas, k: UncertaintyRectangle):
             drift_term = np.where(km != 0.0, ma / np.where(km != 0.0, km, 1.0), 0.0)
             sbar = np.clip(drift_term + prod / s_mid, s_lo, s_hi)
             alpha = (s_hi - sbar) / (s_hi - s_lo) if s_hi > s_lo else np.ones_like(sbar)
-            value[mask] = km * (2.0 * ma * s_mid + km * prod) / s_mid**2
             atom_mu[mask] = k.mu_plus if region is BranchRegion.LOW_TAIL else k.mu_minus
             sigma_a[mask] = s_lo
             sigma_b[mask] = s_hi
             weight_a[mask] = alpha
             code[mask] = _REGION_CODE[region]
 
-        if np.any(plus):
-            km = kap[plus]
-            value[plus] = (m_hi[plus] + km * s_lo) ** 2 / s_lo**2
-            atom_mu[plus] = k.mu_plus
-            sigma_a[plus] = s_lo
-            sigma_b[plus] = s_lo
-            code[plus] = _REGION_CODE[BranchRegion.PLUS_CORNER]
-
-        if np.any(minus):
-            km = kap[minus]
-            value[minus] = (m_lo[minus] + km * s_hi) ** 2 / s_hi**2
-            atom_mu[minus] = k.mu_minus
-            sigma_a[minus] = s_hi
-            sigma_b[minus] = s_hi
-            code[minus] = _REGION_CODE[BranchRegion.MINUS_CORNER]
+        for mask, mu, sig, region in (
+                (plus, k.mu_plus, s_lo, BranchRegion.PLUS_CORNER),
+                (minus, k.mu_minus, s_hi, BranchRegion.MINUS_CORNER)):
+            atom_mu[mask] = mu
+            sigma_a[mask] = sig
+            sigma_b[mask] = sig
+            code[mask] = _REGION_CODE[region]
 
         if np.any(zero):
             # any atom on the line m + kappa*sigma = 0 kills the ratio; take the
             # midpoint of the feasible sigma interval for determinism
             km = kap[zero]
             neg = -km
-            with np.errstate(divide="ignore"):
-                lo_feas = np.where(neg > 0, np.maximum(s_lo, m_lo[zero] / neg), s_lo)
-                hi_feas = np.where(neg > 0, np.minimum(s_hi, m_hi[zero] / neg), s_hi)
+            lo_feas = np.where(neg > 0, np.maximum(s_lo, m_lo[zero] / neg), s_lo)
+            hi_feas = np.where(neg > 0, np.minimum(s_hi, m_hi[zero] / neg), s_hi)
             sig_hat = 0.5 * (lo_feas + hi_feas)
-            value[zero] = 0.0
             atom_mu[zero] = -km * sig_hat - b[zero]
             sigma_a[zero] = sig_hat
             sigma_b[zero] = sig_hat
             code[zero] = _REGION_CODE[BranchRegion.ZERO]
 
-    return {
-        "value": value.reshape(shape),
-        "code": code.reshape(shape),
-        "atom_mu": atom_mu.reshape(shape),
-        "sigma_a": sigma_a.reshape(shape),
-        "sigma_b": sigma_b.reshape(shape),
-        "weight_a": weight_a.reshape(shape),
-    }
+    return {"code": code, "atom_mu": atom_mu, "sigma_a": sigma_a,
+            "sigma_b": sigma_b, "weight_a": weight_a}
 
 
 def ratio_kernel(b_vals, k: UncertaintyRectangle):
-    """The minimal ratio at fixed b, prepared for many kappas: returns
-    values(kappas) = branch_fields(b_vals, kappas, k)["value"] bit for bit,
-    without the measure fields, masks and scatters.
+    """The minimal ratio at fixed b, prepared for many kappas.
 
-    The A3 check, m±, the region thresholds and the b-only terms are formed
-    here once; values does only the kappa-dependent arithmetic, in
-    branch_fields' operand order, evaluating each branch's value expression
-    over every node and selecting by the same half-open regions.  b_vals and
-    kappas broadcast (the residual passes 1-D b against 2-D kappa).
+    The b-only terms are formed here once (after _prepared's A3 check);
+    values(kappas) does only the kappa-dependent arithmetic, evaluating each
+    branch's value expression over every node and selecting by the
+    half-open regions.  b_vals and kappas broadcast (the residual passes 1-D
+    b against 2-D kappa).
 
     Raises ValueError if b + mu_minus >= 0 fails (NaN included); values
     raises ValueError on a non-finite kappa.
     """
-    b = np.asarray(b_vals, dtype=float)
+    _, m_lo, m_hi, (t1, t2, t3, t4) = _prepared(b_vals, k)
     s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
-    m_lo = b + k.mu_minus
-    m_hi = b + k.mu_plus
-    if not (m_lo >= 0).all():  # NaN fails it too
-        raise ValueError("precondition b + mu_minus >= 0 violated")
-    t1, t2, t3, t4 = _thresholds(m_lo, m_hi, k)
-
     prod = s_lo * s_hi
     lin_hi = 2.0 * m_hi * s_mid
     lin_lo = 2.0 * m_lo * s_mid
     s_mid_sq, s_lo_sq, s_hi_sq = s_mid**2, s_lo**2, s_hi**2
 
     def values(kappas) -> np.ndarray:
-        kap = np.asarray(kappas, dtype=float)
-        if not np.isfinite(kap).all():
-            raise ValueError("kappa must be finite")
+        kap = _finite(kappas)
         quad = kap * prod
         low = kap * (lin_hi + quad) / s_mid_sq
         high = kap * (lin_lo + quad) / s_mid_sq
@@ -273,33 +259,18 @@ def ratio_kernel(b_vals, k: UncertaintyRectangle):
 
 
 def min_ratio_values(b_vals, kappas, k: UncertaintyRectangle) -> np.ndarray:
-    """Minimal ratio only: ratio_kernel(b_vals, k)(kappas).
-
-    Why two kernels: the PDE operator prepares ratio_kernel once per solve
-    and evaluates it on one row of a few hundred nodes per step, where
-    numpy's per-call overhead is the cost, and its form issues no masks or
-    scatters.  build_policy calls branch_fields once on the whole surface,
-    where the work is the cost: branch_fields written in this
-    select-every-branch form gives the same bits on the policy inputs of the
-    benchmark's four ladder models at three levels and on random
-    rectangles, but is 2.6-6.3x slower there (ramp model, 642,321 nodes:
-    37 -> 149 ms on 2 CPUs), because one branch holds most nodes and every
-    branch's six fields would be computed over all of them.
-    """
+    """Minimal ratio only: ratio_kernel(b_vals, k)(kappas)."""
     return ratio_kernel(b_vals, k)(kappas)
 
 
 def minimize_ratio(b_val: float, kappa: float, k: UncertaintyRectangle) -> RatioMin:
     """Closed-form minimizer at a single (b, kappa): measure, value, branch."""
-    f = branch_fields(np.asarray(b_val, dtype=float), np.asarray(kappa, dtype=float), k)
-    region = _CODE_REGION[int(f["code"])]
+    f = branch_fields(b_val, kappa, k)
     measure = WorstCaseMeasure.bernoulli(float(f["atom_mu"]), float(f["sigma_a"]),
                                          float(f["sigma_b"]), float(f["weight_a"]))
-    m_lo = b_val + k.mu_minus
-    m_hi = b_val + k.mu_plus
-    t1, t2, t3, t4 = _thresholds(float(m_lo), float(m_hi), k)
-    branch = KappaBranch(region, float(t1), float(t2), float(t3), float(t4))
-    return RatioMin(measure, float(f["value"]), branch)
+    branch = KappaBranch(_CODE_REGION[int(f["code"])],
+                         *(float(t) for t in _prepared(b_val, k)[3]))
+    return RatioMin(measure, float(ratio_kernel(b_val, k)(kappa)), branch)
 
 
 def _ratio(mean_mu, mean_sigma, mean_sigma_sq, b_val, kappa):

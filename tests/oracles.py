@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from robustport.model import MarketModel, UncertaintyRectangle
 from robustport.worst_case import WorstCaseMeasure, minimize_ratio
@@ -86,6 +87,70 @@ def closed_form_b0(t, k, q, horizon):
     """y-independent solution of the value-exponent PDE for b == 0, r == 0:
     u(t) = q (T - t) mu-^2 / (2 (1-q) sigma+^2)."""
     return flat_tail_u(t, 0.0, 0.0, k, q, horizon)
+
+
+def minus_corner_reference(m, k, q, horizon=1.0, n_t=1201, n_y=3841, radius=12.0):
+    """u(t, y) for a market whose worst case is the (mu-, sigma+) corner at
+    every node, by Zariphopoulou's power transform.  There the HJBI's min
+    term is (m- + rho s+ p)^2 / s+^2 with m- = b + mu-, so with
+    c = q/(2(1-q)) the Hamiltonian is quadratic in p = u_y,
+
+        H(y, p) = (1/2 + c rho^2) p^2 + B p + C,
+        B = beta + 2 c rho m-/s+,   C = q r + c m-^2/s+^2,
+
+    and u = delta ln w, delta = 1/(1 + 2 c rho^2), makes the PDE linear:
+
+        w_t + w_yy/2 + B w_y + (C/delta) w = 0,   w(T, .) = 1.
+
+    Crank-Nicolson in t, its first step taken as two implicit-Euler half
+    steps (Rannacher), and central differences in y on [-radius, radius],
+    with the flat-tail data w = exp(C_edge (T - t)/delta) at the edges.
+    Returns (t, y, u) with u of shape (n_t, n_y).  The corner must be checked
+    on the result: rho u_y has to stay in its region."""
+    c = q / (2.0 * (1.0 - q))
+    delta = 1.0 / (1.0 + 2.0 * c * m.rho**2)
+    t = np.linspace(0.0, horizon, n_t)
+    y = np.linspace(-radius, radius, n_y)
+    dy = y[1] - y[0]
+    m_lo = np.asarray(m.b(y), dtype=float) + k.mu_minus
+    s_hi = k.sigma_plus
+    big_b = np.asarray(m.beta(y), dtype=float) + 2.0 * c * m.rho * m_lo / s_hi
+    big_c = q * np.asarray(m.r(y), dtype=float) + c * m_lo**2 / s_hi**2
+    # L w = w_yy/2 + B w_y + (C/delta) w at the interior nodes
+    sub = 0.5 / dy**2 - big_b[1:-1] / (2.0 * dy)
+    diag = -1.0 / dy**2 + big_c[1:-1] / delta
+    sup = 0.5 / dy**2 + big_b[1:-1] / (2.0 * dy)
+
+    def edges(tau):
+        return np.exp(big_c[[0, -1]] * (horizon - tau) / delta)
+
+    def step(w, h, theta, tau):
+        """w at time tau from w at tau + h: (I - theta h L) w_new =
+        (I + (1 - theta) h L) w."""
+        lw = sub * w[:-2] + diag * w[1:-1] + sup * w[2:]
+        new = np.empty_like(w)
+        new[[0, -1]] = edges(tau)
+        rhs = w[1:-1] + (1.0 - theta) * h * lw
+        rhs[0] += theta * h * sub[0] * new[0]
+        rhs[-1] += theta * h * sup[-1] * new[-1]
+        ab = np.zeros((3, n_y - 2))
+        ab[0, 1:] = -theta * h * sup[:-1]
+        ab[1] = 1.0 - theta * h * diag
+        ab[2, :-1] = -theta * h * sub[1:]
+        new[1:-1] = solve_banded((1, 1), ab, rhs)
+        return new
+
+    u = np.empty((n_t, n_y))
+    w = np.ones(n_y)
+    u[-1] = 0.0
+    for i in range(n_t - 2, -1, -1):
+        h = t[i + 1] - t[i]
+        if i == n_t - 2:
+            w = step(step(w, h / 2, 1.0, t[i] + h / 2), h / 2, 1.0, t[i])
+        else:
+            w = step(w, h, 0.5, t[i])
+        u[i] = delta * np.log(w)
+    return t, y, u
 
 
 def psi(y, m_a, kappa, k):

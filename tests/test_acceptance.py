@@ -22,8 +22,7 @@ from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
                         verify_saddle)
 from robustport.cli import main as cli_main
 from robustport.pde import residual_norm
-from robustport.worst_case import (BranchRegion, brute_force_min, minimize_ratio,
-                                   _thresholds)
+from robustport.worst_case import BranchRegion, brute_force_min, minimize_ratio
 
 from oracles import DerivativeBundle, grid_minimax_value, lognormal_eu, saddle_point
 
@@ -186,8 +185,8 @@ def test_pointwise_saddle_vs_grid_minimax():
         if i % 25 == 24:
             p1, q12 = 0.0, rng.uniform(-2.0, 2.0)
         else:
-            t1, t2, t3, t4 = (float(v) for v in
-                              _thresholds(b_val + mu_lo, b_val + mu_hi, k))
+            br = minimize_ratio(b_val, 0.0, k).branch
+            t1, t2, t3, t4 = br.t1, br.t2, br.t3, br.t4
             region = i % 5
             if region == 0:
                 kap = t1 - rng.uniform(0.25, 2.0) * (1 + abs(t1))

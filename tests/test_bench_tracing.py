@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from robustport import AdversaryPolicy, GridSpec, SimConfig, cli, pde, simulate
+from robustport import (AdversaryPolicy, GridSpec, SimConfig, cli, pde, simulate,
+                        strategy)
 from robustport.strategy import PolicyField
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -47,3 +48,17 @@ def test_tracer_sees_the_solver_seams(ramp_model, smoke_util, smoke_rect):
     names = [span[0] for span in tracer.spans]
     assert names.count("pde.solve_hjbi") == 1
     assert names.count("pde.residual_norm") == 1
+
+
+def test_tracer_sees_the_policy_kernel(ramp_model, smoke_util, smoke_rect):
+    # build_policy reaches the measure through strategy.branch_fields, once
+    s = pde.solve_hjbi(ramp_model, smoke_rect, smoke_util, GridSpec(1.0, 21, 13, 4.0))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        strategy.build_policy(s, ramp_model, smoke_rect, smoke_util)
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("strategy.build_policy") == 1
+    assert names.count("worst_case.branch_fields") == 1

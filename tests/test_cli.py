@@ -211,16 +211,28 @@ class TestExitCodes:
             assert main(["strategy", "--config", path, "--out", str(out)]) == 3
             assert "no provenance line" in capsys.readouterr().err
 
-    def test_truncated_surface_is_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cut, message", [
+        ("mid-row", "number of columns changed from 4 to 2"),
+        ("row-boundary", "does not match the configured 201x51 grid"),
+    ], ids=["mid-row", "row-boundary"])
+    @pytest.mark.parametrize("command", ["strategy", "verify"])
+    def test_truncated_surface_is_exit_3(self, tmp_path, capsys, command, cut, message):
+        # a surface cut short after its (matching) provenance line
         path = write_config(tmp_path)
         out = tmp_path / "o"
         assert main(["solve", "--config", path, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["surface.csv"]
         lines = (out / "surface.csv").read_text().splitlines(keepends=True)
-        (out / "surface.csv").write_text("".join(lines[:2 + (len(lines) - 2) // 2]))
+        kept = lines[:2 + (len(lines) - 2) // 2]
+        if cut == "mid-row":
+            row = lines[len(kept)]
+            kept.append(",".join(row.split(",")[:2]))  # t and y only
+        (out / "surface.csv").write_text("".join(kept))
         capsys.readouterr()
-        assert main(["strategy", "--config", path, "--out", str(out)]) == 1
-        assert "does not match the configured 201x51 grid" in capsys.readouterr().err
+        assert main([command, "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "is unreadable" in err and message in err
+        assert "re-run `robustport solve`" in err
 
 
 class TestBranchOccupancy:

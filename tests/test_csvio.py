@@ -93,3 +93,13 @@ def test_config_hash_needs_a_provenance_line(tmp_path):
     for text in ("", "t,y,u,u_y\n", "# config_hash= seed=1 version=0\n"):
         (tmp_path / "x.csv").write_text(text)
         assert csvio.read_config_hash(tmp_path / "x.csv") is None
+
+
+def test_interrupted_write_keeps_the_previous_file(tmp_path):
+    # a row that fails to format stops the writer after its header
+    path = tmp_path / "s.csv"
+    path.write_text("previous\n")
+    with pytest.raises(TypeError):
+        csvio._write_csv(path, HASH, SEED, "a", "%d", [np.array(["x"], dtype=object)])
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]

@@ -1,14 +1,17 @@
 import hashlib
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from robustport import (CoefficientFn, GridSpec, MarketModel, PowerUtility,
                         UncertaintyRectangle, pde, residual_norm, solve_hjbi)
+from robustport.config import load_config
 from robustport.pde import SolverError, ValueSurface
 from robustport.worst_case import BranchRegion, branch_fields
 
-from oracles import closed_form_b0, flat_tail_u
+from oracles import closed_form_b0, flat_tail_u, minus_corner_reference
 
 K = UncertaintyRectangle(0.1, 0.3, 0.2, 0.4)
 
@@ -325,3 +328,38 @@ class TestGoldenBits:
             "SolveDiagnostics(time_steps=200, max_abs_u=0.28625, "
             "max_abs_u_y=0.11112716616349012, max_advection_cfl=0.0023991298096162207, "
             "max_residual=1.3533285511679871e-06)")
+
+
+class TestMinusCornerReference:
+    """Error, not residual: configs/ramp.yaml's market keeps nature at the
+    (mu-, sigma+) corner everywhere, where the exact reference of
+    oracles.minus_corner_reference applies (its own error on |y| <= 2 is
+    2e-7 against a 7681-node reference)."""
+
+    @pytest.fixture(scope="class")
+    def ramp(self):
+        cfg = load_config(str(Path(__file__).parent.parent / "configs" / "ramp.yaml"))
+        t, y, u = minus_corner_reference(cfg.model, cfg.rectangle, cfg.utility.q,
+                                         cfg.grid.horizon)
+        return cfg, y, u
+
+    def test_reference_stays_on_the_corner(self, ramp):
+        cfg, y, u = ramp
+        m, corner = cfg.model, list(BranchRegion).index(BranchRegion.MINUS_CORNER)
+        b = m.b(y)[None, :]
+        for rows in np.array_split(u, 12):
+            kappa = m.rho * np.gradient(rows, y, axis=1)
+            assert np.all(branch_fields(b, kappa, cfg.rectangle)["code"] == corner)
+
+    def test_interior_error_is_second_order(self, ramp):
+        cfg, y, u = ramp
+        errors = []
+        for n_t, n_y in ((501, 81), (1001, 161), (2001, 321)):
+            s = solve_hjbi(cfg.model, cfg.rectangle, cfg.utility,
+                           replace(cfg.grid, n_t=n_t, n_y=n_y))
+            inner = np.abs(s.y) <= 2.0
+            j = np.rint((s.y[inner] - y[0]) / (y[1] - y[0])).astype(int)
+            assert np.max(np.abs(y[j] - s.y[inner])) <= 1e-12  # shared nodes
+            errors.append(np.max(np.abs(s.u[0, inner] - u[0, j])))
+        # dy/2 and dt/2 per level: about 4x (4.9e-5, 1.2e-5, 3.1e-6)
+        assert errors[0] / errors[1] >= 3.0 and errors[1] / errors[2] >= 3.0, errors

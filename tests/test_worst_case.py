@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -205,64 +207,114 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def value_kernels(b, kap, k):
-    """The value-only kernel, called once and prepared for b."""
-    return min_ratio_values(b, kap, k), ratio_kernel(b, k)(kap)
+MEASURE_KEYS = ("code", "atom_mu", "sigma_a", "sigma_b", "weight_a")
 
 
-def all_same_bits(values, expect):
-    return all(same_bits(v, expect) for v in values)
+def kernel_cases():
+    """Named groups of (b, kappa, k) inputs for the two halves of the
+    minimizer: random draws that reach every region, each threshold with its
+    float neighbours, a degenerate rectangle, 1-D and (1, n) b against 2-D
+    kappa, and scalars."""
+    rng = np.random.default_rng(41)
+    random = []
+    for _ in range(50):
+        k = random_rect(rng)
+        random.append((rng.uniform(-k.mu_minus, 0.5, 400), rng.uniform(-15, 15, 400), k))
+    thresholds = []
+    for b in np.random.default_rng(45).uniform(-0.1, 0.4, 50):
+        br = minimize_ratio(b, 0.0, K).branch
+        t = np.array([br.t1, br.t2, br.t3, br.t4])
+        thresholds.append((b, np.concatenate([t, np.nextafter(t, np.inf),
+                                              np.nextafter(t, -np.inf)]), K))
+    rng = np.random.default_rng(42)
+    degenerate = [(rng.uniform(-0.1, 0.5, 500), rng.uniform(-6, 6, 500),
+                   UncertaintyRectangle(0.1, 0.3, 0.25, 0.25))]
+    rng = np.random.default_rng(43)
+    b = rng.uniform(-0.1, 0.4, 37)
+    broadcast = [(b, rng.uniform(-12, 12, (23, 37)), K),
+                 (b[None, :], rng.uniform(-12, 12, (23, 37)), K)]
+    rng = np.random.default_rng(44)
+    # a numpy scalar's `** 2` (pow) rounds these two corner values
+    # differently from the array square
+    pairs = [(0.2090906936536096, -2.655853075767002),
+             (0.17151950263083726, 0.1131305006406027)]
+    pairs += list(zip(rng.uniform(-0.1, 0.4, 300), rng.uniform(-12, 12, 300)))
+    return {"random": random, "thresholds": thresholds, "degenerate": degenerate,
+            "broadcast": broadcast, "scalar": [(b, kap, K) for b, kap in pairs]}
+
+
+def kernel_digest(cases):
+    """sha256 over every case's measure arrays and minimal ratio, group by
+    group."""
+    h = hashlib.sha256()
+    for b, kap, k in (case for group in cases.values() for case in group):
+        f = branch_fields(b, kap, k)
+        for a in [f[key] for key in MEASURE_KEYS] + [ratio_kernel(b, k)(kap)]:
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def moment_ratio(b, kap, k):
+    """((b+mu, nu) + kappa (sigma, nu))^2 / (sigma^2, nu) from branch_fields'
+    measure."""
+    f = branch_fields(b, kap, k)
+    wa, sa, sb = f["weight_a"], f["sigma_a"], f["sigma_b"]
+    return (b + f["atom_mu"] + kap * (wa * sa + (1 - wa) * sb)) ** 2 / (
+        wa * sa**2 + (1 - wa) * sb**2)
+
+
+def assert_consistent(b, kap, k):
+    """The kernel's value is the ratio at branch_fields' measure; a region
+    mismatch between the two would be an error of order 1."""
+    v = ratio_kernel(b, k)(kap)
+    assert v.shape == np.broadcast(b, kap).shape
+    assert same_bits(min_ratio_values(b, kap, k), v)
+    err = np.abs(v - moment_ratio(b, kap, k))
+    assert np.all(err <= 1e-13 * (1 + np.abs(v) + np.square(kap)))
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return kernel_cases()
 
 
 class TestValueKernel:
-    """min_ratio_values and ratio_kernel(b, k)(kappa) are
-    branch_fields(...)["value"] bit for bit."""
+    """ratio_kernel owns the minimal ratio, branch_fields the measure that
+    attains it."""
 
-    def test_random_draws_reach_every_region(self):
-        rng = np.random.default_rng(41)
+    def test_random_draws_reach_every_region(self, cases):
         codes = set()
-        for _ in range(50):
-            k = random_rect(rng)
-            b = rng.uniform(-k.mu_minus, 0.5, 400)
-            kap = rng.uniform(-15, 15, 400)
-            codes |= set(branch_fields(b, kap, k)["code"].tolist())
-            assert all_same_bits(value_kernels(b, kap, k), branch_fields(b, kap, k)["value"])
+        for b, kap, k in cases["random"]:
+            f = branch_fields(b, kap, k)
+            assert tuple(f) == MEASURE_KEYS
+            codes |= set(f["code"].tolist())
+            assert_consistent(b, kap, k)
         assert codes == set(range(len(BranchRegion)))
 
-    def test_region_boundaries(self):
-        rng = np.random.default_rng(45)
-        for b in rng.uniform(-0.1, 0.4, 50):
-            br = minimize_ratio(b, 0.0, K).branch
-            t = np.array([br.t1, br.t2, br.t3, br.t4])
-            kap = np.concatenate([t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf)])
-            assert all_same_bits(value_kernels(b, kap, K), branch_fields(b, kap, K)["value"])
+    def test_region_boundaries(self, cases):
+        for b, kap, k in cases["thresholds"]:
+            assert_consistent(b, kap, k)
 
-    def test_degenerate_rectangle(self):
-        k = UncertaintyRectangle(0.1, 0.3, 0.25, 0.25)
-        rng = np.random.default_rng(42)
-        b = rng.uniform(-0.1, 0.5, 500)
-        kap = rng.uniform(-6, 6, 500)
-        assert all_same_bits(value_kernels(b, kap, k), branch_fields(b, kap, k)["value"])
+    def test_degenerate_rectangle(self, cases):
+        (b, kap, k), = cases["degenerate"]
+        assert k.sigma_minus == k.sigma_plus
+        assert_consistent(b, kap, k)
 
-    def test_1d_b_against_2d_kappa(self):
-        rng = np.random.default_rng(43)
-        b = rng.uniform(-0.1, 0.4, 37)
-        kap = rng.uniform(-12, 12, (23, 37))
-        vecs = value_kernels(b, kap, K)
-        assert [v.shape for v in vecs] == [(23, 37)] * 2
-        assert all_same_bits(vecs, branch_fields(b, kap, K)["value"])
+    def test_1d_b_against_2d_kappa(self, cases):
+        for b, kap, k in cases["broadcast"]:
+            assert ratio_kernel(b, k)(kap).shape == (23, 37)
+            assert all(a.shape == (23, 37) for a in branch_fields(b, kap, k).values())
+            assert_consistent(b, kap, k)
 
-    def test_scalar_inputs(self):
-        rng = np.random.default_rng(44)
-        # a numpy scalar's `** 2` (pow) rounds these two corner values
-        # differently from the array square
-        pairs = [(0.2090906936536096, -2.655853075767002),
-                 (0.17151950263083726, 0.1131305006406027)]
-        pairs += list(zip(rng.uniform(-0.1, 0.4, 300), rng.uniform(-12, 12, 300)))
-        for b, kap in pairs:
-            vs = value_kernels(b, kap, K)
-            assert [v.shape for v in vs] == [()] * 2
-            assert all_same_bits(vs, branch_fields(b, kap, K)["value"])
+    def test_scalar_inputs(self, cases):
+        for b, kap, k in cases["scalar"]:
+            assert all(a.shape == () for a in branch_fields(b, kap, k).values())
+            assert_consistent(b, kap, k)
+
+    def test_outputs_are_pinned(self, cases):
+        # the five measure arrays and the minimal ratio of every case
+        assert kernel_digest(cases) == (
+            "8ca6b8652e1bb33371415d7fafd37209c5902f8d93e32aa298e881a3f5646af7")
 
     def test_a3_precondition_error(self):
         with pytest.raises(ValueError, match="b \\+ mu_minus >= 0"):
@@ -280,12 +332,11 @@ class TestValueKernel:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_kappa_error_on_each_call(self, bad):
         values = ratio_kernel(np.array([0.0, 0.1]), K)
+        first = values(np.array([0.5, 1.5]))
         for _ in range(2):
             with pytest.raises(ValueError, match="kappa must be finite"):
                 values(np.array([0.5, bad]))
-            assert same_bits(values(np.array([0.5, 1.5])),
-                             branch_fields(np.array([0.0, 0.1]), np.array([0.5, 1.5]),
-                                           K)["value"])
+            assert same_bits(values(np.array([0.5, 1.5])), first)
 
     @pytest.mark.parametrize("kernel", [
         lambda b: branch_fields(np.array([b, 0.0]), 0.0, K),
