@@ -3,10 +3,11 @@
 Subcommands: validate, solve, strategy, simulate, verify, oracle, convergence.
 Exit codes: 0 success, 1 assumption/assertion failure, 2 configuration error,
 3 missing prerequisite artifact.  The output directory resolves as
---out > config output_dir > $ROBUSTPORT_OUT > ./out.  `solve` caches the
-surface as surface.csv for the downstream commands, keyed by the config hash
-in its provenance line; `strategy` and `verify` print the node count of each
-worst-case branch.
+--out > config output_dir > $ROBUSTPORT_OUT > ./out.  `solve` exports the
+surface as surface.csv and caches it for the downstream commands as
+surface.npz, keyed by the config hash stored in it; `strategy`, `simulate`
+and `verify` read only the cache.  `strategy` and `verify` print the node
+count of each worst-case branch.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from . import csvio
 from .config import (ConfigError, RunConfig, dump_config, load_config,
                      solve_config_hash)
 from .model import validate_assumptions
-from .pde import SolverError, checked_b, solve_hjbi
+from .pde import SolverError, ValueSurface, checked_b, solve_hjbi
 from .simulate import (AdversaryPolicy, simulate_eu, terminal_wealths, utility_estimate,
                        verify_saddle)
 from .strategy import build_policy
@@ -35,6 +37,9 @@ EXIT_CONFIG = 2
 EXIT_MISSING = 3
 
 SURFACE_CSV = "surface.csv"
+SURFACE_NPZ = "surface.npz"
+# what np.load and the shape check raise on a damaged cache file
+_UNREADABLE = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile)
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -69,18 +74,18 @@ def _cached_policy(args):
     reuse the surface cached by `solve`."""
     cfg = _load_effective_config(args)
     out = _out_dir(args, cfg)
-    csv_path = out / SURFACE_CSV
-    if not csv_path.exists():
+    path = out / SURFACE_NPZ
+    if not path.exists():
         raise MissingArtifact(f"no cached surface in {out}; run `robustport solve` first")
-    cached = csvio.read_config_hash(csv_path)
-    if cached != solve_config_hash(cfg):
-        why = "has no provenance line" if cached is None else "is stale (config changed)"
-        raise MissingArtifact(f"cached surface in {out} {why}; re-run `robustport solve`")
-    # a matching hash means the surface was solved on cfg.grid, unless the
-    # file was cut short or edited after its provenance line
     try:
-        surface = csvio.read_surface(csv_path, cfg.grid)
-    except ValueError as exc:
+        cached, u = csvio.read_surface_npz(path)
+        if cached != solve_config_hash(cfg):
+            raise MissingArtifact(f"cached surface in {out} is stale (config changed); "
+                                  "re-run `robustport solve`")
+        # a matching hash means u was solved on cfg.grid, unless the file was
+        # edited; from_u checks the shape
+        surface = ValueSurface.from_u(cfg.grid, u)
+    except _UNREADABLE as exc:
         raise MissingArtifact(f"cached surface in {out} is unreadable ({exc}); "
                               "re-run `robustport solve`") from exc
     return cfg, out, surface, build_policy(surface, cfg.model, cfg.rectangle, cfg.utility)
@@ -117,13 +122,14 @@ def cmd_solve(args) -> int:
         return EXIT_ASSERTION
     h = solve_config_hash(cfg)
     csvio.write_surface(out / SURFACE_CSV, surface, h, cfg.sim.seed)
+    csvio.write_surface_npz(out / SURFACE_NPZ, surface, h)
     d = surface.diagnostics
     print(f"solved {cfg.grid.n_t}x{cfg.grid.n_y} grid "
           f"(dt={cfg.grid.dt:.3g}, dy={cfg.grid.dy:.3g})")
     print(f"diagnostics: max|u|={d.max_abs_u:.6g} max|u_y|={d.max_abs_u_y:.6g} "
           f"residual={d.max_residual:.3g} advection_cfl={d.max_advection_cfl:.3g}")
     print(f"u(0, y0={cfg.sim.y0:g}) = {surface.interp_u(0.0, [cfg.sim.y0])[0]:.8g}")
-    print(f"wrote {out / SURFACE_CSV}")
+    print(f"wrote {out / SURFACE_CSV} and {out / SURFACE_NPZ}")
     return EXIT_OK
 
 

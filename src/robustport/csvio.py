@@ -1,20 +1,21 @@
-"""Deterministic CSV artifacts: value surfaces, policy fields, simulation
-reports.
+"""Deterministic artifacts: CSV exports of value surfaces, policy fields and
+simulation reports, and the binary surface cache.
 
-Every file starts with a provenance comment line (config hash, seed, package
+Every CSV starts with a provenance comment line (config hash, seed, package
 version; no timestamps) followed by a header row.  Floats are written with 17
 significant digits so a reload is bit-exact and repeated runs produce
-identical bytes.  All writers go through `_write_csv`, which streams the rows
-in fixed chunks to a `.tmp` sibling and then renames it over the target, so
-an interrupted write never leaves a partial file under the real name.  The
-`config_hash=` of `surface.csv`'s provenance line is the key of the surface
-cache (`read_config_hash`).
+identical bytes.  The surface cache (`write_surface_npz`) is an uncompressed
+`.npz` of `u` and the config hash of its solve; the CLI reads it back with
+`read_surface_npz`, and `surface.csv` is an export only.  Every file is
+written through `_atomic` to a `.tmp` sibling and then renamed over the
+target, so an interrupted write never leaves a partial file under the real
+name.
 """
 
 from __future__ import annotations
 
 import os
-import re
+from contextlib import contextmanager, suppress
 from importlib.metadata import PackageNotFoundError, version as _pkg_version
 from pathlib import Path
 
@@ -29,9 +30,10 @@ from .worst_case import _CODE_REGION
 __all__ = [
     "package_version",
     "provenance_line",
-    "read_config_hash",
     "write_surface",
     "read_surface",
+    "write_surface_npz",
+    "read_surface_npz",
     "write_policy_csv",
     "write_sim_report_csv",
     "write_verify_report_csv",
@@ -40,7 +42,6 @@ __all__ = [
 ]
 
 _CHUNK_ROWS = 65536
-_PROVENANCE = re.compile(r"# config_hash=(\S+) seed=\S+ version=\S+")
 # branch name per BranchRegion integer code
 _BRANCH_NAMES = np.array([_CODE_REGION[c].value for c in range(len(_CODE_REGION))],
                          dtype=object)
@@ -57,33 +58,34 @@ def provenance_line(config_hash: str, seed: int) -> str:
     return f"# config_hash={config_hash} seed={seed} version={package_version()}"
 
 
-def read_config_hash(path: str | Path) -> str | None:
-    """The config hash of a file's provenance line; None if the first line
-    is not one."""
-    with open(path, encoding="utf-8") as fh:
-        m = _PROVENANCE.fullmatch(fh.readline().rstrip("\n"))
-    return m.group(1) if m else None
+@contextmanager
+def _atomic(path: str | Path):
+    """A binary file handle on `<path>.tmp`, which replaces `path` once the
+    block completes.  If the block (or the open) fails, the `.tmp` is
+    removed when there is one and the original error propagates."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
 
 
 def _write_csv(path: str | Path, config_hash: str, seed: int, header: str, fmt: str,
                columns):
     """Provenance line, header, then `fmt % row` for each row of the
     equal-length `columns` (arrays or sequences), _CHUNK_ROWS rows at a time,
-    so no more than one chunk of text is held at once.  The rows go to
-    `<path>.tmp`, which replaces `path` only once it is complete."""
+    so no more than one chunk of text is held at once."""
     cols = [np.asarray(c) for c in columns]
     line = fmt + "\n"
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{provenance_line(config_hash, seed)}\n{header}\n")
-            for lo in range(0, len(cols[0]), _CHUNK_ROWS):
-                rows = zip(*(c[lo:lo + _CHUNK_ROWS].tolist() for c in cols))
-                fh.write("".join([line % row for row in rows]))
-    except BaseException:
-        os.remove(tmp)
-        raise
-    os.replace(tmp, path)
+    with _atomic(path) as fh:
+        fh.write(f"{provenance_line(config_hash, seed)}\n{header}\n".encode())
+        for lo in range(0, len(cols[0]), _CHUNK_ROWS):
+            rows = zip(*(c[lo:lo + _CHUNK_ROWS].tolist() for c in cols))
+            fh.write("".join([line % row for row in rows]).encode())
 
 
 def _node_columns(t: np.ndarray, y: np.ndarray):
@@ -96,7 +98,22 @@ def write_surface(path: str | Path, s: ValueSurface, config_hash: str, seed: int
                [*_node_columns(s.t, s.y), s.u.ravel(), s.u_y.ravel()])
 
 
+def write_surface_npz(path: str | Path, s: ValueSurface, config_hash: str):
+    """The surface cache: `u` and the 0-d string `config_hash`, stored
+    uncompressed; numpy's fixed zip timestamps keep the bytes deterministic."""
+    with _atomic(path) as fh:
+        np.savez(fh, u=s.u, config_hash=np.array(config_hash))
+
+
+def read_surface_npz(path: str | Path) -> tuple[str, np.ndarray]:
+    """(config hash, u) of a surface cache.  A damaged file raises
+    zipfile.BadZipFile, EOFError, ValueError, KeyError or OSError."""
+    with np.load(path, allow_pickle=False) as z:
+        return str(z["config_hash"]), z["u"]
+
+
 def read_surface(path: str | Path, grid: GridSpec) -> ValueSurface:
+    """The surface of a `surface.csv` export."""
     data = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
     if data.shape != (grid.n_t * grid.n_y, 4):
         raise ValueError(f"surface file {path} does not match the configured "

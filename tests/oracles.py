@@ -16,6 +16,7 @@ the separated variables, and the grid searches check the minimizer itself.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -169,6 +170,17 @@ def psi_critical_points(m_a, kappa, k):
     y1 = -m_a / kappa
     y2 = m_a / kappa + k.sigma_minus * k.sigma_plus / k.sigma_mid
     return float(y1), float(y2)
+
+
+_PROVENANCE = re.compile(r"# config_hash=(\S+) seed=\S+ version=\S+")
+
+
+def read_config_hash(path):
+    """The config hash of a CSV's provenance line; None if the first line is
+    not one."""
+    with open(path, encoding="utf-8") as fh:
+        m = _PROVENANCE.fullmatch(fh.readline().rstrip("\n"))
+    return m.group(1) if m else None
 
 
 def reference_csv(config_hash, seed, version, header, rows):

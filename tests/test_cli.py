@@ -1,6 +1,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -105,7 +106,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("name, digest", [("smoke", "9cd8541f6f4e11a6"),
                                               ("ramp", "8c1542bc901ed53a")])
     def test_shipped_config_hashes(self, name, digest):
-        # the hash keys the cached surface.csv; a new value orphans every cache
+        # the hash keys the cached surface.npz; a new value orphans every cache
         cfg = load_config(str(Path(__file__).parent.parent / "configs" / f"{name}.yaml"))
         assert solve_config_hash(cfg) == digest
 
@@ -203,36 +204,52 @@ class TestExitCodes:
         assert main(["strategy", "--config", changed, "--out", out]) == 3
 
     def test_surface_without_provenance_is_exit_3(self, tmp_path, capsys):
+        # an npz with no config_hash, and a text file under the cache's name
         path = write_config(tmp_path)
         out = tmp_path / "o"
         out.mkdir()
-        for text in ("", "t,y,u,u_y\n"):
-            (out / "surface.csv").write_text(text)
-            assert main(["strategy", "--config", path, "--out", str(out)]) == 3
-            assert "no provenance line" in capsys.readouterr().err
+        np.savez(out / "surface.npz", u=np.zeros((201, 51)))
+        assert main(["strategy", "--config", path, "--out", str(out)]) == 3
+        assert "is unreadable" in capsys.readouterr().err
+        (out / "surface.npz").write_text("t,y,u,u_y\n")
+        assert main(["strategy", "--config", path, "--out", str(out)]) == 3
+        assert "is unreadable" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cut, message", [
-        ("mid-row", "number of columns changed from 4 to 2"),
-        ("row-boundary", "does not match the configured 201x51 grid"),
-    ], ids=["mid-row", "row-boundary"])
-    @pytest.mark.parametrize("command", ["strategy", "verify"])
-    def test_truncated_surface_is_exit_3(self, tmp_path, capsys, command, cut, message):
-        # a surface cut short after its (matching) provenance line
+    def test_csv_without_cache_is_exit_3(self, tmp_path, capsys):
+        # surface.csv alone, as an older version leaves it, is only an export
         path = write_config(tmp_path)
         out = tmp_path / "o"
         assert main(["solve", "--config", path, "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == ["surface.csv"]
-        lines = (out / "surface.csv").read_text().splitlines(keepends=True)
-        kept = lines[:2 + (len(lines) - 2) // 2]
-        if cut == "mid-row":
-            row = lines[len(kept)]
-            kept.append(",".join(row.split(",")[:2]))  # t and y only
-        (out / "surface.csv").write_text("".join(kept))
+        (out / "surface.npz").unlink()
+        capsys.readouterr()
+        assert main(["strategy", "--config", path, "--out", str(out)]) == 3
+        assert "run `robustport solve` first" in capsys.readouterr().err
+
+    def test_wrong_shape_cache_is_exit_3(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        h = solve_config_hash(load_config(path))
+        np.savez(out / "surface.npz", u=np.zeros((201, 50)), config_hash=np.array(h))
+        capsys.readouterr()
+        assert main(["strategy", "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "is unreadable" in err and "(201, 51)" in err
+
+    @pytest.mark.parametrize("cut", ["half", "empty"])
+    @pytest.mark.parametrize("command", ["strategy", "simulate", "verify"])
+    def test_truncated_surface_is_exit_3(self, tmp_path, capsys, command, cut):
+        # a cache cut short: half its bytes, or none
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["surface.csv", "surface.npz"]
+        data = (out / "surface.npz").read_bytes()
+        (out / "surface.npz").write_bytes(data[:len(data) // 2] if cut == "half" else b"")
         capsys.readouterr()
         assert main([command, "--config", path, "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "is unreadable" in err and message in err
-        assert "re-run `robustport solve`" in err
+        assert "is unreadable" in err and "re-run `robustport solve`" in err
 
 
 class TestBranchOccupancy:
@@ -367,5 +384,5 @@ class TestDeterminism:
                          "--paths", "4000"]) == 0
             outs.append(out)
         capsys.readouterr()
-        for fname in ("surface.csv", "policy.csv", "sim_report.csv"):
+        for fname in ("surface.csv", "surface.npz", "policy.csv", "sim_report.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()

@@ -1,14 +1,15 @@
-"""Every CSV writer's bytes against a formatter written out row by row."""
+"""Every CSV writer's bytes against a formatter written out row by row, and
+the surface cache against the surface.csv export."""
 
 import numpy as np
 import pytest
 
 from robustport import (CoefficientFn, GridSpec, MarketModel, UncertaintyRectangle,
-                        build_policy, csvio, solve_hjbi)
+                        ValueSurface, build_policy, csvio, solve_hjbi)
 from robustport.simulate import SaddleFinding, SaddleReport, UtilityEstimate
 from robustport.worst_case import BranchRegion
 
-from oracles import reference_csv
+from oracles import read_config_hash, reference_csv
 
 # a tail model: its policy field holds the HIGH_TAIL, ZERO and MINUS_CORNER branches
 K = UncertaintyRectangle(0.0, 0.3, 0.2, 0.4)
@@ -28,9 +29,12 @@ def assert_written(path, header, rows):
     assert len(got) == len(want)
 
 
+GRID = GridSpec(1.0, 201, 51, 3.0, 0.5)
+
+
 @pytest.fixture(scope="module")
 def surface(smoke_util):
-    return solve_hjbi(MODEL, K, smoke_util, GridSpec(1.0, 201, 51, 3.0, 0.5))
+    return solve_hjbi(MODEL, K, smoke_util, GRID)
 
 
 def test_surface_bytes(tmp_path, surface):
@@ -39,7 +43,20 @@ def test_surface_bytes(tmp_path, surface):
     rows = [(t, y, s.u[i, j], s.u_y[i, j])
             for i, t in enumerate(s.t) for j, y in enumerate(s.y)]
     assert_written(tmp_path / "s.csv", "t,y,u,u_y", rows)
-    assert csvio.read_config_hash(tmp_path / "s.csv") == HASH
+    assert read_config_hash(tmp_path / "s.csv") == HASH
+
+
+def test_cache_matches_the_export_bit_for_bit(tmp_path, surface):
+    csvio.write_surface(tmp_path / "s.csv", surface, HASH, SEED)
+    csvio.write_surface_npz(tmp_path / "s.npz", surface, HASH)
+    cached, u = csvio.read_surface_npz(tmp_path / "s.npz")
+    assert cached == HASH
+    from_cache = ValueSurface.from_u(GRID, u)
+    from_csv = csvio.read_surface(tmp_path / "s.csv", GRID)
+    for a, b in ((from_cache.u, from_csv.u), (from_cache.u_y, from_csv.u_y),
+                 (from_cache.u, surface.u), (from_cache.u_y, surface.u_y)):
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
 
 
 def test_policy_bytes(tmp_path, surface, smoke_util):
@@ -92,7 +109,7 @@ def test_histogram_bytes(tmp_path):
 def test_config_hash_needs_a_provenance_line(tmp_path):
     for text in ("", "t,y,u,u_y\n", "# config_hash= seed=1 version=0\n"):
         (tmp_path / "x.csv").write_text(text)
-        assert csvio.read_config_hash(tmp_path / "x.csv") is None
+        assert read_config_hash(tmp_path / "x.csv") is None
 
 
 def test_interrupted_write_keeps_the_previous_file(tmp_path):
@@ -103,3 +120,13 @@ def test_interrupted_write_keeps_the_previous_file(tmp_path):
         csvio._write_csv(path, HASH, SEED, "a", "%d", [np.array(["x"], dtype=object)])
     assert path.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+
+def test_failed_open_raises_its_own_error(tmp_path):
+    # no directory, so no .tmp: the open's error propagates, not one raised
+    # while removing a .tmp that was never made
+    path = tmp_path / "missing" / "c.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        csvio.write_convergence_csv(path, [], HASH, SEED)
+    assert info.value.filename == f"{path}.tmp"
+    assert info.value.__context__ is None
