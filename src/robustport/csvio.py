@@ -2,14 +2,17 @@
 simulation reports, and the binary surface cache.
 
 Every CSV starts with a provenance comment line (config hash, seed, package
-version; no timestamps) followed by a header row.  Floats are written with 17
+version; no timestamps) followed by a header row.  Each cell is the
+`%`-format text of its value, as `fmt % row` would give it; floats carry 17
 significant digits so a reload is bit-exact and repeated runs produce
-identical bytes.  The surface cache (`write_surface_npz`) is an uncompressed
-`.npz` of `u` and the config hash of its solve; the CLI reads it back with
-`read_surface_npz`, and `surface.csv` is an export only.  Every file is
-written through `_atomic` to a `.tmp` sibling and then renamed over the
-target, so an interrupted write never leaves a partial file under the real
-name.
+identical bytes.  Rows go out in chunks, and each chunk formats every
+distinct value of a numeric column once (told apart by bit pattern, so -0.0
+and 0.0 keep their own texts) and gathers the texts back.  The surface
+cache (`write_surface_npz`) is an uncompressed `.npz` of `u` and the config
+hash of its solve; the CLI reads it back with `read_surface_npz`, and
+`surface.csv` is an export only.  Every file is written through `_atomic` to
+a `.tmp` sibling and then renamed over the target, so an interrupted write
+never leaves a partial file under the real name.
 """
 
 from __future__ import annotations
@@ -74,18 +77,41 @@ def _atomic(path: str | Path):
     os.replace(tmp, path)
 
 
+def _cells(spec: str, col: np.ndarray) -> list[str]:
+    """`spec % value` for every value of `col`.  A numeric column formats
+    each distinct bit pattern once (so -0.0 and 0.0 stay apart) and gathers
+    the texts back by index; any other column formats element by element."""
+    if col.dtype.kind in "iuf":
+        bits, inverse = np.unique(col.view(f"u{col.dtype.itemsize}"), return_inverse=True)
+        texts = np.array([spec % v for v in bits.view(col.dtype).tolist()], dtype=object)
+        return texts[inverse].tolist()
+    return [spec % (v,) for v in col.tolist()]
+
+
 def _write_csv(path: str | Path, config_hash: str, seed: int, header: str, fmt: str,
                columns):
-    """Provenance line, header, then `fmt % row` for each row of the
-    equal-length `columns` (arrays or sequences), _CHUNK_ROWS rows at a time,
-    so no more than one chunk of text is held at once."""
+    """Provenance line, header, then one row per index of the equal-length
+    `columns` (arrays or sequences): each cell is `spec % value` for its
+    column's spec in the comma-separated `fmt`, so a row's text is
+    `fmt % row`.  Rows go out _CHUNK_ROWS at a time, so no more than one
+    chunk of text is held at once, and each chunk formats every distinct
+    value of a numeric column once.
+
+    Raises ValueError when the columns differ in length or their number is
+    not the number of specs; no file is touched then."""
+    specs = fmt.split(",")
     cols = [np.asarray(c) for c in columns]
-    line = fmt + "\n"
+    if cols and len(cols) != len(specs):
+        raise ValueError(f"{len(cols)} columns for {len(specs)} formats")
+    lengths = {len(c) for c in cols}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
     with _atomic(path) as fh:
         fh.write(f"{provenance_line(config_hash, seed)}\n{header}\n".encode())
-        for lo in range(0, len(cols[0]), _CHUNK_ROWS):
-            rows = zip(*(c[lo:lo + _CHUNK_ROWS].tolist() for c in cols))
-            fh.write("".join([line % row for row in rows]).encode())
+        for lo in range(0, n_rows, _CHUNK_ROWS):
+            cells = [_cells(spec, c[lo:lo + _CHUNK_ROWS]) for spec, c in zip(specs, cols)]
+            fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
 
 
 def _node_columns(t: np.ndarray, y: np.ndarray):

@@ -17,9 +17,9 @@ part (the A3 check b + mu- >= 0, m± and the thresholds).  `ratio_kernel` owns
 the value: prepared once for fixed b, it evaluates the five branch values for
 many kappas (the PDE's hot path; `min_ratio_values` is its one-shot form).
 `branch_fields` owns the measure: region code, atoms and weight per node.
-`minimize_ratio` composes the two at a single (b, kappa).  A brute-force grid
-search over atoms and Bernoulli mixtures is provided as an independent
-oracle.
+`minimize_ratio` composes the two at a single (b, kappa) on one preparation.
+A brute-force grid search over atoms and Bernoulli mixtures is provided as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -161,7 +161,12 @@ def branch_fields(b_vals, kappas, k: UncertaintyRectangle):
     Single-atom nodes have weight_a == 1 and sigma_b == sigma_a.  The value
     of the minimum is ratio_kernel's.
     """
-    b, m_lo, m_hi, ts = _prepared(b_vals, k)
+    return _fields(_prepared(b_vals, k), kappas, k)
+
+
+def _fields(prepared, kappas, k: UncertaintyRectangle):
+    """branch_fields on the output of _prepared."""
+    b, m_lo, m_hi, ts = prepared
     kap = _finite(kappas)
     b, m_lo, m_hi, t1, t2, t3, t4, kap = np.broadcast_arrays(b, m_lo, m_hi, *ts, kap)
     s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
@@ -234,7 +239,12 @@ def ratio_kernel(b_vals, k: UncertaintyRectangle):
     Raises ValueError if b + mu_minus >= 0 fails (NaN included); values
     raises ValueError on a non-finite kappa.
     """
-    _, m_lo, m_hi, (t1, t2, t3, t4) = _prepared(b_vals, k)
+    return _kernel(_prepared(b_vals, k), k)
+
+
+def _kernel(prepared, k: UncertaintyRectangle):
+    """ratio_kernel on the output of _prepared."""
+    _, m_lo, m_hi, (t1, t2, t3, t4) = prepared
     s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
     prod = s_lo * s_hi
     lin_hi = 2.0 * m_hi * s_mid
@@ -264,13 +274,14 @@ def min_ratio_values(b_vals, kappas, k: UncertaintyRectangle) -> np.ndarray:
 
 
 def minimize_ratio(b_val: float, kappa: float, k: UncertaintyRectangle) -> RatioMin:
-    """Closed-form minimizer at a single (b, kappa): measure, value, branch."""
-    f = branch_fields(b_val, kappa, k)
+    """Closed-form minimizer at a single (b, kappa): measure, value, branch,
+    all from one preparation of b."""
+    prepared = _prepared(b_val, k)
+    f = _fields(prepared, kappa, k)
     measure = WorstCaseMeasure.bernoulli(float(f["atom_mu"]), float(f["sigma_a"]),
                                          float(f["sigma_b"]), float(f["weight_a"]))
-    branch = KappaBranch(_CODE_REGION[int(f["code"])],
-                         *(float(t) for t in _prepared(b_val, k)[3]))
-    return RatioMin(measure, float(ratio_kernel(b_val, k)(kappa)), branch)
+    branch = KappaBranch(_CODE_REGION[int(f["code"])], *(float(t) for t in prepared[3]))
+    return RatioMin(measure, float(_kernel(prepared, k)(kappa)), branch)
 
 
 def _ratio(mean_mu, mean_sigma, mean_sigma_sq, b_val, kappa):

@@ -1,5 +1,12 @@
-"""Every CSV writer's bytes against a formatter written out row by row, and
-the surface cache against the surface.csv export."""
+"""Every CSV writer's bytes against a formatter written out row by row, the
+CLI's full-size exports against pinned hashes, and the surface cache against
+the surface.csv export."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +111,69 @@ def test_histogram_bytes(tmp_path):
     csvio.write_histogram_csv(tmp_path / "h.csv", edges, counts, HASH, SEED)
     assert_written(tmp_path / "h.csv", "bin_left,bin_right,count",
                    list(zip(edges[:-1], edges[1:], counts)))
+
+
+def test_dedupe_across_chunk_boundaries(tmp_path, monkeypatch):
+    # runs of 3 and 5 equal values against 7-row chunks: every run of repeats
+    # straddles some chunk boundary, and the last chunk is short
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 7)
+    nan = float("nan")
+    specials = np.array([-0.0, 0.0, nan, -nan, np.inf, -np.inf, 5e-324,
+                         1.7976931348623157e308, 0.1 / 3.0])
+    assert np.unique(specials.view("u8")).size == specials.size
+    n = 61
+    floats = specials[np.arange(n) // 3 % specials.size]
+    shifted = specials[(np.arange(n) // 5 + 4) % specials.size]
+    ints = np.array([-2**63, -1, 0, 2**63 - 1])[np.arange(n) // 3 % 4]
+    labels = np.array(["MINUS_CORNER", "ZERO", 7, "x y"], dtype=object)[np.arange(n) // 5 % 4]
+    csvio._write_csv(tmp_path / "e.csv", HASH, SEED, "a,b,i,s", "%.17g,%.17g,%d,%s",
+                     [floats, shifted, ints, labels])
+    assert_written(tmp_path / "e.csv", "a,b,i,s",
+                   list(zip(floats, shifted, ints.tolist(), labels)))
+    # -0.0 and 0.0 are distinct values with distinct texts
+    lines = (tmp_path / "e.csv").read_text().splitlines()[2:]
+    assert [line.split(",")[0] for line in lines[:6]] == ["-0"] * 3 + ["0"] * 3
+
+
+def test_columns_of_unequal_length_raise(tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_text("previous\n")
+    with pytest.raises(ValueError, match="unequal"):
+        csvio.write_histogram_csv(path, np.arange(6.0), np.arange(3), HASH, SEED)
+    with pytest.raises(ValueError, match="columns"):
+        csvio._write_csv(path, HASH, SEED, "a,b", "%d,%d", [np.arange(2)])
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["h.csv"]
+
+
+def test_zero_rows_write_the_header(tmp_path):
+    csvio.write_convergence_csv(tmp_path / "c.csv", [], HASH, SEED)
+    assert_written(tmp_path / "c.csv", "level,n_t,n_y,residual,ratio_to_previous", [])
+    csvio.write_histogram_csv(tmp_path / "h.csv", np.array([0.0]), np.array([], dtype=int),
+                              HASH, SEED)
+    assert_written(tmp_path / "h.csv", "bin_left,bin_right,count", [])
+
+
+REPO = Path(__file__).resolve().parents[1]
+# sha256 of the CLI's exports, pinned from the row-by-row writer that
+# preceded the deduplicating one; smoke's 402,201 rows span 7 chunks
+GOLDEN = {
+    "smoke": {"surface.csv": "52181180f0f9b7436470e0aacad6ae6a763b9fd7d1a7f63a0c06bf6c22ff13d1",
+              "policy.csv": "bce541f815273912bfa9c8971c30056874e0ddd77f5b86309240d138b9e1b63e"},
+    "ramp": {"surface.csv": "85e56219f58f372267b98cac4dc4bfbb3c6466b8d368c6d1dd75ab4c558d627d",
+             "policy.csv": "16a4e6e560dfd2cd8f6fb745c92acfc312a1a991e04484b1013e1e6cd0b26d81"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_exports_keep_their_bytes(tmp_path, name):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    for command in ("solve", "strategy"):
+        subprocess.run([sys.executable, "-m", "robustport.cli", command, "--config",
+                        str(REPO / "configs" / f"{name}.yaml"), "--out", str(tmp_path)],
+                       env=env, check=True, capture_output=True)
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in GOLDEN[name]}
+    assert got == GOLDEN[name]
 
 
 def test_config_hash_needs_a_provenance_line(tmp_path):

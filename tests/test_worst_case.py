@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from robustport import UncertaintyRectangle
+from robustport import UncertaintyRectangle, worst_case
 from robustport.worst_case import (BranchRegion, WorstCaseMeasure, branch_fields,
                                    brute_force_min, min_ratio_values, minimize_ratio,
                                    ratio_kernel)
@@ -348,6 +348,48 @@ class TestValueKernel:
         # no region mask selects a NaN node, so it must not get that far
         with pytest.raises(ValueError, match="b \\+ mu_minus >= 0"):
             kernel(np.nan)
+
+
+class TestOnePreparation:
+    """minimize_ratio prepares b once and hands it to the measure, the value
+    and the thresholds."""
+
+    @staticmethod
+    def grid():
+        return [(b, kappa, k) for k in (K, UncertaintyRectangle(0.0, 0.25, 0.15, 0.5),
+                                        UncertaintyRectangle(0.1, 0.3, 0.25, 0.25))
+                for b in (0.0, 0.05, 0.4) for kappa in np.linspace(-8.0, 4.0, 97)]
+
+    def test_outputs_are_pinned(self):
+        # repr of every float is exact; the digest is the one the three
+        # separate preparations gave
+        results = [minimize_ratio(float(b), float(kappa), k) for b, kappa, k in self.grid()]
+        assert {r.branch.region for r in results} == set(BranchRegion)
+        text = "".join(repr((r.measure.atoms, r.value, r.branch)) for r in results)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "bae7a7a143a642754ac3cc801b5ba1da85330194281b19bcd2ecf6e118d52cf6")
+
+    def test_matches_its_public_parts(self):
+        for b, kappa, k in self.grid()[::7]:
+            nu, value, _ = minimize_ratio(b, kappa, k)
+            f = branch_fields(b, kappa, k)
+            assert nu == WorstCaseMeasure.bernoulli(
+                float(f["atom_mu"]), float(f["sigma_a"]), float(f["sigma_b"]),
+                float(f["weight_a"]))
+            assert value == float(ratio_kernel(b, k)(kappa))
+
+    def test_one_preparation_per_call(self, monkeypatch):
+        calls = []
+        prepared = worst_case._prepared
+
+        def counted(b_vals, k):
+            calls.append(b_vals)
+            return prepared(b_vals, k)
+
+        monkeypatch.setattr(worst_case, "_prepared", counted)
+        for kappa in (-6.0, -1.0, -0.5, 0.5, 2.0):
+            minimize_ratio(0.0, kappa, K)
+        assert len(calls) == 5
 
 
 class TestDegenerateRectangles:
