@@ -12,8 +12,10 @@ quadratic term scales with v_x^2 / (v v_xx) = q/(q-1)); dropping it is
 inconsistent with the flat-coefficient closed form and the Monte-Carlo value
 (see tests).  H is written once (`_operator`) and prepared once per solve:
 its y-only terms, with the b-only parts of the min term
-(`worst_case.ratio_kernel`), are formed before the time loop.  The stepper,
-the boundary data and the residual all evaluate it.  Diffusion is treated
+(`worst_case.ratio_kernel`), are formed before the time loop.  The stepper
+and the boundary data evaluate it; the residual of a solve reuses the
+predictor's H rows (H lagged at each level, the same values bit for bit), so
+H is formed once per time level.  Diffusion is treated
 theta-implicitly (one LAPACK dgtsv tridiagonal solve for the predictor and
 one for the corrector per step); H is explicit: a lagged predictor from the
 later-time level plus one trapezoidal correction (second order in time at
@@ -243,6 +245,12 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
 
     u = np.zeros((g.n_t, g.n_y))
     u[-1, [0, -1]] = bc[-1]
+    # the predictor's H at each level's interior nodes, which the residual
+    # reuses (levels 1..n_t-2).  Shaped like u rather than like the
+    # interior: once freed, a block of u's size serves the next surface-
+    # sized array (u_y, the policy fields), where a slightly smaller one
+    # stays a hole in the heap and raises the process's peak RSS.
+    h_u = np.empty((g.n_t, g.n_y))
 
     d_exp = (1.0 - theta) * dt / (2.0 * dy * dy)
     two_dy = 2.0 * dy
@@ -270,6 +278,7 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
         # predictor: H lagged at the later-time level
         base = uo[1:-1] + d_exp * (uo[:-2] - 2.0 * uo[1:-1] + uo[2:])
         h_old = h(uy)
+        h_u[i + 1, 1:-1] = h_old
         implicit_solve(base + dt * h_old, pred, i)
         check_finite(pred, i)
         # one trapezoidal correction of H (2nd order in time), with the
@@ -277,8 +286,11 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
         implicit_solve(base + 0.5 * dt * (h_old + h((pred[2:] - pred[:-2]) / two_dy)),
                        u[i], i)
 
-        check_finite(u[i], i)
+        # the growth detector's max is also the finiteness test of the row;
+        # check_finite then names the node
         new_max = float(np.abs(u[i]).max())
+        if not np.isfinite(new_max):
+            check_finite(u[i], i)
         if new_max > max(10.0 * prev_max + 1.0, 1e6):
             raise SolverError(
                 f"explicit update growth detected at t = {t_nodes[i]:.6g} "
@@ -291,22 +303,30 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
         max_abs_u=float(np.max(np.abs(u))),
         max_abs_u_y=float(np.max(np.abs(surface.u_y))),
         max_advection_cfl=max_cfl,
-        max_residual=residual_norm(surface, m, k, util),
+        max_residual=residual_norm(surface, m, k, util, h=h_u[1:-1, 1:-1]),
     ))
 
 
 def residual_norm(s: ValueSurface, m: MarketModel, k: UncertaintyRectangle,
-                  util: PowerUtility) -> float:
+                  util: PowerUtility, h: np.ndarray | None = None) -> float:
     """A-posteriori PDE residual: max over interior nodes of the centered-
-    difference assembly u_t + u_yy/2 + H(u_y) (same operator as the solver)."""
+    difference assembly u_t + u_yy/2 + H(u_y) (same operator as the solver).
+
+    h, if given, is H(u_y) at the interior nodes of rows 1..n_t-2, shape
+    (n_t-2, n_y-2): solve_hjbi passes its predictor's rows, which are these
+    values bit for bit.  Without it H is formed here.  Raises ValueError on
+    an h of another shape."""
     g = s.grid
+    if h is not None and np.shape(h) != (g.n_t - 2, g.n_y - 2):
+        raise ValueError(f"h must have shape {(g.n_t - 2, g.n_y - 2)}, not {np.shape(h)}")
     if g.n_t < 3:
         return 0.0
     dt, dy = g.dt, g.dy
     u = s.u
     u_mid = u[1:-1, :]
-    # H first: its min term's temporaries peak before u_t and u_yy exist
-    h = _operator(m, k, util.q, s.y[1:-1])((u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * dy))
+    if h is None:
+        # H first: its min term's temporaries peak before u_t and u_yy exist
+        h = _operator(m, k, util.q, s.y[1:-1])((u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * dy))
     u_t = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * dt)
     u_yy = (u_mid[:, 2:] - 2.0 * u_mid[:, 1:-1] + u_mid[:, :-2]) / (dy * dy)
     return float(np.max(np.abs(u_t + 0.5 * u_yy + h)))

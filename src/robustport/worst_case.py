@@ -14,8 +14,9 @@ with half-open (left-open, right-closed) region boundaries.
 
 Each part of the minimizer is written once.  `_prepared` forms the b-only
 part (the A3 check b + mu- >= 0, m± and the thresholds).  `ratio_kernel` owns
-the value: prepared once for fixed b, it evaluates the five branch values for
-many kappas (the PDE's hot path; `min_ratio_values` is its one-shot form).
+the value: prepared once for fixed b, it evaluates for many kappas the value
+expressions of only the branches that occur (the PDE's hot path;
+`min_ratio_values` is its one-shot form).
 `branch_fields` owns the measure: region code, atoms and weight per node.
 `minimize_ratio` composes the two at a single (b, kappa) on one preparation.
 A brute-force grid search over atoms and Bernoulli mixtures is provided as an
@@ -231,10 +232,10 @@ def ratio_kernel(b_vals, k: UncertaintyRectangle):
     """The minimal ratio at fixed b, prepared for many kappas.
 
     The b-only terms are formed here once (after _prepared's A3 check);
-    values(kappas) does only the kappa-dependent arithmetic, evaluating each
-    branch's value expression over every node and selecting by the
-    half-open regions.  b_vals and kappas broadcast (the residual passes 1-D
-    b against 2-D kappa).
+    values(kappas) does only the kappa-dependent arithmetic: the minus-corner
+    value over every node, then the value expression of only the branches
+    that occur, each written where the half-open regions select it.  b_vals
+    and kappas broadcast (the residual passes 1-D b against 2-D kappa).
 
     Raises ValueError if b + mu_minus >= 0 fails (NaN included); values
     raises ValueError on a non-finite kappa.
@@ -244,7 +245,12 @@ def ratio_kernel(b_vals, k: UncertaintyRectangle):
 
 def _kernel(prepared, k: UncertaintyRectangle):
     """ratio_kernel on the output of _prepared."""
-    _, m_lo, m_hi, (t1, t2, t3, t4) = prepared
+    _, m_lo, m_hi, ts = prepared
+    # each threshold raised to the running maximum of those before it: a
+    # node's region is the first with kappa <= t_i, and kappa <= max(t1..t_i)
+    # holds exactly when kappa <= t_j for some j <= i, so the masks nest
+    # (low within plus within zero) and select the same region as t1..t4
+    t1, t2, t3, t4 = np.maximum.accumulate(np.stack(ts), axis=0)
     s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
     prod = s_lo * s_hi
     lin_hi = 2.0 * m_hi * s_mid
@@ -253,17 +259,25 @@ def _kernel(prepared, k: UncertaintyRectangle):
 
     def values(kappas) -> np.ndarray:
         kap = _finite(kappas)
-        quad = kap * prod
-        low = kap * (lin_hi + quad) / s_mid_sq
-        high = kap * (lin_lo + quad) / s_mid_sq
-        # np.square is what `array ** 2` runs; a numpy scalar's `** 2` calls
-        # pow(), which can differ in the last bit
-        plus = np.square(m_hi + kap * s_lo) / s_lo_sq
-        minus = np.square(m_lo + kap * s_hi) / s_hi_sq
-        return np.where(kap <= t1, low,
-                        np.where(kap <= t2, plus,
-                                 np.where(kap <= t3, 0.0,
-                                          np.where(kap <= t4, minus, high))))
+        # the minus corner everywhere, then each other branch only where a
+        # node falls in it.  np.square is what `array ** 2` runs; a numpy
+        # scalar's `** 2` calls pow(), which can differ in the last bit.
+        # asarray turns a 0-d result (a numpy scalar) into an array to fill;
+        # count_nonzero is the cheapest emptiness test of a mask.
+        out = np.asarray(np.square(m_lo + kap * s_hi) / s_hi_sq)
+        mask = kap > t4
+        if np.count_nonzero(mask):
+            np.copyto(out, kap * (lin_lo + kap * prod) / s_mid_sq, where=mask)
+        mask = kap <= t3
+        if np.count_nonzero(mask):
+            np.copyto(out, 0.0, where=mask)
+            mask = kap <= t2
+            if np.count_nonzero(mask):
+                np.copyto(out, np.square(m_hi + kap * s_lo) / s_lo_sq, where=mask)
+                mask = kap <= t1
+                if np.count_nonzero(mask):
+                    np.copyto(out, kap * (lin_hi + kap * prod) / s_mid_sq, where=mask)
+        return out
 
     return values
 

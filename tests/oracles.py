@@ -76,6 +76,38 @@ def pure_min_substituted(b_val, kappa, k, n=2000):
     return float(np.min(vals))
 
 
+def nested_ratio_values(b_vals, kappas, k):
+    """The minimal ratio as the value kernel first computed it: all five
+    branch values at every node, selected by nested np.where on the raw
+    thresholds t1..t4 (left-open, right-closed regions).  ratio_kernel must
+    equal it bit for bit."""
+    b = np.asarray(b_vals, dtype=float)
+    kap = np.asarray(kappas, dtype=float)
+    m_lo = b + k.mu_minus
+    m_hi = b + k.mu_plus
+    s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
+    if s_lo == s_hi:
+        t1 = np.full_like(m_hi, -np.inf)
+        t4 = np.full_like(m_lo, np.inf)
+    else:
+        t1 = m_hi * s_mid / (s_lo * (s_mid - s_hi))
+        t4 = m_lo * s_mid / (s_hi * (s_mid - s_lo))
+    t2, t3 = -m_hi / s_lo, -m_lo / s_hi
+    prod = s_lo * s_hi
+    lin_hi = 2.0 * m_hi * s_mid
+    lin_lo = 2.0 * m_lo * s_mid
+    s_mid_sq, s_lo_sq, s_hi_sq = s_mid**2, s_lo**2, s_hi**2
+    quad = kap * prod
+    low = kap * (lin_hi + quad) / s_mid_sq
+    high = kap * (lin_lo + quad) / s_mid_sq
+    plus = np.square(m_hi + kap * s_lo) / s_lo_sq
+    minus = np.square(m_lo + kap * s_hi) / s_hi_sq
+    return np.where(kap <= t1, low,
+                    np.where(kap <= t2, plus,
+                             np.where(kap <= t3, 0.0,
+                                      np.where(kap <= t4, minus, high))))
+
+
 def flat_tail_u(t, b_side, r_side, k, q, horizon):
     """u on a tail where b == b_side and r == r_side are constant: nature
     takes the (mu-, sigma+) corner (kappa = rho*u_y = 0), so u solves

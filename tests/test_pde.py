@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -142,10 +143,11 @@ class TestKernelCalls:
         patch_kernel(monkeypatch, lambda values, kap: calls.append(kap.shape) or values(kap))
         g = GridSpec(1.0, 101, 21, 4.0, 0.5)
         solve_hjbi(ramp_model, K, smoke_util, g)
-        assert len(calls) == 2 * (g.n_t - 1) + 2
-        # boundary data first, residual last, both stepper calls on the interior
-        assert calls[0] == (2,) and calls[-1] == (g.n_t - 2, g.n_y - 2)
-        assert set(calls[1:-1]) == {(g.n_y - 2,)}
+        assert len(calls) == 2 * (g.n_t - 1) + 1
+        # boundary data first, then both stepper calls of each step on the
+        # interior; the residual reuses the predictor's H rows
+        assert calls[0] == (2,)
+        assert set(calls[1:]) == {(g.n_y - 2,)}
 
     def test_non_finite_predictor_is_a_solver_error(self, ramp_model, smoke_util,
                                                     monkeypatch):
@@ -161,6 +163,23 @@ class TestKernelCalls:
         with pytest.raises(SolverError, match=r"non-finite value at t = 0\.99, y = -3\.6"):
             solve_hjbi(ramp_model, K, smoke_util, g)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_corrector_is_a_solver_error(self, ramp_model, smoke_util,
+                                                    monkeypatch, bad):
+        # the corrected row's finiteness is read off the growth detector's max
+        calls = []
+
+        def first_corrector_bad(values, kap):
+            calls.append(None)
+            v = values(kap)
+            return np.full_like(v, bad) if len(calls) == 3 else v
+
+        patch_kernel(monkeypatch, first_corrector_bad)
+        g = GridSpec(1.0, 101, 21, 4.0, 0.5)
+        with pytest.raises(SolverError, match=r"non-finite value at t = 0\.99, y = -3\.6"):
+            solve_hjbi(ramp_model, K, smoke_util, g)
+        assert len(calls) == 3
 
 
 class TestNegativeExponent:
@@ -244,6 +263,13 @@ class TestResidualNorm:
         s = ValueSurface.from_u(g, u)
         assert residual_norm(s, smoke_model, K, smoke_util) <= 1e-8
 
+    def test_given_h_rows_must_cover_the_interior(self, smoke_model, smoke_util):
+        g = GridSpec(1.0, 21, 11, 3.0, 0.5)
+        s = solve_hjbi(smoke_model, K, smoke_util, g)
+        for bad in (np.zeros(g.n_y - 2), np.zeros((g.n_t - 1, g.n_y - 2))):
+            with pytest.raises(ValueError, match=r"h must have shape \(19, 9\)"):
+                residual_norm(s, smoke_model, K, smoke_util, h=bad)
+
 
 class TestNodeLookup:
     """_bilinear finds the y-bracket from the node spacing; its y-step must be
@@ -292,14 +318,26 @@ class TestNodeLookup:
 
 class TestGoldenBits:
     """u and the diagnostics on small grids, pinned to the bit: a change to
-    the stepper or the kernel that claims identical output must keep these."""
+    the stepper or the kernel that claims identical output must keep these.
+    Each market also checks that the solver's max_residual, which reuses the
+    stepper's H rows, is residual_norm's own assembly bit for bit."""
 
     TAIL_B = CoefficientFn.ramp(0.0, 0.4, 1.0)
     TAIL_K = UncertaintyRectangle(0.0, 0.3, 0.2, 0.4)
+    ZERO = CoefficientFn.constant(0.0)
 
     @staticmethod
     def fingerprint(s):
         return hashlib.sha256(s.u.tobytes()).hexdigest(), repr(s.diagnostics)
+
+    @staticmethod
+    def region_counts(s, m, k):
+        codes = branch_fields(m.b(s.y)[None, :], m.rho * s.u_y, k)["code"]
+        return {r: int(np.sum(codes == i)) for i, r in enumerate(BranchRegion)}
+
+    @staticmethod
+    def assert_residual_reused(s, m, k, util):
+        assert s.diagnostics.max_residual.hex() == residual_norm(s, m, k, util).hex()
 
     @pytest.mark.parametrize("q, region, count, digest, diagnostics", [
         (0.5, BranchRegion.HIGH_TAIL, 1929,
@@ -314,12 +352,26 @@ class TestGoldenBits:
          "max_residual=3.282474314975081e-05)"),
     ], ids=["high-tail", "zero"])
     def test_tail_market(self, q, region, count, digest, diagnostics):
-        zero = CoefficientFn.constant(0.0)
-        m = MarketModel(self.TAIL_B, zero, zero, 0.9)
-        s = solve_hjbi(m, self.TAIL_K, PowerUtility(q), GridSpec(1.0, 201, 25, 3.0))
-        codes = branch_fields(m.b(s.y)[None, :], m.rho * s.u_y, self.TAIL_K)["code"]
-        assert int(np.sum(codes == list(BranchRegion).index(region))) == count
+        m = MarketModel(self.TAIL_B, self.ZERO, self.ZERO, 0.9)
+        util = PowerUtility(q)
+        s = solve_hjbi(m, self.TAIL_K, util, GridSpec(1.0, 201, 25, 3.0))
+        assert self.region_counts(s, m, self.TAIL_K)[region] == count
         assert self.fingerprint(s) == (digest, diagnostics)
+        self.assert_residual_reused(s, m, self.TAIL_K, util)
+
+    def test_plus_corner_and_zero_market(self):
+        # b falls 1 -> 0, so nature moves through the kernel's inner branches
+        m = MarketModel(CoefficientFn.ramp(1.0, 0.0, 1.0), self.ZERO, self.ZERO, 0.9)
+        util = PowerUtility(0.8)
+        s = solve_hjbi(m, K, util, GridSpec(1.0, 201, 25, 3.0))
+        counts = self.region_counts(s, m, K)
+        assert counts[BranchRegion.PLUS_CORNER] == 10 and counts[BranchRegion.ZERO] == 1294
+        assert self.fingerprint(s) == (
+            "50c38f8fd60a2a23c9e9269c3d040ed4cd8f8917f6a68c37d852bb9a37c7dc2a",
+            "SolveDiagnostics(time_steps=200, max_abs_u=15.125000000000004, "
+            "max_abs_u_y=6.609868837981498, max_advection_cfl=0.13219737675962998, "
+            "max_residual=0.017580647579167774)")
+        self.assert_residual_reused(s, m, K, util)
 
     def test_ramp_model(self, ramp_model, smoke_util):
         s = solve_hjbi(ramp_model, K, smoke_util, GridSpec(1.0, 201, 25, 4.0))
@@ -328,6 +380,23 @@ class TestGoldenBits:
             "SolveDiagnostics(time_steps=200, max_abs_u=0.28625, "
             "max_abs_u_y=0.11112716616349012, max_advection_cfl=0.0023991298096162207, "
             "max_residual=1.3533285511679871e-06)")
+        self.assert_residual_reused(s, ramp_model, K, smoke_util)
+
+
+class TestSolveMemory:
+    def test_traced_peak_is_a_few_surfaces(self, ramp_model, smoke_util):
+        # u, its u_y and the stepper's H rows are three surfaces, and the
+        # residual's u_t and u_yy terms with their temporaries about four more
+        # (about 7x).  A residual that forms H over the whole surface again,
+        # with every branch value at every node, peaks near 11x and fails.
+        g = GridSpec(1.0, 2001, 321, 4.0)
+        tracemalloc.start()
+        try:
+            s = solve_hjbi(ramp_model, K, smoke_util, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * s.u.nbytes, peak / s.u.nbytes
 
 
 class TestMinusCornerReference:

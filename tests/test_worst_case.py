@@ -8,7 +8,7 @@ from robustport.worst_case import (BranchRegion, WorstCaseMeasure, branch_fields
                                    brute_force_min, min_ratio_values, minimize_ratio,
                                    ratio_kernel)
 
-from oracles import psi, psi_critical_points
+from oracles import nested_ratio_values, psi, psi_critical_points
 
 K = UncertaintyRectangle(0.1, 0.3, 0.2, 0.4)  # sigma_mid = 0.3
 
@@ -348,6 +348,93 @@ class TestValueKernel:
         # no region mask selects a NaN node, so it must not get that far
         with pytest.raises(ValueError, match="b \\+ mu_minus >= 0"):
             kernel(np.nan)
+
+
+def with_neighbours(t):
+    """The thresholds t stacked with one ulp either side, where a degenerate
+    rectangle's infinite ones are replaced by 0 (kappa must be finite)."""
+    t = np.where(np.isfinite(t), t, 0.0)
+    return np.concatenate([t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf)])
+
+
+class TestAgainstNestedSelection:
+    """ratio_kernel evaluates only the branches that occur; its value must be
+    the nested np.where selection over all five branches, bit for bit."""
+
+    RECTS = [K, UncertaintyRectangle(0.1, 0.3, 0.25, 0.25),  # sigma- == sigma+
+             UncertaintyRectangle(0.2, 0.2, 0.2, 0.4),  # mu- == mu+
+             UncertaintyRectangle(0.2, 0.2, 0.3, 0.3)]  # a point
+
+    @staticmethod
+    def assert_nested(b, kap, k):
+        assert same_bits(ratio_kernel(b, k)(kap), nested_ratio_values(b, kap, k))
+
+    def test_kernel_cases(self, cases):
+        for group in cases.values():
+            for b, kap, k in group:
+                self.assert_nested(b, kap, k)
+
+    def test_random_rectangles(self):
+        rng = np.random.default_rng(46)
+        for _ in range(40):
+            k = random_rect(rng)
+            self.assert_nested(rng.uniform(-k.mu_minus, 0.5, 300),
+                               rng.uniform(-15, 15, 300), k)
+
+    @pytest.mark.parametrize("k", RECTS, ids=["K", "point-sigma", "point-mu", "point"])
+    def test_at_each_threshold_and_one_ulp_off(self, k):
+        rng = np.random.default_rng(47)
+        for b in [*rng.uniform(-k.mu_minus, 0.5, 20), 0.0, 0.4]:
+            self.assert_nested(b, with_neighbours(np.array(worst_case._prepared(b, k)[3])), k)
+        # every threshold of every b as a row: 1-D b against 2-D kappa
+        bs = rng.uniform(-k.mu_minus, 0.5, 30)
+        self.assert_nested(bs, with_neighbours(np.array(worst_case._prepared(bs, k)[3])), k)
+
+    def test_thresholds_out_of_order_by_rounding(self):
+        # sigma- is below half an ulp of sigma+, so sigma_M rounds and t1 lands
+        # above t2; a node is still in the first region with kappa <= t_i.
+        # One kappa per call, so no other node opens the inner regions.
+        k = UncertaintyRectangle(0.0, 0.020486761968097345, 1.5721481466038875e-17,
+                                 1.3102272059107631)
+        b = 0.008263817764264547
+        ts = np.array(worst_case._prepared(b, k)[3])
+        assert ts[0] > ts[1]
+        for kap in with_neighbours(ts):
+            self.assert_nested(b, kap, k)
+
+    @pytest.mark.parametrize("k", RECTS, ids=["K", "point-sigma", "point-mu", "point"])
+    def test_thresholds_tie_at_signed_zero(self, k):
+        # b = -mu- makes m- = 0, so t3 = -0.0 and t4 = +0.0 (and t1 = t2 = -0.0
+        # when also mu- == mu+)
+        b = -k.mu_minus
+        tiny = np.finfo(float).tiny
+        kap = np.array([-0.0, 0.0, 5e-324, -5e-324, tiny, -tiny, 1e-300, -1e-300,
+                        0.5, -0.5, 3.0, -3.0])
+        for bb in (b, np.full(kap.shape, b), np.full((1, kap.size), b)):
+            self.assert_nested(bb, kap, k)
+
+    @pytest.mark.parametrize("k", RECTS, ids=["K", "point-sigma", "point-mu", "point"])
+    def test_shapes(self, k):
+        rng = np.random.default_rng(48)
+        b = rng.uniform(-k.mu_minus, 0.4, 17)
+        kap = rng.uniform(-10, 10, (9, 17))
+        for bb, kk in ((float(b[0]), float(kap[0, 0])),  # Python floats
+                       (np.float64(b[1]), np.float64(kap[0, 1])),  # numpy scalars
+                       (np.array(b[2]), np.array(kap[0, 2])),  # 0-d arrays
+                       (float(b[3]), kap[0]),  # scalar b, 1-D kappa
+                       (b, kap[0]),  # 1-D
+                       (b, kap),  # 1-D b against 2-D kappa
+                       (b[None, :], kap)):
+            v = ratio_kernel(bb, k)(kk)
+            assert isinstance(v, np.ndarray) and v.shape == np.broadcast(bb, kk).shape
+            self.assert_nested(bb, kk, k)
+
+    def test_a_prepared_kernel_serves_every_kappa_shape(self):
+        rng = np.random.default_rng(49)
+        b = rng.uniform(-0.1, 0.4, 11)
+        values = ratio_kernel(b, K)
+        for kap in (rng.uniform(-10, 10, 11), rng.uniform(-10, 10, (5, 11)), 0.25):
+            assert same_bits(values(kap), nested_ratio_values(b, kap, K))
 
 
 class TestOnePreparation:
