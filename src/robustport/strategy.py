@@ -5,8 +5,9 @@ kappa = rho * u_y(t, y), and the optimal portfolio fraction (of wealth) is
 
     pi_frac = 1/(1-q) * [ (b(y) + (mu, nu*)) + rho (sigma, nu*) u_y ] / (sigma^2, nu*).
 
-pi_frac is interpolated bilinearly in (t, y); measures are looked up at the
-nearest node (they are not interpolable without leaving the two-atom family).
+The measure is stored once, as branch_fields' four numbers per node.  pi_frac
+is interpolated bilinearly in (t, y); measures are looked up at the nearest
+node (they are not interpolable without leaving the two-atom family).
 """
 
 from __future__ import annotations
@@ -17,26 +18,23 @@ import numpy as np
 
 from .model import MarketModel, PowerUtility, UncertaintyRectangle
 from .pde import ValueSurface, _bilinear
-from .worst_case import branch_fields
+from .worst_case import branch_fields, measure_moments
 
 __all__ = ["PolicyField", "build_policy", "value_function"]
 
 
 @dataclass(frozen=True)
 class PolicyField:
-    """Per-node worst-case measure data and optimal fraction on the PDE grid.
+    """Per-node worst-case measure and optimal fraction on the PDE grid.
 
-    Atom arrays describe the measure at each node: atoms (atom_mu, sigma_a)
-    with weight weight_a and (atom_mu, sigma_b) with 1 - weight_a (single-atom
-    nodes have weight_a == 1).  Moment arrays are the cached measure moments.
+    At each node the measure has atoms (atom_mu, sigma_a) with weight weight_a
+    and (atom_mu, sigma_b) with 1 - weight_a; mu_mean, sigma_mean and
+    sigma_sq_mean are its moment surfaces, formed by measure_moments on read.
     """
 
     t: np.ndarray
     y: np.ndarray
     pi_frac: np.ndarray
-    mu_mean: np.ndarray
-    sigma_mean: np.ndarray
-    sigma_sq_mean: np.ndarray
     atom_mu: np.ndarray
     sigma_a: np.ndarray
     sigma_b: np.ndarray
@@ -45,10 +43,17 @@ class PolicyField:
     q: float
 
     def __post_init__(self):
-        for arr in (self.t, self.y, self.pi_frac, self.mu_mean, self.sigma_mean,
-                    self.sigma_sq_mean, self.atom_mu, self.sigma_a, self.sigma_b,
-                    self.weight_a, self.branch_code):
+        for arr in (self.t, self.y, self.pi_frac, self.atom_mu, self.sigma_a,
+                    self.sigma_b, self.weight_a, self.branch_code):
             arr.setflags(write=False)
+
+    def _moments(self, it=slice(None)):
+        return measure_moments(self.atom_mu[it], self.sigma_a[it], self.sigma_b[it],
+                               self.weight_a[it])
+
+    mu_mean = property(lambda self: self.atom_mu)  # measure_moments returns mu as is
+    sigma_mean = property(lambda self: self._moments()[1])
+    sigma_sq_mean = property(lambda self: self._moments()[2])
 
     def fraction_at(self, t: float, y) -> np.ndarray:
         """Bilinear interpolation of pi_frac; clamped to the grid hull."""
@@ -63,10 +68,9 @@ class PolicyField:
         return it, jy
 
     def moments_at(self, t: float, y):
-        """Nearest-node measure moments (mu, sigma, sigma^2)."""
+        """Nearest-node measure moments (mu, sigma, sigma^2), formed on the row."""
         it, jy = self.node_index(t, y)
-        return (self.mu_mean[it, jy], self.sigma_mean[it, jy],
-                self.sigma_sq_mean[it, jy])
+        return tuple(m[jy] for m in self._moments(it))
 
     def atoms_at(self, t: float, y):
         """Nearest-node atom data (atom_mu, sigma_a, sigma_b, weight_a)."""
@@ -81,17 +85,14 @@ def build_policy(s: ValueSurface, m: MarketModel, k: UncertaintyRectangle,
     q = util.q
     b_vec = np.asarray(m.b(s.y))
     fields = branch_fields(b_vec[None, :], m.rho * s.u_y, k)
-    mu_mean = fields["atom_mu"]
-    sigma_mean = fields["weight_a"] * fields["sigma_a"] + (1.0 - fields["weight_a"]) * fields["sigma_b"]
-    sigma_sq_mean = (fields["weight_a"] * fields["sigma_a"] ** 2
-                     + (1.0 - fields["weight_a"]) * fields["sigma_b"] ** 2)
+    mu_mean, sigma_mean, sigma_sq_mean = measure_moments(
+        fields["atom_mu"], fields["sigma_a"], fields["sigma_b"], fields["weight_a"])
     pi_frac = ((b_vec[None, :] + mu_mean) + m.rho * sigma_mean * s.u_y) / (
         (1.0 - q) * sigma_sq_mean)
     if not np.all(np.isfinite(pi_frac)):
         raise ValueError("non-finite policy fraction; check the solved surface")
     return PolicyField(
         t=s.t.copy(), y=s.y.copy(), pi_frac=pi_frac,
-        mu_mean=mu_mean, sigma_mean=sigma_mean, sigma_sq_mean=sigma_sq_mean,
         atom_mu=fields["atom_mu"], sigma_a=fields["sigma_a"],
         sigma_b=fields["sigma_b"], weight_a=fields["weight_a"],
         branch_code=fields["code"], q=q)

@@ -17,10 +17,12 @@ part (the A3 check b + mu- >= 0, m± and the thresholds).  `ratio_kernel` owns
 the value: prepared once for fixed b, it evaluates for many kappas the value
 expressions of only the branches that occur (the PDE's hot path;
 `min_ratio_values` is its one-shot form).
-`branch_fields` owns the measure: region code, atoms and weight per node.
-`minimize_ratio` composes the two at a single (b, kappa) on one preparation.
-A brute-force grid search over atoms and Bernoulli mixtures is provided as an
-independent oracle.
+`branch_fields` owns the measure: per node the region code and the four numbers
+(mu, sigma_a, sigma_b, weight_a) of weight_a d(mu, sigma_a) + (1 - weight_a)
+d(mu, sigma_b).  `WorstCaseMeasure` is one such node, and `measure_moments`
+is the one moment formula.  `minimize_ratio` composes kernel and measure at a
+single (b, kappa) on one preparation.  A brute-force grid search over atoms
+and Bernoulli mixtures is provided as an independent oracle.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "KappaBranch",
     "WorstCaseMeasure",
     "RatioMin",
+    "measure_moments",
     "minimize_ratio",
     "ratio_kernel",
     "min_ratio_values",
@@ -74,48 +77,46 @@ class KappaBranch:
     t4: float
 
 
+def measure_moments(mu, sigma_a, sigma_b, weight_a):
+    """(mu, (sigma, nu), (sigma^2, nu)) of weight_a d(mu, sigma_a) + (1 - weight_a)
+    d(mu, sigma_b), elementwise on floats or arrays.  A square is `s * s`, what
+    `array ** 2` runs; a float's `** 2` calls pow(), which can differ in the last bit."""
+    weight_b = 1.0 - weight_a
+    return (mu, weight_a * sigma_a + weight_b * sigma_b,
+            weight_a * (sigma_a * sigma_a) + weight_b * (sigma_b * sigma_b))
+
+
 @dataclass(frozen=True)
 class WorstCaseMeasure:
-    """One- or two-atom measure ((mu, sigma), weight) with cached moments."""
+    """weight_a d(mu, sigma_a) + (1 - weight_a) d(mu, sigma_b): one node of
+    branch_fields (a point has weight_a == 1)."""
 
-    atoms: tuple[tuple[tuple[float, float], float], ...]
-    mean_mu: float
-    mean_sigma: float
-    mean_sigma_sq: float
+    mu: float
+    sigma_a: float
+    sigma_b: float
+    weight_a: float = 1.0
 
     def __post_init__(self):
-        if len(self.atoms) not in (1, 2):
-            raise ValueError("measure must have one or two atoms")
-        w = sum(wt for _, wt in self.atoms)
-        if any(wt <= 0 for _, wt in self.atoms) or abs(w - 1.0) > 1e-12:
-            raise ValueError("atom weights must be positive and sum to 1")
-
-    @classmethod
-    def from_atoms(cls, atoms) -> "WorstCaseMeasure":
-        atoms = tuple(((float(mu), float(sig)), float(wt)) for (mu, sig), wt in atoms)
-        mm = sum(wt * mu for (mu, _), wt in atoms)
-        ms = sum(wt * sig for (_, sig), wt in atoms)
-        ms2 = sum(wt * sig * sig for (_, sig), wt in atoms)
-        return cls(atoms, mm, ms, ms2)
+        if not 0.0 <= self.weight_a <= 1.0:
+            raise ValueError("weight_a must lie in [0, 1]")
 
     @classmethod
     def point(cls, mu: float, sigma: float) -> "WorstCaseMeasure":
-        return cls.from_atoms((((mu, sigma), 1.0),))
+        return cls(mu, sigma, sigma)
 
-    @classmethod
-    def bernoulli(cls, mu: float, sigma_lo: float, sigma_hi: float,
-                  weight_lo: float) -> "WorstCaseMeasure":
-        """Two atoms sharing mu with sigma in {sigma_lo, sigma_hi}; collapses
-        to a point when the weight saturates or the volatilities coincide."""
-        if weight_lo >= 1.0 - 1e-12 or sigma_lo == sigma_hi:
-            return cls.point(mu, sigma_lo)
-        if weight_lo <= 1e-12:
-            return cls.point(mu, sigma_hi)
-        return cls.from_atoms((((mu, sigma_lo), weight_lo),
-                               ((mu, sigma_hi), 1.0 - weight_lo)))
+    @property
+    def atoms(self) -> tuple[tuple[tuple[float, float], float], ...]:
+        """((mu, sigma), weight) per atom.  A weight within 1e-12 of 1 or 0, or
+        equal volatilities, collapse the measure to a point."""
+        mu, s_a, s_b, w = self.mu, self.sigma_a, self.sigma_b, self.weight_a
+        if w >= 1.0 - 1e-12 or s_a == s_b:
+            return (((mu, s_a), 1.0),)
+        if w <= 1e-12:
+            return (((mu, s_b), 1.0),)
+        return (((mu, s_a), w), ((mu, s_b), 1.0 - w))
 
     def moments(self) -> tuple[float, float, float]:
-        return self.mean_mu, self.mean_sigma, self.mean_sigma_sq
+        return measure_moments(self.mu, self.sigma_a, self.sigma_b, self.weight_a)
 
 
 class RatioMin(NamedTuple):
@@ -292,8 +293,8 @@ def minimize_ratio(b_val: float, kappa: float, k: UncertaintyRectangle) -> Ratio
     all from one preparation of b."""
     prepared = _prepared(b_val, k)
     f = _fields(prepared, kappa, k)
-    measure = WorstCaseMeasure.bernoulli(float(f["atom_mu"]), float(f["sigma_a"]),
-                                         float(f["sigma_b"]), float(f["weight_a"]))
+    measure = WorstCaseMeasure(*(float(f[name]) for name in
+                                 ("atom_mu", "sigma_a", "sigma_b", "weight_a")))
     branch = KappaBranch(_CODE_REGION[int(f["code"])], *(float(t) for t in prepared[3]))
     return RatioMin(measure, float(_kernel(prepared, k)(kappa)), branch)
 
@@ -315,29 +316,27 @@ def brute_force_min(b_val: float, kappa: float, k: UncertaintyRectangle,
     (ii) the Bernoulli family alpha*d_(mu,s-) + (1-alpha)*d_(mu,s+) over
     grids of mu and alpha.  No closed-form knowledge is used.
     """
-    if resolution < 10:
-        raise ValueError("resolution must be >= 10")
+    if not 10 <= resolution <= 2000:
+        raise ValueError(f"resolution must lie in [10, 2000], got {resolution}")
     mus = np.linspace(k.mu_minus, k.mu_plus, resolution)
     sigs = np.linspace(k.sigma_minus, k.sigma_plus, resolution)
 
     # single atoms
     mu_g = mus[:, None]
     sig_g = sigs[None, :]
-    vals = _ratio(mu_g, sig_g, sig_g**2, b_val, kappa)
+    vals = _ratio(*measure_moments(mu_g, sig_g, sig_g, 1.0), b_val, kappa)
     i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
     best_val = float(vals[i, j])
     best = WorstCaseMeasure.point(float(mus[i]), float(sigs[j]))
 
     # two-point Bernoulli mixtures in sigma
     alphas = np.linspace(0.0, 1.0, resolution)
-    a_g = alphas[None, :]
-    msig = a_g * k.sigma_minus + (1.0 - a_g) * k.sigma_plus
-    msig2 = a_g * k.sigma_minus**2 + (1.0 - a_g) * k.sigma_plus**2
-    vals2 = _ratio(mu_g, msig, msig2, b_val, kappa)
+    vals2 = _ratio(*measure_moments(mu_g, k.sigma_minus, k.sigma_plus, alphas[None, :]),
+                   b_val, kappa)
     i2, j2 = np.unravel_index(int(np.argmin(vals2)), vals2.shape)
     if float(vals2[i2, j2]) < best_val:
         best_val = float(vals2[i2, j2])
-        best = WorstCaseMeasure.bernoulli(float(mus[i2]), k.sigma_minus, k.sigma_plus,
-                                          float(alphas[j2]))
+        best = WorstCaseMeasure(float(mus[i2]), k.sigma_minus, k.sigma_plus,
+                                float(alphas[j2]))
     return BruteForceMin(best_val, best)
 

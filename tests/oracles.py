@@ -293,9 +293,9 @@ def saddle_point(x: float, y: float, d: DerivativeBundle, m: MarketModel,
     if d.p1 != 0.0:
         kappa = m.rho * d.q12 / d.p1
         nu, min_val, _ = minimize_ratio(b_val, kappa, k)
-        _, sig_m, _ = nu.moments()
+        mu_m, sig_m, _ = nu.moments()
         denom = (2.0 * s_mid * sig_m - s_lo * s_hi) * d.q11
-        pi_star = -((b_val + nu.mean_mu) * d.p1 + sig_m * m.rho * d.q12) / denom
+        pi_star = -((b_val + mu_m) * d.p1 + sig_m * m.rho * d.q12) / denom
         value = const - d.p1 * d.p1 / (2.0 * d.q11) * min_val
         return SaddlePoint(pi_star, nu, value)
 
@@ -303,7 +303,7 @@ def saddle_point(x: float, y: float, d: DerivativeBundle, m: MarketModel,
     sbar = s_lo * s_hi / s_mid
     if s_hi > s_lo:
         alpha = (s_hi - sbar) / (s_hi - s_lo)
-        nu = WorstCaseMeasure.bernoulli(k.mu_minus, s_lo, s_hi, alpha)
+        nu = WorstCaseMeasure(k.mu_minus, s_lo, s_hi, alpha)
     else:
         nu = WorstCaseMeasure.point(k.mu_minus, s_lo)
     _, sig_m, sig2_m = nu.moments()

@@ -62,3 +62,12 @@ def test_tracer_sees_the_policy_kernel(ramp_model, smoke_util, smoke_rect):
     names = [span[0] for span in tracer.spans]
     assert names.count("strategy.build_policy") == 1
     assert names.count("worst_case.branch_fields") == 1
+
+
+def test_policy_field_has_what_the_bench_reads(ramp_model, smoke_util, smoke_rect):
+    # bench/workloads.py reads these surfaces off a built PolicyField
+    s = pde.solve_hjbi(ramp_model, smoke_rect, smoke_util, GridSpec(1.0, 21, 13, 4.0))
+    pf = strategy.build_policy(s, ramp_model, smoke_rect, smoke_util)
+    for name in ("mu_mean", "sigma_mean", "sigma_sq_mean", "pi_frac", "atom_mu",
+                 "sigma_a", "sigma_b", "weight_a"):
+        assert getattr(pf, name).shape == s.u.shape, name

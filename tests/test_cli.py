@@ -185,8 +185,10 @@ class TestExitCodes:
         assert not (out / "convergence.csv").exists()
 
     def test_small_oracle_resolution_is_config_error(self, tmp_path):
-        assert main(["oracle", "--config", write_config(tmp_path), "--b-val", "0",
-                     "--kappa", "-3", "--resolution", "3"]) == 2
+        # above 2000 is refused before brute_force_min allocates its n x n grids
+        for resolution in ("3", "2001"):
+            assert main(["oracle", "--config", write_config(tmp_path), "--b-val", "0",
+                         "--kappa", "-3", "--resolution", resolution]) == 2
 
     @pytest.mark.parametrize("flag", ["--b-val", "--kappa"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -67,7 +67,7 @@ class TestHamiltonianMeasure:
     def test_atom_average(self):
         m = const_model(rho=0.9)
         d = DerivativeBundle(p1=1.0, p2=0.5, q11=-1.5, q12=0.7, q22=-0.2)
-        nu = WorstCaseMeasure.from_atoms((((0.2, 0.2), 0.3), ((0.2, 0.4), 0.7)))
+        nu = WorstCaseMeasure(0.2, 0.2, 0.4, 0.3)
         pi = 1.7
         avg = sum(w * hamiltonian_point(pi, mu, sig, 1.0, 0.0, d, m)
                   for (mu, sig), w in nu.atoms)
@@ -76,7 +76,7 @@ class TestHamiltonianMeasure:
     def test_equal_weights_use_mean_square(self):
         m = const_model(rho=0.0)
         d = DerivativeBundle(p1=0.0, p2=0.0, q11=-2.0, q12=0.0, q22=0.0)
-        nu = WorstCaseMeasure.from_atoms((((0.2, 0.2), 0.5), ((0.2, 0.4), 0.5)))
+        nu = WorstCaseMeasure(0.2, 0.2, 0.4, 0.5)
         val = hamiltonian_measure(1.0, nu, 1.0, 0.0, d, m)
         assert val == pytest.approx(0.5 * ((0.04 + 0.16) / 2) * (-2.0))
 
@@ -157,7 +157,7 @@ class TestSaddlePoint:
         d = DerivativeBundle(p1=0.0, p2=0.3, q11=-2.0, q12=1.5, q22=-0.4)
         sp = saddle_point(1.0, 0.0, d, m, K)
         # worst volatility mean is the Bernoulli point sigma-*sigma+/sigma_M
-        assert sp.nu_star.mean_sigma == pytest.approx(0.08 / 0.3)
+        assert sp.nu_star.moments()[1] == pytest.approx(0.08 / 0.3)
         # closed-form value against a grid search over the Bernoulli means
         ys = np.linspace(0.2, 0.4, 20001)
         ratio = ys**2 / (2 * 0.3 * ys - 0.08)

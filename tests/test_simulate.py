@@ -5,7 +5,7 @@ import pytest
 
 from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
                         PolicyField, PowerUtility, SimConfig, UncertaintyRectangle,
-                        UtilityEstimate, WorstCaseMeasure, build_policy, simulate_eu,
+                        UtilityEstimate, build_policy, simulate_eu,
                         solve_hjbi, terminal_wealths, value_function, verify_saddle)
 from robustport.simulate import (BATCH_SIZE, _estimates, _path_sets, _saddle_adversaries,
                                  _terminal_wealth_batches)
@@ -23,7 +23,6 @@ def const_model(b=0.0, beta=0.0, r=0.0, rho=0.5):
 def constant_field(frac, mu, sigma_a, sigma_b, weight_a):
     """A PolicyField stand-in holding the fraction frac and the measure
     weight_a * d(mu, sigma_a) + (1 - weight_a) * d(mu, sigma_b) at every node."""
-    nu = WorstCaseMeasure.bernoulli(mu, sigma_a, sigma_b, weight_a)
     shape = (2, 3)
 
     def full(v):
@@ -31,9 +30,7 @@ def constant_field(frac, mu, sigma_a, sigma_b, weight_a):
 
     return PolicyField(
         t=np.array([0.0, 1.0]), y=np.array([-3.0, 0.0, 3.0]),
-        pi_frac=full(frac), mu_mean=full(nu.mean_mu),
-        sigma_mean=full(nu.mean_sigma),
-        sigma_sq_mean=full(nu.mean_sigma_sq), atom_mu=full(mu),
+        pi_frac=full(frac), atom_mu=full(mu),
         sigma_a=full(sigma_a), sigma_b=full(sigma_b), weight_a=full(weight_a),
         branch_code=np.zeros(shape, dtype=np.int8), q=0.5)
 
@@ -176,12 +173,28 @@ class TestAdversaryValidation:
             AdversaryPolicy.constant_point(0.2, 0.0)
 
     def test_field_moments_checked(self):
-        # moments that no measure has ((sigma, nu)^2 > (sigma^2, nu)) are refused
+        # moments that no measure has ((sigma, nu)^2 > (sigma^2, nu)) are refused:
+        # weight 1.5 gives (sigma, nu) = 0.1 and (sigma^2, nu) = -0.02
         pf = constant_field(0.5, 0.2, 0.2, 0.4, 0.5)
-        pf = dataclasses.replace(pf, sigma_mean=np.full(pf.sigma_mean.shape, 0.35))
+        pf = dataclasses.replace(pf, weight_a=np.full(pf.weight_a.shape, 1.5))
         cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
         with pytest.raises(AssertionError, match="invariant"):
             simulate_eu(pf, AdversaryPolicy.field(pf), const_model(), cfg)
+
+
+class TestFieldLookup:
+    def test_moments_at_gathers_the_moment_surfaces(self, tail_pipeline):
+        # the row-first moments equal the whole surfaces gathered at the node,
+        # bit for bit, also where y is clamped beyond the grid
+        _, _, pf = tail_pipeline
+        surfaces = (pf.mu_mean, pf.sigma_mean, pf.sigma_sq_mean)
+        y = np.array([-9.0, -3.0, -1.234, 0.0, 0.02, 0.77, 2.99, 3.0, 12.0])
+        for t in (0.0, 0.013, 0.5, 0.999, 1.0, 1.7):
+            it, jy = pf.node_index(t, y)
+            for got, surface in zip(pf.moments_at(t, y), surfaces):
+                want = surface[it, jy]
+                assert got.tobytes() == want.tobytes()
+        assert np.any(pf.weight_a < 1.0)
 
 
 class TestChattering:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,9 +88,9 @@ class TestSaddleConsistency:
             )
             sp = saddle_point(x, float(s.y[j]), d, ramp_model, K)
             assert sp.pi_star == pytest.approx(x * pf.pi_frac[i, j], rel=1e-9, abs=1e-12)
+            # one moment formula for the field and the pointwise measure
             got = (pf.mu_mean[i, j], pf.sigma_mean[i, j], pf.sigma_sq_mean[i, j])
-            want = sp.nu_star.moments()
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert got == sp.nu_star.moments()
 
     def test_sign_sanity_where_drift_and_hedge_align(self, ramp_surface, ramp_model,
                                                      smoke_util):
@@ -108,6 +110,22 @@ class TestSaddleConsistency:
             jumps.append(np.max(np.abs(np.diff(pf.pi_frac, axis=1))))
         assert jumps[1] < jumps[0]
         assert jumps[0] < 0.5
+
+
+class TestPolicyMemory:
+    def test_field_stores_no_moment_surface(self, ramp_model, smoke_util):
+        # the field keeps pi_frac, four measure surfaces and the int8 codes
+        # (about 5.1x u.nbytes); two stored moment surfaces would make it 7.1x
+        g = GridSpec(1.0, 2001, 321, 4.0)
+        s = solve_hjbi(ramp_model, K, smoke_util, g)
+        tracemalloc.start()
+        try:
+            pf = build_policy(s, ramp_model, K, smoke_util)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pf.pi_frac.shape == s.u.shape
+        assert live <= 5.5 * s.u.nbytes, live / s.u.nbytes
 
 
 class TestValueFunction:

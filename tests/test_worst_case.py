@@ -5,8 +5,8 @@ import pytest
 
 from robustport import UncertaintyRectangle, worst_case
 from robustport.worst_case import (BranchRegion, WorstCaseMeasure, branch_fields,
-                                   brute_force_min, min_ratio_values, minimize_ratio,
-                                   ratio_kernel)
+                                   brute_force_min, measure_moments, min_ratio_values,
+                                   minimize_ratio, ratio_kernel)
 
 from oracles import nested_ratio_values, psi, psi_critical_points
 
@@ -48,8 +48,9 @@ class TestBranches:
         nu, value, branch = minimize_ratio(0.0, -5.0, K)
         assert branch.region is BranchRegion.LOW_TAIL
         assert value == pytest.approx(-5 * (0.18 - 0.4) / 0.09)
-        assert nu.mean_mu == pytest.approx(0.3)
-        assert nu.mean_sigma == pytest.approx(0.3 / -5 + 0.08 / 0.3)
+        mu_m, sig_m, _ = nu.moments()
+        assert mu_m == pytest.approx(0.3)
+        assert sig_m == pytest.approx(0.3 / -5 + 0.08 / 0.3)
 
     def test_minus_corner_at_kappa_zero(self):
         nu, value, branch = minimize_ratio(0.0, 0.0, K)
@@ -60,8 +61,9 @@ class TestBranches:
     def test_high_tail(self):
         nu, value, branch = minimize_ratio(0.0, 5.0, K)
         assert branch.region is BranchRegion.HIGH_TAIL
-        assert nu.mean_mu == pytest.approx(0.1)
-        assert nu.mean_sigma == pytest.approx(0.1 / 5 + 0.08 / 0.3)
+        mu_m, sig_m, _ = nu.moments()
+        assert mu_m == pytest.approx(0.1)
+        assert sig_m == pytest.approx(0.1 / 5 + 0.08 / 0.3)
 
     def test_threshold_kappa_assigned_left_closed(self):
         br = minimize_ratio(0.0, 0.0, K).branch
@@ -155,7 +157,7 @@ class TestInvariantsAndProperties:
             for (mu, sig), w in nu.atoms:
                 assert k.contains(mu, sig)
                 assert w > 0
-            assert k.sigma_minus - 1e-12 <= nu.mean_sigma <= k.sigma_plus + 1e-12
+            assert k.sigma_minus - 1e-12 <= nu.moments()[1] <= k.sigma_plus + 1e-12
 
     def test_bernoulli_moment_identity(self):
         rng = np.random.default_rng(24)
@@ -171,8 +173,9 @@ class TestInvariantsAndProperties:
                 (mu2, s2), _ = nu.atoms[1]
                 assert mu1 == mu2
                 assert {s1, s2} == {k.sigma_minus, k.sigma_plus}
-                assert nu.mean_sigma_sq == pytest.approx(
-                    2 * k.sigma_mid * nu.mean_sigma - k.sigma_minus * k.sigma_plus,
+                _, sig_m, sig2_m = nu.moments()
+                assert sig2_m == pytest.approx(
+                    2 * k.sigma_mid * sig_m - k.sigma_minus * k.sigma_plus,
                     abs=1e-14)
         assert seen_two_atoms > 20
 
@@ -460,10 +463,24 @@ class TestOnePreparation:
         for b, kappa, k in self.grid()[::7]:
             nu, value, _ = minimize_ratio(b, kappa, k)
             f = branch_fields(b, kappa, k)
-            assert nu == WorstCaseMeasure.bernoulli(
+            assert nu == WorstCaseMeasure(
                 float(f["atom_mu"]), float(f["sigma_a"]), float(f["sigma_b"]),
                 float(f["weight_a"]))
             assert value == float(ratio_kernel(b, k)(kappa))
+
+    def test_scalar_moments_are_the_field_moments(self):
+        # one moment formula: the 0-d measure's moments are the field's, bit
+        # for bit, at every node of every region
+        nodes = {}
+        for b, kappa, k in self.grid():
+            nodes.setdefault(k, []).append((b, kappa))
+        for k, bk in nodes.items():
+            b, kappa = np.array(bk).T
+            f = branch_fields(b, kappa, k)
+            field = measure_moments(f["atom_mu"], f["sigma_a"], f["sigma_b"], f["weight_a"])
+            scalar = [minimize_ratio(float(bb), float(kk), k).measure.moments() for bb, kk in bk]
+            for got, want in zip(zip(*scalar), field):
+                assert same_bits(got, want)
 
     def test_one_preparation_per_call(self, monkeypatch):
         calls = []
@@ -548,20 +565,25 @@ class TestPsi:
 
 class TestWorstCaseMeasure:
     def test_moment_cache_consistency(self):
-        nu = WorstCaseMeasure.from_atoms((((0.2, 0.2), 0.25), ((0.2, 0.4), 0.75)))
-        assert nu.mean_mu == pytest.approx(0.2, abs=1e-14)
-        assert nu.mean_sigma == pytest.approx(0.25 * 0.2 + 0.75 * 0.4, abs=1e-14)
-        assert nu.mean_sigma_sq == pytest.approx(0.25 * 0.04 + 0.75 * 0.16, abs=1e-14)
+        nu = WorstCaseMeasure(0.2, 0.2, 0.4, 0.25)
+        assert nu.atoms == (((0.2, 0.2), 0.25), ((0.2, 0.4), 0.75))
+        mu_m, sig_m, sig2_m = nu.moments()
+        assert mu_m == 0.2
+        assert sig_m == pytest.approx(0.25 * 0.2 + 0.75 * 0.4, abs=1e-14)
+        assert sig2_m == pytest.approx(0.25 * 0.04 + 0.75 * 0.16, abs=1e-14)
+        # the moments of a point are its coordinates and the square of its sigma
+        assert WorstCaseMeasure.point(0.1, 0.3).moments() == (0.1, 0.3, 0.3 * 0.3)
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            WorstCaseMeasure(atoms=(((0.1, 0.2), 0.4), ((0.1, 0.4), 0.4)),
-                             mean_mu=0.1, mean_sigma=0.3, mean_sigma_sq=0.1)
+        for w in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                WorstCaseMeasure(0.1, 0.2, 0.4, w)
 
     def test_bernoulli_collapse(self):
-        nu = WorstCaseMeasure.bernoulli(0.1, 0.2, 0.4, 1.0)
-        assert nu.atoms == (((0.1, 0.2), 1.0),)
-        nu = WorstCaseMeasure.bernoulli(0.1, 0.2, 0.4, 0.0)
-        assert nu.atoms == (((0.1, 0.4), 1.0),)
-        nu = WorstCaseMeasure.bernoulli(0.1, 0.3, 0.3, 0.4)
-        assert nu.atoms == (((0.1, 0.3), 1.0),)
+        assert WorstCaseMeasure(0.1, 0.2, 0.4, 1.0).atoms == (((0.1, 0.2), 1.0),)
+        assert WorstCaseMeasure(0.1, 0.2, 0.4, 0.0).atoms == (((0.1, 0.4), 1.0),)
+        assert WorstCaseMeasure(0.1, 0.3, 0.3, 0.4).atoms == (((0.1, 0.3), 1.0),)
+        # a weight within 1e-12 of 1 or 0 is a point too
+        assert WorstCaseMeasure(0.1, 0.2, 0.4, 1.0 - 1e-13).atoms == (((0.1, 0.2), 1.0),)
+        assert WorstCaseMeasure(0.1, 0.2, 0.4, 1e-13).atoms == (((0.1, 0.4), 1.0),)
+        assert len(WorstCaseMeasure(0.1, 0.2, 0.4, 1e-11).atoms) == 2
