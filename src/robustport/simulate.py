@@ -15,17 +15,21 @@ atom of nu*(t, Y) per step.
 
 The fraction f never enters dY, and an adversary enters it only through the
 loadings rho sig_m / sqrt(sig2_m) and sqrt(1 - that^2).  So every policy
-scaling under one adversary shares the factor paths, and so do fixed points
-whose two loadings are equal floats (rho sigma / sigma rounds to rho for
-every sigma of [0.2, 0.4] at rho = 0.5, for about 78% of them at 0.9): their
-Y, b(Y), r(Y) and f(t, Y) are bit-identical, and only mu and sigma^2 enter
-their ln X rows.  The path engine takes one (adversary, scales) entry per
-adversary and advances one ln X row per scale over one set of normals, factor
-paths and coefficients, forming each adversary's moments once per step.
-verify_saddle runs one path set per factor path: nu* with its scalings, each
-group of fixed points with equal loadings, and chattering (3 path sets for
-its 14 rows when all 7 points load alike).  Each row keeps the arithmetic of
-a run of its pair alone, so its estimate equals that run's bit for bit.
+scaling under one adversary shares the factor paths, and so do adversaries
+whose two loadings are the same floats wherever they act: fixed points (rho
+sigma / sigma rounds to rho for every sigma of [0.2, 0.4] at rho = 0.5, for
+about 78% of them at 0.9), and a field whose moments, or with chattering
+whose atoms, load the factor alike at every node, as a field that sits at
+one corner of K does.  Their Y, b(Y), r(Y) and f(t, Y) are bit-identical, and
+only mu and sigma^2 enter their ln X rows.  The path engine takes one
+(adversary, scales) entry per adversary and advances one ln X row per scale
+over one set of normals, factor paths and coefficients, forming each
+adversary's moments once per step.  verify_saddle runs one path set per
+factor path, with at most one chattering adversary in each: 1 path set for
+its 14 rows where nu* is one corner at every node and all 7 points load
+alike, as on configs/smoke.yaml and configs/ramp.yaml, and 3 or more where
+nu* has two-atom nodes.  Each row keeps the arithmetic of a run of its pair
+alone, so its estimate equals that run's bit for bit.
 
 Reproducibility: paths are processed in fixed batches of 65536.  Batch b draws
 its two normal increments per step from
@@ -47,6 +51,7 @@ import numpy as np
 from .model import MarketModel, PowerUtility, UncertaintyRectangle
 from .pde import ValueSurface
 from .strategy import PolicyField, value_function
+from .worst_case import measure_moments
 
 __all__ = [
     "BATCH_SIZE",
@@ -94,12 +99,25 @@ class SimConfig:
 class AdversaryPolicy:
     """Nature's play: a fixed point (mu, sigma) of K, or the worst-case measure
     field of a PolicyField, applied through its moments or, with chatter, by
-    drawing one atom per path and step."""
+    drawing one atom per path and step.
+
+    Raises ValueError unless exactly one of point and pf is given, chatter
+    comes with pf, and a point has a finite mu and a finite sigma > 0."""
 
     label: str
     point: tuple[float, float] | None = None
     pf: PolicyField | None = None
     chatter: bool = False
+
+    def __post_init__(self):
+        if (self.point is None) == (self.pf is None):
+            raise ValueError("give exactly one of point and pf")
+        if self.chatter and self.pf is None:
+            raise ValueError("chatter draws atoms of a measure field: give pf")
+        if self.point is not None:
+            mu, sig = self.point
+            if not (math.isfinite(mu) and math.isfinite(sig) and sig > 0):
+                raise ValueError("a point needs a finite mu and a finite sigma > 0")
 
     @classmethod
     def field(cls, pf: PolicyField, label: str = "field") -> "AdversaryPolicy":
@@ -115,21 +133,19 @@ class AdversaryPolicy:
                        label: str = "") -> "AdversaryPolicy":
         if rect is not None and not rect.contains(mu, sigma):
             raise ValueError(f"point ({mu:g}, {sigma:g}) lies outside the rectangle")
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
         return cls(label or f"point({mu:g},{sigma:g})", point=(float(mu), float(sigma)))
 
     def moments(self, t: float, y: np.ndarray, uniforms: np.random.Generator):
         """(mu, sigma, sigma^2) seen by the paths at (t, y); scalars for a
         fixed point.  Only chattering draws from `uniforms`."""
         if self.pf is None:
-            mu, sig = self.point
-            return mu, sig, sig * sig
+            return _point_moments(*self.point)
         if not self.chatter:
             return self.pf.moments_at(t, y)
         mu, sig_a, sig_b, w_a = self.pf.atoms_at(t, y)
         sig = np.where(uniforms.random(len(y)) < w_a, sig_a, sig_b)
-        return mu, sig, sig * sig
+        del sig_a, sig_b, w_a  # before the moments' temporaries: a lower peak
+        return _point_moments(mu, sig)
 
 
 @dataclass(frozen=True)
@@ -141,6 +157,12 @@ class UtilityEstimate:
     max_terminal_wealth: float
 
 
+def _point_moments(mu, sig):
+    """(mu, sigma, sigma^2) of the point (mu, sig), elementwise: the moments of
+    a one-atom measure."""
+    return measure_moments(mu, sig, sig, 1.0)
+
+
 def _loadings(rho: float, sig_m, vol):
     """The factor's loadings (load_w, load_perp) on (dw, dw_perp) under
     adversary moments sig_m and vol = sqrt(sig2_m)."""
@@ -148,18 +170,63 @@ def _loadings(rho: float, sig_m, vol):
     return load_w, np.sqrt(np.maximum(1.0 - load_w * load_w, 0.0))
 
 
+def _one_value(a: np.ndarray):
+    """a's single value where all of a holds one, else a itself."""
+    v = a.flat[0]
+    return v if a.min() == v == a.max() else a
+
+
+def _field_loadings(pf: PolicyField, rho: float, chatter: bool):
+    """The one (load_w, load_perp) pair the engine forms at every node of pf's
+    measure field, from the moments or, with chatter, from each atom as a
+    point; None where the pair varies or the moments break
+    (sigma, nu)^2 <= (sigma^2, nu).  Scanned in blocks of rows of about
+    BATCH_SIZE nodes, so no surface-sized array is formed; a block whose
+    atoms hold one value each is reduced to that node."""
+    pair = None
+    step = max(1, BATCH_SIZE // pf.y.size)
+    for i in range(0, pf.t.size, step):
+        rows = slice(i, i + step)
+        sig_a, sig_b = _one_value(pf.sigma_a[rows]), _one_value(pf.sigma_b[rows])
+        blocks = ([_point_moments(None, sig_a), _point_moments(None, sig_b)] if chatter
+                  else [measure_moments(None, sig_a, sig_b, _one_value(pf.weight_a[rows]))])
+        for _, sig, sig2 in blocks:
+            if not np.all(sig * sig <= sig2):
+                return None
+            with np.errstate(divide="ignore", invalid="ignore"):  # a NaN fails ==
+                load_w, load_perp = _loadings(rho, sig, np.sqrt(sig2))
+            if pair is None:
+                pair = np.ravel(load_w)[0], np.ravel(load_perp)[0]
+            if not (np.all(load_w == pair[0]) and np.all(load_perp == pair[1])):
+                return None
+    return pair
+
+
 def _path_sets(groups, rho: float) -> list[list[int]]:
     """Partition the indices of the (adversary, scales) groups into path sets,
-    in order of first appearance: one per adversary object, except that fixed
-    points whose factor loadings are equal floats share one (their Y paths
-    are then bit-identical).  A field adversary is keyed by identity (its
-    arrays cannot be hashed), a fixed point by its loadings."""
-    sets: dict = {}
+    in order of first appearance.  Adversaries that give the factor one and
+    the same pair of loading floats wherever they act share a set (their Y
+    paths are then bit-identical): a fixed point is keyed by its loadings, a
+    field by _field_loadings' pair or, where it has none, by its identity.
+    A set holds at most one chattering adversary, as its uniforms stream is
+    per set.  The keys are formed once per call; one group needs none."""
+    if len(groups) == 1:
+        return [[0]]
+    sets: list[list[int]] = []
+    by_key: dict = {}
     for i, (adv, _) in enumerate(groups):
-        sig = None if adv.pf is not None else adv.point[1]
-        key = id(adv) if sig is None else _loadings(rho, sig, np.sqrt(sig * sig))
-        sets.setdefault(key, []).append(i)
-    return list(sets.values())
+        if adv.pf is None:
+            _, sig, sig2 = _point_moments(*adv.point)
+            key = _loadings(rho, sig, np.sqrt(sig2))
+        else:
+            key = _field_loadings(adv.pf, rho, adv.chatter) or id(adv)
+        members = by_key.setdefault(key, [])
+        if adv.chatter and any(groups[j][0].chatter for j in members):
+            members = []
+        if not members:
+            sets.append(members)
+        members.append(i)
+    return sets
 
 
 def _log_wealth(policy, groups, m: MarketModel, cfg: SimConfig, bi: int) -> np.ndarray:
@@ -167,8 +234,9 @@ def _log_wealth(policy, groups, m: MarketModel, cfg: SimConfig, bi: int) -> np.n
     scales) group, in order (the path engine).  Y is driven by the first
     group's adversary; each row keeps the arithmetic of a run of its pair
     alone.  Each adversary's moments and b(Y) + mu_m are formed once per
-    step, the rest of the step once.  The per-step arrays die on return,
-    before the caller turns ln X into wealth."""
+    step, the rest of the step once, and f = scale * frac with 0.5 f^2 once
+    per run of consecutive rows of equal scale.  The per-step arrays die on
+    return, before the caller turns ln X into wealth."""
     dt = cfg.horizon / cfg.n_steps
     sq_dt = math.sqrt(dt)
     rho = m.rho
@@ -188,6 +256,7 @@ def _log_wealth(policy, groups, m: MarketModel, cfg: SimConfig, bi: int) -> np.n
         b_y = np.asarray(m.b(yv))
         r_y = np.asarray(m.r(yv))
         rows = iter(ln_x)
+        last = f = half_ff = None
         for n, (adv, scales) in enumerate(groups, 1):
             mu_m, sig_m, sig2_m = adv.moments(t, yv, uniforms)
             if not np.all(sig_m * sig_m <= sig2_m):
@@ -201,24 +270,22 @@ def _log_wealth(policy, groups, m: MarketModel, cfg: SimConfig, bi: int) -> np.n
                 del b_y  # no later adversary needs it: lower the step's peak
             # scales first: zip must not pull a row past this group's last
             for scale, lx in zip(scales, rows):
-                f = scale * frac
-                lx += (r_y + f * excess - 0.5 * f * f * sig2_m) * dt + f * vol * dw
+                # 0.0 == -0.0, but either scale adds zeros to the row alike
+                if scale != last:
+                    last, f = scale, scale * frac
+                    half_ff = 0.5 * f * f
+                lx += (r_y + f * excess - half_ff * sig2_m) * dt + f * vol * dw
             del excess
+        f = half_ff = None  # released before the Y update: no higher peak
         load_w, load_perp = _loadings(rho, *drive)
         yv = yv + np.asarray(m.beta(yv)) * dt + load_w * dw + load_perp * dwp
     return ln_x
 
 
-def _terminal_wealth_batches(policy, groups, m: MarketModel, cfg: SimConfig):
+def _wealth_batches(policy, groups, m: MarketModel, cfg: SimConfig):
     """Yield, batch by batch, the terminal wealths of every (adversary,
-    scales) group, one row per scale, on one set of paths.
-
-    Raises ValueError unless the groups' adversaries move Y alike (one
-    _path_sets set; the engine drives Y by the first group's adversary) and
-    are distinct objects (a chattering one would draw twice a step)."""
-    if (len(_path_sets(groups, m.rho)) != 1
-            or len({id(adv) for adv, _ in groups}) != len(groups)):
-        raise ValueError("the groups' adversaries are not distinct on one factor path")
+    scales) group, one row per scale, on one set of paths.  The groups must
+    form one _path_sets set."""
     n_batches = (cfg.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
     for bi in range(n_batches):
         ln_x = _log_wealth(policy, groups, m, cfg, bi)
@@ -230,6 +297,17 @@ def _terminal_wealth_batches(policy, groups, m: MarketModel, cfg: SimConfig):
         np.exp(ln_x, out=ln_x)
         ln_x *= cfg.x0
         yield ln_x
+
+
+def _terminal_wealth_batches(policy, groups, m: MarketModel, cfg: SimConfig):
+    """_wealth_batches, after checking that the groups' adversaries move Y
+    alike (one _path_sets set; the engine drives Y by the first group's
+    adversary) and are distinct objects (a chattering one would draw twice a
+    step).  Raises ValueError otherwise."""
+    if (len(_path_sets(groups, m.rho)) != 1
+            or len({id(adv) for adv, _ in groups}) != len(groups)):
+        raise ValueError("the groups' adversaries are not distinct on one factor path")
+    return _wealth_batches(policy, groups, m, cfg)
 
 
 def _resolve_q(policy, q) -> float:
@@ -276,14 +354,15 @@ class _UtilityMoments:
 
 def _estimates(policy, groups, m: MarketModel, cfg: SimConfig, q) -> tuple[tuple, ...]:
     """E[X_T^q / q] for each scale of each (adversary, scales) group, one
-    tuple per group, advancing one path set per _path_sets set; each
-    estimate equals a run of its (adversary, scale) pair alone bit for bit."""
+    tuple per group, advancing one path set per _path_sets set (the keys are
+    formed here, once); each estimate equals a run of its (adversary, scale)
+    pair alone bit for bit."""
     q = _resolve_q(policy, q)
     estimates = [None] * len(groups)
     for members in _path_sets(groups, m.rho):
         accs = [[_UtilityMoments(q) for _ in groups[i][1]] for i in members]
         flat = [acc for group in accs for acc in group]
-        for x_t in _terminal_wealth_batches(policy, [groups[i] for i in members], m, cfg):
+        for x_t in _wealth_batches(policy, [groups[i] for i in members], m, cfg):
             for acc, row in zip(flat, x_t):
                 acc.add(row)
         del x_t, row  # the last batch's wealths must not outlive their path set
@@ -385,8 +464,8 @@ def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
     """
     adversaries = _saddle_adversaries(pf, k, cfg.seed)
     field = AdversaryPolicy.field(pf)
-    # one path set per factor path: nu* with the base and its scalings, each
-    # group of fixed points with equal loadings, chattering
+    # one path set per factor path: nu* with the base and its scalings, the
+    # fixed points and chattering join it where they load the factor alike
     (base, *scaled), *deviations = _estimates(
         pf, [(field, (1.0, *policy_scales)), *((adv, (1.0,)) for adv in adversaries)],
         m, cfg, util)

@@ -237,6 +237,18 @@ def test_saddle_inequalities_by_simulation(smoke_verify_report):
     assert not violations, rep.summary()
 
 
+def test_saddle_base_is_the_pair_run_alone(smoke_verify_report, smoke_base_estimate):
+    # nu* is one corner at every node here, so verify_saddle runs all its
+    # (adversary, scale) pairs on one path set: the base row of that set is
+    # still the run of (pi*, nu*) alone, bit for bit
+    est, _ = smoke_base_estimate
+    ok = smoke_verify_report.base == est
+    report("saddle_base_equals_pair_alone", ok,
+           f"verify_saddle base {smoke_verify_report.base.mean!r} vs "
+           f"simulate_eu {est.mean!r}, 200k x 500")
+    assert ok
+
+
 def test_lognormal_oracle_constant_coefficients():
     rng = np.random.default_rng(99)
     worst_z = 0.0

@@ -7,12 +7,36 @@ from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
                         PolicyField, PowerUtility, SimConfig, UncertaintyRectangle,
                         UtilityEstimate, build_policy, simulate_eu,
                         solve_hjbi, terminal_wealths, value_function, verify_saddle)
+from robustport import simulate
 from robustport.simulate import (BATCH_SIZE, _estimates, _path_sets, _saddle_adversaries,
                                  _terminal_wealth_batches)
 
 from oracles import lognormal_eu
 
 K = UncertaintyRectangle(0.1, 0.3, 0.2, 0.4)
+
+
+@pytest.fixture
+def normal_draws(monkeypatch):
+    """A list that grows by one at every standard_normal draw of a generator
+    made by np.random.default_rng while the test runs."""
+    draws = []
+    default_rng = np.random.default_rng
+
+    class Counting:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def standard_normal(self, *args, **kwargs):
+            draws.append(1)
+            return self._gen.standard_normal(*args, **kwargs)
+
+        def __getattr__(self, attr):
+            return getattr(self._gen, attr)
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a, **k: Counting(default_rng(*a, **k)))
+    return draws
 
 
 def const_model(b=0.0, beta=0.0, r=0.0, rho=0.5):
@@ -172,6 +196,23 @@ class TestAdversaryValidation:
         with pytest.raises(ValueError):
             AdversaryPolicy.constant_point(0.2, 0.0)
 
+    def test_exactly_one_of_point_and_field(self):
+        pf = constant_field(0.5, 0.2, 0.2, 0.4, 0.5)
+        with pytest.raises(ValueError, match="exactly one"):
+            AdversaryPolicy("x")
+        with pytest.raises(ValueError, match="exactly one"):
+            AdversaryPolicy("x", point=(0.1, 0.3), pf=pf)
+
+    @pytest.mark.parametrize("point", [(0.1, 0.0), (0.1, -0.3), (0.1, np.nan),
+                                       (0.1, np.inf), (np.nan, 0.3), (-np.inf, 0.3)])
+    def test_point_needs_finite_mu_and_positive_sigma(self, point):
+        with pytest.raises(ValueError, match="finite"):
+            AdversaryPolicy("x", point=point)
+
+    def test_chatter_needs_a_field(self):
+        with pytest.raises(ValueError, match="chatter"):
+            AdversaryPolicy("x", point=(0.1, 0.3), chatter=True)
+
     def test_field_moments_checked(self):
         # moments that no measure has ((sigma, nu)^2 > (sigma^2, nu)) are refused:
         # weight 1.5 gives (sigma, nu) = 0.1 and (sigma^2, nu) = -0.02
@@ -180,6 +221,16 @@ class TestAdversaryValidation:
         cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
         with pytest.raises(AssertionError, match="invariant"):
             simulate_eu(pf, AdversaryPolicy.field(pf), const_model(), cfg)
+        # such a field keeps a path set of its own, where the engine's check
+        # still fires, also where its loadings are one pair (weight 1.2:
+        # (sigma, nu) = 0.16 and (sigma^2, nu) = 0.016)
+        for weight in (1.5, 1.2):
+            pf = dataclasses.replace(pf, weight_a=np.full(pf.weight_a.shape, weight))
+            groups = [(AdversaryPolicy.constant_point(0.2, 0.3), (1.0,)),
+                      (AdversaryPolicy.field(pf), (1.0,)), (AdversaryPolicy.field(pf), (1.0,))]
+            assert _path_sets(groups, 0.5) == [[0], [1], [2]]
+            with pytest.raises(AssertionError, match="invariant"):
+                _estimates(pf, groups, const_model(), cfg, None)
 
 
 class TestFieldLookup:
@@ -350,30 +401,84 @@ class TestSharedPaths:
              2.9806070968071774, True),
         ]
 
-    def test_one_path_set_per_adversary(self, tail_pipeline, monkeypatch):
+    def test_one_path_set_per_adversary(self, tail_pipeline, normal_draws):
         # at seed 5: nu* with the base and its five scalings; the 4 corners
         # and 2 random points, whose factor loadings are equal floats; the
         # third random point, whose loading rounds differently; chattering.
         # 4 path sets, each drawing its normals once per step and batch (one
         # run per (adversary, scale) pair drew 14 times as many)
         m, s, pf = tail_pipeline
-        draws = []
-        default_rng = np.random.default_rng
-
-        class Counting:
-            def __init__(self, gen):
-                self._gen = gen
-
-            def standard_normal(self, *args, **kwargs):
-                draws.append(1)
-                return self._gen.standard_normal(*args, **kwargs)
-
-            def __getattr__(self, attr):
-                return getattr(self._gen, attr)
-
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda *a, **k: Counting(default_rng(*a, **k)))
         cfg = SimConfig(n_paths=BATCH_SIZE + 1, n_steps=2, seed=5, x0=1.0, y0=0.0,
                         horizon=1.0)
         verify_saddle(s, pf, m, TAIL_K, TAIL_UTIL, cfg)
-        assert len(draws) == 4 * cfg.n_steps * 2
+        assert len(normal_draws) == 4 * cfg.n_steps * 2
+
+
+class TestLoadingKeys:
+    """A field adversary joins the path set of the adversaries that give the
+    factor the same loading floats wherever it acts."""
+
+    def test_single_atom_field_runs_one_path_set(self, smoke_pipeline, smoke_model,
+                                                 smoke_util, normal_draws):
+        # nu* is the (mu-, sigma+) corner at every node of the smoke market,
+        # and every sigma of K loads the factor by rho at rho = 0.5: nu*,
+        # chattering and the 7 points run their 14 pairs on one path set
+        s, pf = smoke_pipeline
+        cfg = SimConfig(n_paths=BATCH_SIZE + 1, n_steps=2, seed=5, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        report = verify_saddle(s, pf, smoke_model, K, smoke_util, cfg)
+        assert len(normal_draws) == cfg.n_steps * 2
+
+        field = AdversaryPolicy.field(pf)
+        assert report.base == simulate_eu(pf, field, smoke_model, cfg)
+        alone = [("adversary", adv.label, simulate_eu(pf, adv, smoke_model, cfg))
+                 for adv in _saddle_adversaries(pf, K, cfg.seed)]
+        alone += [("policy-scale", f"{scale:g}*pi*",
+                   simulate_eu(pf, field, smoke_model, cfg, policy_scale=scale))
+                  for scale in (0.0, 0.5, 0.8, 1.2, 1.5)]
+        assert [(f.kind, f.label, f.eu, f.std_error) for f in report.findings[1:]] == [
+            (kind, label, est.mean, est.std_error) for kind, label, est in alone]
+
+    def test_one_chattering_adversary_per_path_set(self):
+        # both atoms of this constant two-atom field load the factor like any
+        # point at rho = 0.5, its moments do not: the chattering adversaries
+        # key with the point, the relaxed field alone.  Each chattering
+        # adversary draws its own uniforms, so the second one gets a set of
+        # its own
+        m = const_model(rho=0.5)
+        pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
+        groups = [(AdversaryPolicy.chattering(pf), (1.0, 0.5)),
+                  (AdversaryPolicy.field(pf), (1.0,)),
+                  (AdversaryPolicy.constant_point(0.2, 0.3), (1.0,)),
+                  (AdversaryPolicy.chattering(pf, "again"), (1.0,))]
+        assert _path_sets(groups, m.rho) == [[0, 2], [1], [3]]
+        cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        assert _estimates(0.7, groups, m, cfg, 0.5) == tuple(
+            tuple(simulate_eu(0.7, adv, m, cfg, q=0.5, policy_scale=scale)
+                  for scale in scales) for adv, scales in groups)
+
+    def test_keys_are_formed_once_per_call(self, smoke_pipeline, smoke_model, smoke_util,
+                                           monkeypatch):
+        # verify_saddle scans its two field adversaries once each; a single
+        # group, as in simulate_eu and terminal_wealths, is scanned never
+        s, pf = smoke_pipeline
+        scans = []
+        field_loadings = simulate._field_loadings
+        monkeypatch.setattr(simulate, "_field_loadings",
+                            lambda *a: scans.append(1) or field_loadings(*a))
+        cfg = SimConfig(n_paths=100, n_steps=2, seed=5, x0=1.0, y0=0.0, horizon=1.0)
+        verify_saddle(s, pf, smoke_model, K, smoke_util, cfg)
+        assert len(scans) == 2
+        simulate_eu(pf, AdversaryPolicy.chattering(pf), smoke_model, cfg)
+        terminal_wealths(pf, AdversaryPolicy.field(pf), smoke_model, cfg)
+        assert len(scans) == 2
+
+    def test_varying_field_keeps_its_identity(self, tail_pipeline):
+        # two-atom nodes load below rho: neither the relaxed field nor its
+        # chattering shares a path set, not even with a copy of itself
+        m, _, pf = tail_pipeline
+        assert simulate._field_loadings(pf, m.rho, False) is None
+        assert simulate._field_loadings(pf, m.rho, True) is None
+        groups = [(AdversaryPolicy.field(pf), (1.0,)), (AdversaryPolicy.field(pf), (1.0,))]
+        assert _path_sets(groups, m.rho) == [[0], [1]]
