@@ -127,6 +127,7 @@ def cmd_solve(args) -> int:
     print(f"solved {cfg.grid.n_t}x{cfg.grid.n_y} grid "
           f"(dt={cfg.grid.dt:.3g}, dy={cfg.grid.dy:.3g})")
     print(f"diagnostics: max|u|={d.max_abs_u:.6g} max|u_y|={d.max_abs_u_y:.6g} "
+          f"edge|u_y|={d.max_edge_abs_u_y:.3g} "
           f"residual={d.max_residual:.3g} advection_cfl={d.max_advection_cfl:.3g}")
     print(f"u(0, y0={cfg.sim.y0:g}) = {surface.interp_u(0.0, [cfg.sim.y0])[0]:.8g}")
     print(f"wrote {out / SURFACE_CSV} and {out / SURFACE_NPZ}")

@@ -16,10 +16,14 @@ its y-only terms, with the b-only parts of the min term
 and the boundary data evaluate it; the residual of a solve reuses the
 predictor's H rows (H lagged at each level, the same values bit for bit), so
 H is formed once per time level.  Diffusion is treated
-theta-implicitly (one LAPACK dgtsv tridiagonal solve for the predictor and
-one for the corrector per step); H is explicit: a lagged predictor from the
-later-time level plus one trapezoidal correction (second order in time at
-theta = 1/2, no Newton iterations on the nonsmooth min term).  Boundary data
+theta-implicitly: its tridiagonal matrix is the same at every step, so LAPACK
+dgttrf factors it once per solve and each step back-substitutes twice
+(dgttrs), for the predictor and the corrector, in place in the output rows.
+H is explicit: a lagged predictor from the later-time level plus one
+trapezoidal correction (second order in time at theta = 1/2, no Newton
+iterations on the nonsmooth min term).  The stepper's central differences
+u_y are stored as the surface's u_y, and the advection CFL and the u_y
+diagnostics are read off them once, after the time loop.  Boundary data
 at +-y_radius are the flat-tail solutions u = (T - t) H(+-y_radius, 0): H at
 u_y = 0 on constant coefficients, hence y_radius >= tail radius N (default
 N + 2 for margin).
@@ -27,14 +31,15 @@ N + 2 for margin).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .model import (GridSpec, MarketModel, PowerUtility, UncertaintyRectangle,
                     validate_assumptions)
-from .worst_case import ratio_kernel
+from .worst_case import all_finite, ratio_kernel
 
 # not called: bench/tracing.py wraps pde.min_ratio_values and pde.solve_banded
 # by name, so both must resolve here
@@ -50,6 +55,9 @@ __all__ = [
 ]
 
 _CFL_EPS = 1e-2
+# the passes over u_y after the time loop take rows of about this many nodes
+# at a time
+_BLOCK_NODES = 1 << 15
 
 
 class SolverError(RuntimeError):
@@ -63,6 +71,9 @@ class SolveDiagnostics:
     max_abs_u_y: float
     max_advection_cfl: float
     max_residual: float
+    # max |u_y| on the two Dirichlet edge columns over all t: a large value
+    # means u is not flat there and y_radius truncates the solution
+    max_edge_abs_u_y: float
 
 
 @dataclass(frozen=True)
@@ -101,9 +112,14 @@ def _d_dy(u: np.ndarray, dy: float) -> np.ndarray:
     """Central differences inside, second-order one-sided at the edges."""
     out = np.empty_like(u)
     out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dy)
+    _edge_d_dy(u, dy, out)
+    return out
+
+
+def _edge_d_dy(u: np.ndarray, dy: float, out: np.ndarray):
+    """_d_dy's one-sided stencils, written into the edge columns of out."""
     out[..., 0] = (-3.0 * u[..., 0] + 4.0 * u[..., 1] - u[..., 2]) / (2.0 * dy)
     out[..., -1] = (3.0 * u[..., -1] - 4.0 * u[..., -2] + u[..., -3]) / (2.0 * dy)
-    return out
 
 
 def _bilinear(t_nodes: np.ndarray, y_nodes: np.ndarray, values: np.ndarray,
@@ -176,12 +192,70 @@ def _operator(m: MarketModel, k: UncertaintyRectangle, q: float, y: np.ndarray):
     coef = q / (2.0 * (1.0 - q))  # > 0 for q in (0,1), < 0 for q < 0
     rho = m.rho
 
-    def h(u_y: np.ndarray) -> np.ndarray:
+    def h(u_y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # the min term first: its temporaries peak before the others exist
         min_term = min_ratio(rho * u_y)
-        return beta * u_y + 0.5 * u_y**2 + qr + coef * min_term
+        return np.add(beta * u_y + 0.5 * u_y**2 + qr, coef * min_term, out=out)
 
     return h
+
+
+def _diffusion_solver(a: float, n: int):
+    """solve(x): x := (I - a D2)^-1 x in place, for the n x n tridiagonal
+    matrix with 1 + 2a on the diagonal and -a beside it.  x must be a
+    contiguous float64 row (LAPACK then writes into it, not into a copy).
+
+    The matrix is strictly diagonally dominant, so LAPACK never pivots:
+    dgttrf factors it once here, and each dgttrs back-substitution then does
+    dgtsv's elimination on the right-hand side, giving its result bit for
+    bit.  f2py's dgttrf refuses n = 1 and n = 2, which keep dgtsv and a
+    division (what solve_banded does there)."""
+    off = np.full(n - 1, -a)
+    diag = np.full(n, 1.0 + 2.0 * a)
+    if n == 1:
+        def solve(x: np.ndarray):
+            x /= diag[0]
+    elif n == 2:
+        def solve(x: np.ndarray):
+            info = dgtsv(off, diag, off, x, overwrite_b=True)[-1]
+            if info:
+                raise SolverError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
+    else:
+        dl, d, du, du2, ipiv, info = dgttrf(off, diag, off)
+        if info:
+            raise SolverError(f"tridiagonal factorization failed (LAPACK dgttrf info {info})")
+
+        def solve(x: np.ndarray):
+            # info is non-zero only for an illegal argument
+            dgttrs(dl, d, du, du2, ipiv, x, overwrite_b=True)
+    return solve
+
+
+def _advection_cfl(u_y: np.ndarray, abs_beta: np.ndarray, dt: float, dy: float,
+                   t_nodes: np.ndarray, first: int) -> tuple[float, float]:
+    """The advection CFL number dt*max(|beta| + |u_y|)/dy of each row r >=
+    first of u_y, which the step from level r to level r-1 reads.
+
+    The rows are read in blocks from the terminal row down, the stepper's
+    order.  Returns the largest CFL number and the largest |u_y| over those
+    rows; raises SolverError at the first row whose number passes 1."""
+    n_t, n_y = u_y.shape
+    rows = max(1, _BLOCK_NODES // n_y)
+    max_cfl = max_u_y = 0.0
+    for stop in range(n_t, first, -rows):
+        start = max(first, stop - rows)
+        block = np.abs(u_y[start:stop])
+        max_u_y = max(max_u_y, float(block.max()))
+        block += abs_beta
+        cfl = dt * block.max(axis=1) / dy
+        over = np.flatnonzero(cfl > 1.0)
+        if over.size:
+            r = start + int(over[-1])
+            raise SolverError(
+                f"dt = {dt:.3g} violates the advection CFL bound at t = {t_nodes[r - 1]:.6g} "
+                f"(dt*max(|beta| + |u_y|)/dy = {cfl[r - start]:.3g} > 1)")
+        max_cfl = max(max_cfl, float(cfl.max()))
+    return max_cfl, max_u_y
 
 
 def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
@@ -209,36 +283,27 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
     t_nodes = g.t_nodes()
     y_nodes = g.y_nodes()
     abs_beta = np.abs(np.asarray(m.beta(y_nodes)))
-    abs_beta_lo, abs_beta_hi = abs_beta[[0, -1]].tolist()
-    abs_beta = abs_beta[1:-1]
     h = _operator(m, k, q, y_nodes[1:-1])
     # flat tails: u is y-independent there, so u_y = 0 and u_t = -H(edge, 0)
     bc = (g.horizon - t_nodes)[:, None] * _operator(m, k, q, y_nodes[[0, -1]])(np.zeros(2))
+    bc_rows = bc.tolist()
 
-    # tridiagonal (I - theta*dt/2 * D2) on the interior nodes: its off and
-    # main diagonals, which dgtsv copies before factoring
+    # (I - theta*dt/2 * D2) on the interior nodes, factored once
     a = theta * dt / (2.0 * dy * dy)
-    n_int = g.n_y - 2
-    off = np.full(n_int - 1, -a)
-    diag = np.full(n_int, 1.0 + 2.0 * a)
+    diffuse = _diffusion_solver(a, g.n_y - 2)
 
-    def implicit_solve(rhs: np.ndarray, out: np.ndarray, i: int):
-        """Diffusion solve with the Dirichlet data of level i into row out."""
-        rhs[0] += a * bc[i, 0]
-        rhs[-1] += a * bc[i, 1]
-        if n_int == 1:  # dgtsv's wrapper refuses n = 1; a 1x1 solve is a division
-            out[1] = rhs[0] / diag[0]
-        else:
-            _, _, _, x, info = dgtsv(off, diag, off, rhs, overwrite_b=True)
-            if info:
-                raise SolverError(f"tridiagonal solve failed at t = {t_nodes[i]:.6g} "
-                                  f"(LAPACK dgtsv info {info})")
-            out[1:-1] = x
-        out[0] = bc[i, 0]
-        out[-1] = bc[i, 1]
+    def implicit_solve(row: np.ndarray, lo: float, hi: float):
+        """Diffusion solve in place: the interior of row holds the right-hand
+        side, lo and hi are the Dirichlet data of its level."""
+        x = row[1:-1]
+        x[0] += a * lo
+        x[-1] += a * hi
+        diffuse(x)
+        row[0] = lo
+        row[-1] = hi
 
     def check_finite(row: np.ndarray, i: int):
-        if not np.isfinite(row).all():
+        if not all_finite(row):
             j = int(np.argmax(~np.isfinite(row)))
             raise SolverError(
                 f"non-finite value at t = {t_nodes[i]:.6g}, y = {y_nodes[j]:.6g}")
@@ -248,62 +313,73 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
     # the predictor's H at each level's interior nodes, which the residual
     # reuses (levels 1..n_t-2).  Shaped like u rather than like the
     # interior: once freed, a block of u's size serves the next surface-
-    # sized array (u_y, the policy fields), where a slightly smaller one
-    # stays a hole in the heap and raises the process's peak RSS.
+    # sized array (the policy fields), where a slightly smaller one stays a
+    # hole in the heap and raises the process's peak RSS.
     h_u = np.empty((g.n_t, g.n_y))
+    # the stepper's central differences of each level it leaves: rows
+    # 1..n_t-1 of the surface's u_y
+    u_y = np.empty((g.n_t, g.n_y))
 
     d_exp = (1.0 - theta) * dt / (2.0 * dy * dy)
     two_dy = 2.0 * dy
+    half_dt = 0.5 * dt
     pred = np.empty(g.n_y)
-    max_cfl = 0.0
+    max_abs_u = float(np.abs(u[-1]).max())
     prev_max = 0.0
 
-    for i in range(g.n_t - 2, -1, -1):
-        uo = u[i + 1]
-        uy = (uo[2:] - uo[:-2]) / two_dy
-        # the advection CFL covers the edge columns too: _d_dy's one-sided
-        # stencils there, on Python floats; uo is finite, so the max is the
-        # one over _d_dy(uo)
-        u0, u1, u2 = uo[:3].tolist()
-        v2, v1, v0 = uo[-3:].tolist()
-        cfl = dt * max(float((abs_beta + np.abs(uy)).max()),
-                       abs_beta_lo + abs((-3.0 * u0 + 4.0 * u1 - u2) / two_dy),
-                       abs_beta_hi + abs((3.0 * v0 - 4.0 * v1 + v2) / two_dy)) / dy
-        max_cfl = max(max_cfl, cfl)
-        if cfl > 1.0:
-            raise SolverError(
-                f"dt = {dt:.3g} violates the advection CFL bound at t = {t_nodes[i]:.6g} "
-                f"(dt*max(|beta| + |u_y|)/dy = {cfl:.3g} > 1)")
+    try:
+        for i in range(g.n_t - 2, -1, -1):
+            uo = u[i + 1]
+            uy = np.subtract(uo[2:], uo[:-2], out=u_y[i + 1, 1:-1])
+            uy /= two_dy
+            lo, hi = bc_rows[i]
 
-        # predictor: H lagged at the later-time level
-        base = uo[1:-1] + d_exp * (uo[:-2] - 2.0 * uo[1:-1] + uo[2:])
-        h_old = h(uy)
-        h_u[i + 1, 1:-1] = h_old
-        implicit_solve(base + dt * h_old, pred, i)
-        check_finite(pred, i)
-        # one trapezoidal correction of H (2nd order in time), with the
-        # predictor's u_y on the interior only: _d_dy's central difference
-        implicit_solve(base + 0.5 * dt * (h_old + h((pred[2:] - pred[:-2]) / two_dy)),
-                       u[i], i)
+            # predictor: H lagged at the later-time level.  Each right-hand
+            # side is formed in the interior of the row it solves for.
+            base = uo[1:-1] + d_exp * (uo[:-2] - 2.0 * uo[1:-1] + uo[2:])
+            h_old = h(uy, out=h_u[i + 1, 1:-1])
+            x = np.multiply(dt, h_old, out=pred[1:-1])
+            x += base
+            implicit_solve(pred, lo, hi)
+            check_finite(pred, i)
+            # one trapezoidal correction of H (2nd order in time), with the
+            # predictor's u_y on the interior only: _d_dy's central difference
+            row = u[i]
+            x = np.add(h_old, h((pred[2:] - pred[:-2]) / two_dy), out=row[1:-1])
+            x *= half_dt
+            x += base
+            implicit_solve(row, lo, hi)
 
-        # the growth detector's max is also the finiteness test of the row;
-        # check_finite then names the node
-        new_max = float(np.abs(u[i]).max())
-        if not np.isfinite(new_max):
-            check_finite(u[i], i)
-        if new_max > max(10.0 * prev_max + 1.0, 1e6):
-            raise SolverError(
-                f"explicit update growth detected at t = {t_nodes[i]:.6g} "
-                f"(|u| jumped to {new_max:.3g}); dt = {dt:.3g} is too large")
-        prev_max = new_max
+            # the growth detector's max is also the finiteness test of the
+            # row; check_finite then names the node
+            new_max = float(np.abs(row).max())
+            if not math.isfinite(new_max):
+                check_finite(row, i)
+            if new_max > max(10.0 * prev_max + 1.0, 1e6):
+                raise SolverError(
+                    f"explicit update growth detected at t = {t_nodes[i]:.6g} "
+                    f"(|u| jumped to {new_max:.3g}); dt = {dt:.3g} is too large")
+            prev_max = new_max
+            max_abs_u = max(max_abs_u, new_max)
+    except Exception:
+        # the steps before this one checked their CFL first: a violation
+        # among the levels already left is the error to report
+        _edge_d_dy(u[i + 1:], dy, u_y[i + 1:])
+        _advection_cfl(u_y, abs_beta, dt, dy, t_nodes, i + 1)
+        raise
 
-    surface = ValueSurface.from_u(g, u)
+    np.subtract(u[0, 2:], u[0, :-2], out=u_y[0, 1:-1])
+    u_y[0, 1:-1] /= two_dy
+    _edge_d_dy(u, dy, u_y)
+    max_cfl, max_abs_u_y = _advection_cfl(u_y, abs_beta, dt, dy, t_nodes, 1)
+    surface = ValueSurface(g, t_nodes, y_nodes, u, u_y)
     return replace(surface, diagnostics=SolveDiagnostics(
         time_steps=g.n_t - 1,
-        max_abs_u=float(np.max(np.abs(u))),
-        max_abs_u_y=float(np.max(np.abs(surface.u_y))),
+        max_abs_u=max_abs_u,
+        max_abs_u_y=max(max_abs_u_y, float(np.abs(u_y[0]).max())),
         max_advection_cfl=max_cfl,
         max_residual=residual_norm(surface, m, k, util, h=h_u[1:-1, 1:-1]),
+        max_edge_abs_u_y=float(np.abs(u_y[:, [0, -1]]).max()),
     ))
 
 

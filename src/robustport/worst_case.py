@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .model import UncertaintyRectangle
 
@@ -148,9 +149,28 @@ def _prepared(b_vals, k: UncertaintyRectangle):
     return b, m_lo, m_hi, (t1, -m_hi / s_lo, -m_lo / s_hi, t4)
 
 
+# all_finite's zeros: one ddot call covers at most this many values
+_ZEROS = np.zeros(1 << 12)
+_ZEROS.setflags(write=False)
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether the float array a holds neither a NaN nor an infinity.
+
+    0 * x summed is +-0 over finite x and NaN once an x is not: one BLAS
+    ddot per 4096 values, without the boolean temporary of np.isfinite and
+    without numpy's floating-point warnings."""
+    flat = a.ravel()
+    for start in range(0, flat.size, _ZEROS.size):
+        part = flat[start:start + _ZEROS.size]
+        if ddot(part, _ZEROS, part.size) != 0.0:
+            return False
+    return True
+
+
 def _finite(kappas) -> np.ndarray:
     kap = np.asarray(kappas, dtype=float)
-    if not np.isfinite(kap).all():
+    if not all_finite(kap):
         raise ValueError("kappa must be finite")
     return kap
 

@@ -209,6 +209,7 @@ def test_pointwise_saddle_vs_grid_minimax():
     assert worst <= 1e-6
 
 
+@pytest.mark.slow
 def test_monte_carlo_value_match(smoke_surface, smoke_base_estimate):
     s, _ = smoke_surface
     est, elapsed = smoke_base_estimate
@@ -223,6 +224,7 @@ def test_monte_carlo_value_match(smoke_surface, smoke_base_estimate):
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_saddle_inequalities_by_simulation(smoke_verify_report):
     rep = smoke_verify_report
     adversary = [f for f in rep.findings if f.kind == "adversary"]
@@ -237,6 +239,7 @@ def test_saddle_inequalities_by_simulation(smoke_verify_report):
     assert not violations, rep.summary()
 
 
+@pytest.mark.slow
 def test_saddle_base_is_the_pair_run_alone(smoke_verify_report, smoke_base_estimate):
     # nu* is one corner at every node here, so verify_saddle runs all its
     # (adversary, scale) pairs on one path set: the base row of that set is

@@ -286,6 +286,9 @@ class TestPipeline:
         path = write_config(tmp_path)
         out = tmp_path / "arts"
         assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        # b = 0: u is flat in y, so the edge slope is rounding only
+        edge = re.search(r"diagnostics: .* edge\|u_y\|=(\S+) ", capsys.readouterr().out)
+        assert float(edge.group(1)) < 1e-10
         surface = (out / "surface.csv").read_text().splitlines()
         assert surface[0].startswith("# config_hash=")
         assert surface[1] == "t,y,u,u_y"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv, dgttrf
 
 from robustport import (CoefficientFn, GridSpec, MarketModel, PowerUtility,
                         UncertaintyRectangle, pde, residual_norm, solve_hjbi)
@@ -182,6 +183,51 @@ class TestKernelCalls:
         assert len(calls) == 3
 
 
+class TestDiffusionSolve:
+    """The stepper factors I - a D2 once (dgttrf) and back-substitutes twice
+    per step (dgttrs).  The matrix is strictly diagonally dominant, so
+    neither routine pivots, and the solve is dgtsv's elimination: the same
+    bits as one dgtsv call per right-hand side."""
+
+    WIDTHS = [*range(3, 41), 59, 79, 119, 159, 239, 319, 479]
+
+    @staticmethod
+    def words(a):
+        return np.asarray(a, dtype=float).view(np.uint64)
+
+    @pytest.mark.parametrize("a", [1e-4, 0.02, 0.5, 1.0, 6.25, 100.0])
+    def test_factored_solve_is_dgtsv_bit_for_bit(self, a):
+        rng = np.random.default_rng(int(a * 1e4))
+        for n in self.WIDTHS:
+            off, diag = np.full(n - 1, -a), np.full(n, 1.0 + 2.0 * a)
+            ipiv = dgttrf(off, diag, off)[4]
+            assert np.array_equal(ipiv, np.arange(1, n + 1)), n
+            solve = pde._diffusion_solver(a, n)
+            for _ in range(4):
+                rhs = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+                # solved in place in the interior of a row, as the stepper does
+                row = np.concatenate(([7.0], rhs, [-7.0]))
+                solve(row[1:-1])
+                expect = dgtsv(off, diag, off, rhs)[3]
+                assert np.array_equal(self.words(row[1:-1]), self.words(expect)), n
+                assert row[0] == 7.0 and row[-1] == -7.0
+
+    def test_one_factorization_and_two_solves_per_step(self, ramp_model, smoke_util,
+                                                       monkeypatch):
+        calls = []
+        for name in ("dgttrf", "dgttrs", "dgtsv", "residual_norm"):
+            def counted(*args, _name=name, _f=getattr(pde, name), **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(pde, name, counted)
+        g = GridSpec(1.0, 101, 21, 4.0, 0.5)
+        solve_hjbi(ramp_model, K, smoke_util, g)
+        assert calls.count("dgttrf") == 1
+        assert calls.count("dgttrs") == 2 * (g.n_t - 1)
+        assert calls.count("residual_norm") == 1
+        assert "dgtsv" not in calls
+
+
 class TestNegativeExponent:
     def test_flat_drift_negative_q(self, smoke_model):
         g = GridSpec(1.0, 401, 101, 3.0, 0.5)
@@ -238,6 +284,51 @@ class TestGuardsAndErrors:
         with pytest.raises(SolverError, match=msg):
             solve_hjbi(m, K, smoke_util, g)
 
+    # the advection CFL is read off the stored u_y rows after the time loop,
+    # and must still name the level the stepper meets first
+
+    def test_advection_guard_names_the_first_failing_level(self):
+        # u_y grows as t falls: the levels near T pass, and t = 0.6 fails first
+        zero = CoefficientFn.constant(0.0)
+        m = MarketModel(CoefficientFn.ramp(1.0, 0.0, 1.0), zero, zero, 0.9)
+        with pytest.raises(SolverError) as err:
+            solve_hjbi(m, K, PowerUtility(0.8), GridSpec(1.0, 21, 61, 3.0, theta=1.0))
+        assert str(err.value) == ("dt = 0.05 violates the advection CFL bound at t = 0.6 "
+                                  "(dt*max(|beta| + |u_y|)/dy = 1.78 > 1)")
+
+    def test_advection_guard_wins_over_later_growth(self, monkeypatch):
+        # the first step already violates the bound; stepped on regardless,
+        # the solve meets explicit growth at t = 0.3
+        m = MarketModel(CoefficientFn.ramp(1.0, 0.0, 1.0), CoefficientFn.ramp(-8.0, 8.0, 1.0),
+                        CoefficientFn.constant(0.0), 0.9)
+        g = GridSpec(1.0, 11, 61, 3.0, theta=1.0)
+        with pytest.raises(SolverError) as err:
+            solve_hjbi(m, K, PowerUtility(0.8), g)
+        assert str(err.value) == ("dt = 0.1 violates the advection CFL bound at t = 0.9 "
+                                  "(dt*max(|beta| + |u_y|)/dy = 8 > 1)")
+        monkeypatch.setattr(pde, "_advection_cfl", lambda *args: (0.0, 0.0))
+        with pytest.raises(SolverError, match=r"explicit update growth detected at t = 0\.3 "):
+            solve_hjbi(m, K, PowerUtility(0.8), g)
+
+    def test_advection_guard_wins_over_a_later_non_finite_row(self, smoke_util, monkeypatch):
+        # the kernel's fourth call, the second step's predictor, turns
+        # infinite; the first step has already violated the bound
+        zero = CoefficientFn.constant(0.0)
+        m = MarketModel(zero, CoefficientFn.constant(5.0), zero, 0.5)
+        calls = []
+
+        def fourth_inf(values, kap):
+            calls.append(None)
+            v = values(kap)
+            return np.full_like(v, np.inf) if len(calls) == 4 else v
+
+        patch_kernel(monkeypatch, fourth_inf)
+        with pytest.raises(SolverError) as err:
+            solve_hjbi(m, K, smoke_util, GridSpec(1.0, 11, 61, 3.0, theta=1.0))
+        assert len(calls) == 4
+        assert str(err.value) == ("dt = 0.1 violates the advection CFL bound at t = 0.9 "
+                                  "(dt*max(|beta| + |u_y|)/dy = 5 > 1)")
+
     def test_radius_check(self, ramp_model, smoke_util):
         g = GridSpec(1.0, 401, 101, 1.5, 0.5)  # tail radius is 2
         with pytest.raises(SolverError, match="tail radius"):
@@ -254,6 +345,27 @@ class TestGuardsAndErrors:
         g = GridSpec(1.0, 401, 101, 3.0, 0.5)
         with pytest.raises(SolverError, match="A3 at y=0.005"):
             solve_hjbi(dip_model, K, smoke_util, g)
+
+
+class TestEdgeSlope:
+    """max_edge_abs_u_y: max |u_y| on the two Dirichlet columns over all t.
+    On the farfield market u is not flat at y = -3, so the flat-tail edge
+    data truncate the solution there; at y_radius 5 (the same dy) u is flat
+    at the edges."""
+
+    M = MarketModel(CoefficientFn.ramp(0.0, 0.6, 1.0), CoefficientFn.constant(0.0),
+                    CoefficientFn.constant(0.0), 1.0)
+    RECT = UncertaintyRectangle(0.01, 0.3, 0.2, 0.4)
+
+    @pytest.mark.parametrize("n_y, y_radius, low, high", [
+        (61, 3.0, 1.0, np.inf),  # reads 6.718, at t = 0
+        (101, 5.0, 0.0, 1e-3),   # reads 3.9e-5
+    ])
+    def test_farfield_edge(self, n_y, y_radius, low, high):
+        s = solve_hjbi(self.M, self.RECT, PowerUtility(0.8), GridSpec(1.0, 501, n_y, y_radius))
+        edge = s.diagnostics.max_edge_abs_u_y
+        assert edge == np.max(np.abs(s.u_y[:, [0, -1]]))
+        assert low < edge < high
 
 
 class TestResidualNorm:
@@ -344,12 +456,12 @@ class TestGoldenBits:
          "e76454fbadb55ee737edf2966b2d57f07cd89b225ebcb873155761a51d5ff1ad",
          "SolveDiagnostics(time_steps=200, max_abs_u=0.5, "
          "max_abs_u_y=0.3408246067704204, max_advection_cfl=0.006794126479329373, "
-         "max_residual=4.576881549955836e-05)"),
+         "max_residual=4.576881549955836e-05, max_edge_abs_u_y=0.0006717804688028844)"),
         (-2.0, BranchRegion.ZERO, 1969,
          "5add78373db5d203def6c80d57538e77f084b472c70062e849cccafebea737ed",
          "SolveDiagnostics(time_steps=200, max_abs_u=0.3333333333333333, "
          "max_abs_u_y=0.1791686099314178, max_advection_cfl=0.003573774538170456, "
-         "max_residual=3.282474314975081e-05)"),
+         "max_residual=3.282474314975081e-05, max_edge_abs_u_y=0.005656052353783303)"),
     ], ids=["high-tail", "zero"])
     def test_tail_market(self, q, region, count, digest, diagnostics):
         m = MarketModel(self.TAIL_B, self.ZERO, self.ZERO, 0.9)
@@ -370,7 +482,7 @@ class TestGoldenBits:
             "50c38f8fd60a2a23c9e9269c3d040ed4cd8f8917f6a68c37d852bb9a37c7dc2a",
             "SolveDiagnostics(time_steps=200, max_abs_u=15.125000000000004, "
             "max_abs_u_y=6.609868837981498, max_advection_cfl=0.13219737675962998, "
-            "max_residual=0.017580647579167774)")
+            "max_residual=0.017580647579167774, max_edge_abs_u_y=6.609868837981498)")
         self.assert_residual_reused(s, m, K, util)
 
     def test_ramp_model(self, ramp_model, smoke_util):
@@ -379,7 +491,7 @@ class TestGoldenBits:
             "e461d19993fa8d0fb669269ab6d8d35ea5fdce66169e492b1831b916443bcafc",
             "SolveDiagnostics(time_steps=200, max_abs_u=0.28625, "
             "max_abs_u_y=0.11112716616349012, max_advection_cfl=0.0023991298096162207, "
-            "max_residual=1.3533285511679871e-06)")
+            "max_residual=1.3533285511679871e-06, max_edge_abs_u_y=7.587065736741269e-05)")
         self.assert_residual_reused(s, ramp_model, K, smoke_util)
 
 

@@ -341,6 +341,24 @@ class TestValueKernel:
                 values(np.array([0.5, bad]))
             assert same_bits(values(np.array([0.5, 1.5])), first)
 
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (319,), (4096,), (4097,), (3, 5000)])
+    def test_all_finite_is_exact(self, shape):
+        # every position of the first and last ddot chunk, for each kind of
+        # non-finite value; finite extremes never read as non-finite (tier-1
+        # turns numpy's RuntimeWarnings into errors, so none is emitted)
+        rng = np.random.default_rng(len(shape) + int(np.prod(shape)))
+        a = np.asarray(rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape))
+        assert worst_case.all_finite(a)
+        for extreme in (np.finfo(float).max, -np.finfo(float).max, 5e-324, -0.0):
+            assert worst_case.all_finite(np.full(shape, extreme))
+        flat_index = sorted({*range(min(a.size, 40)), *range(max(0, a.size - 40), a.size)})
+        for bad in (np.inf, -np.inf, np.nan):
+            for j in flat_index:
+                b = a.copy()
+                b.flat[j] = bad
+                assert not worst_case.all_finite(b), (bad, j)
+        assert worst_case.all_finite(np.zeros(0))
+
     @pytest.mark.parametrize("kernel", [
         lambda b: branch_fields(np.array([b, 0.0]), 0.0, K),
         lambda b: min_ratio_values(b, 0.0, K),
