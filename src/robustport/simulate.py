@@ -22,23 +22,25 @@ about 78% of them at 0.9), and a field whose moments, or with chattering
 whose atoms, load the factor alike at every node, as a field that sits at
 one corner of K does.  Their Y, b(Y), r(Y) and f(t, Y) are bit-identical, and
 only mu and sigma^2 enter their ln X rows.  The path engine takes one
-(adversary, scales) entry per adversary and advances one ln X row per scale
-over one set of normals, factor paths and coefficients, forming each
-adversary's moments once per step.  verify_saddle runs one path set per
-factor path, with at most one chattering adversary in each: 1 path set for
-its 14 rows where nu* is one corner at every node and all 7 points load
-alike, as on configs/smoke.yaml and configs/ramp.yaml, and 3 or more where
-nu* has two-atom nodes.  Each row keeps the arithmetic of a run of its pair
-alone, so its estimate equals that run's bit for bit.
+(adversary, scales) entry per adversary and groups the entries into path
+sets, one per factor path, with at most one chattering adversary in each.
+It makes one pass over each batch's normals: every step draws them once,
+and the chattering uniforms once, and each set advances its own Y row and
+one ln X row per scale off those draws, forming each adversary's moments
+once per step.  verify_saddle's 14 rows form 1 path set where nu* is one
+corner at every node and all 7 points load alike, as on configs/smoke.yaml
+and configs/ramp.yaml, and 3 or more, advancing together, where nu* has
+two-atom nodes.  Each row keeps the arithmetic of a run of its pair alone,
+so its estimate equals that run's bit for bit.
 
 Reproducibility: paths are processed in fixed batches of 65536.  Batch b draws
 its two normal increments per step from
 np.random.default_rng(SeedSequence(seed, spawn_key=(b,))), and chattering
 draws its uniforms from a stream of its own, SeedSequence(seed,
-spawn_key=(b, 1)).  The Brownian increments are therefore common to every
-(policy, adversary) pair at a seed (common random numbers for the saddle
-comparisons), and estimates are independent of how batches would be
-distributed across workers.
+spawn_key=(b, 1)), each once per step for all path sets.  The Brownian
+increments are therefore common to every (policy, adversary) pair at a seed
+(common random numbers for the saddle comparisons), and estimates are
+independent of how batches would be distributed across workers.
 """
 
 from __future__ import annotations
@@ -135,15 +137,16 @@ class AdversaryPolicy:
             raise ValueError(f"point ({mu:g}, {sigma:g}) lies outside the rectangle")
         return cls(label or f"point({mu:g},{sigma:g})", point=(float(mu), float(sigma)))
 
-    def moments(self, t: float, y: np.ndarray, uniforms: np.random.Generator):
+    def moments(self, t: float, y: np.ndarray, u: np.ndarray | None):
         """(mu, sigma, sigma^2) seen by the paths at (t, y); scalars for a
-        fixed point.  Only chattering draws from `uniforms`."""
+        fixed point.  Only chattering reads u, one uniform per path: a path
+        takes atom a where its uniform falls below weight_a."""
         if self.pf is None:
             return _point_moments(*self.point)
         if not self.chatter:
             return self.pf.moments_at(t, y)
         mu, sig_a, sig_b, w_a = self.pf.atoms_at(t, y)
-        sig = np.where(uniforms.random(len(y)) < w_a, sig_a, sig_b)
+        sig = np.where(u < w_a, sig_a, sig_b)
         del sig_a, sig_b, w_a  # before the moments' temporaries: a lower peak
         return _point_moments(mu, sig)
 
@@ -208,8 +211,11 @@ def _path_sets(groups, rho: float) -> list[list[int]]:
     the same pair of loading floats wherever they act share a set (their Y
     paths are then bit-identical): a fixed point is keyed by its loadings, a
     field by _field_loadings' pair or, where it has none, by its identity.
-    A set holds at most one chattering adversary, as its uniforms stream is
-    per set.  The keys are formed once per call; one group needs none."""
+    A set holds at most one chattering adversary.  (Every set reads the
+    step's one row of uniforms, so two chattering adversaries could share a
+    set and each still read the uniforms of its run alone; the rule keeps
+    the partition of the engine that drew uniforms per set.)  The keys are
+    formed once per call; one group needs none."""
     if len(groups) == 1:
         return [[0]]
     sets: list[list[int]] = []
@@ -229,85 +235,146 @@ def _path_sets(groups, rho: float) -> list[list[int]]:
     return sets
 
 
-def _log_wealth(policy, groups, m: MarketModel, cfg: SimConfig, bi: int) -> np.ndarray:
-    """ln X_T on the paths of batch bi, one row per scale of each (adversary,
-    scales) group, in order (the path engine).  Y is driven by the first
-    group's adversary; each row keeps the arithmetic of a run of its pair
-    alone.  Each adversary's moments and b(Y) + mu_m are formed once per
+def _coefficient(fn, y):
+    """fn(y): its one value as a float where fn is constant, else a row."""
+    return fn.left if fn.kind == "constant" else np.asarray(fn(y))
+
+
+def _move_factor(yv: np.ndarray, m: MarketModel, sig_m, vol, dt: float, dw, dwp):
+    """yv = ((yv + beta(yv) dt) + load_w dw) + load_perp dw_perp, in place,
+    with the loadings of adversary moments sig_m and vol = sqrt(sig2_m)."""
+    load_w, load_perp = _loadings(m.rho, sig_m, vol)
+    yv += _coefficient(m.beta, yv) * dt
+    yv += load_w * dw
+    yv += load_perp * dwp
+
+
+def _advance(policy, groups, lx, yv, m: MarketModel, t: float, dt: float, z, u):
+    """One Euler step of one path set: its ln X rows lx, one per scale of each
+    (adversary, scales) group in order, and its factor row yv, both in place,
+    on the step's scaled normals z = (dw, dw_perp) and uniforms u.  Y is
+    driven by the first group's adversary and moves once the last one has
+    read it.  Each adversary's moments and b(Y) + mu_m are formed once per
     step, the rest of the step once, and f = scale * frac with 0.5 f^2 once
-    per run of consecutive rows of equal scale.  The per-step arrays die on
-    return, before the caller turns ln X into wealth."""
+    per run of consecutive rows of equal scale.  Every row keeps the operand
+    pairing of a run of its pair alone, so it equals that run bit for bit;
+    the step's arrays die on return."""
+    dw, dwp = z
+    frac = (policy.fraction_at(t, yv) if isinstance(policy, PolicyField)
+            else float(policy))
+    b_y = np.asarray(m.b(yv))
+    r_y = _coefficient(m.r, yv)
+    rows = iter(lx)
+    last = f = half_ff = None
+    for n, (adv, scales) in enumerate(groups, 1):
+        excess, sig_m, sig2_m = adv.moments(t, yv, u)
+        if not np.all(sig_m * sig_m <= sig2_m):
+            raise AssertionError(
+                "internal invariant failure: (sigma,nu)^2 > (sigma^2,nu)")
+        vol = np.sqrt(sig2_m)
+        if n == 1:
+            drive = sig_m, vol
+        del sig_m
+        excess += b_y  # b(Y) + mu_m: in place where mu_m is a row (a fresh gather)
+        if n == len(groups):
+            # no later adversary reads Y or b(Y): lower the step's peak
+            del b_y
+            _move_factor(yv, m, *drive, dt, dw, dwp)
+            del drive
+        # scales first: zip must not pull a row past this group's last
+        for scale, row in zip(scales, rows):
+            # 0.0 == -0.0, but either scale adds zeros to the row alike
+            if scale != last:
+                last, f = scale, scale * frac
+                half_ff = 0.5 * f * f
+            # row += (r_y + f*excess - half_ff*sig2_m)*dt + f*vol*dw
+            inc = f * excess
+            inc += r_y
+            inc -= half_ff * sig2_m
+            inc *= dt
+            noise = f * vol
+            noise *= dw  # in place where f * vol is a row
+            inc += noise
+            row += inc
+            del inc, noise
+        del excess
+
+
+def _n_rows(groups) -> int:
+    """The ln X rows of (adversary, scales) groups: one per scale."""
+    return sum(len(scales) for _, scales in groups)
+
+
+def _row_blocks(ln_x: np.ndarray, sets) -> list[np.ndarray]:
+    """ln_x split, as views, into the row blocks of the path sets in order."""
+    return np.split(ln_x, np.cumsum([_n_rows(groups) for groups in sets])[:-1])
+
+
+def _log_wealth(policy, sets, m: MarketModel, cfg: SimConfig, bi: int) -> np.ndarray:
+    """ln X_T on the paths of batch bi, one row per scale of each (adversary,
+    scales) group of each path set, set by set and in order (the path
+    engine); sets lists each set's groups.  The sets advance in lockstep on
+    one pass over the batch's normals: a step draws (dw, dw_perp) once, and
+    the chattering uniforms once if some set holds a chattering adversary,
+    and each set steps its own Y row and ln X rows off them (_advance).
+    These are the draws a set makes when run alone, so every row equals a
+    run of its pair alone bit for bit."""
     dt = cfg.horizon / cfg.n_steps
     sq_dt = math.sqrt(dt)
-    rho = m.rho
     nb = min(BATCH_SIZE, cfg.n_paths - bi * BATCH_SIZE)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi,)))
-    uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi, 1)))
-    ln_x = np.zeros((sum(len(scales) for _, scales in groups), nb))
-    yv = np.full(nb, cfg.y0)
+    chatter = any(adv.chatter for groups in sets for adv, _ in groups)
+    if chatter:
+        uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi, 1)))
+    ln_x = np.zeros((sum(map(_n_rows, sets)), nb))
+    blocks = _row_blocks(ln_x, sets)
+    yvs = np.full((len(sets), nb), cfg.y0)
+    u = None
     for step in range(cfg.n_steps):
         t = step * dt
         z = rng.standard_normal((2, nb))
         z *= sq_dt
-        dw, dwp = z
-
-        frac = (policy.fraction_at(t, yv) if isinstance(policy, PolicyField)
-                else float(policy))
-        b_y = np.asarray(m.b(yv))
-        r_y = np.asarray(m.r(yv))
-        rows = iter(ln_x)
-        last = f = half_ff = None
-        for n, (adv, scales) in enumerate(groups, 1):
-            mu_m, sig_m, sig2_m = adv.moments(t, yv, uniforms)
-            if not np.all(sig_m * sig_m <= sig2_m):
-                raise AssertionError(
-                    "internal invariant failure: (sigma,nu)^2 > (sigma^2,nu)")
-            vol = np.sqrt(sig2_m)
-            if n == 1:
-                drive = sig_m, vol
-            excess = b_y + mu_m
-            if n == len(groups):
-                del b_y  # no later adversary needs it: lower the step's peak
-            # scales first: zip must not pull a row past this group's last
-            for scale, lx in zip(scales, rows):
-                # 0.0 == -0.0, but either scale adds zeros to the row alike
-                if scale != last:
-                    last, f = scale, scale * frac
-                    half_ff = 0.5 * f * f
-                lx += (r_y + f * excess - half_ff * sig2_m) * dt + f * vol * dw
-            del excess
-        f = half_ff = None  # released before the Y update: no higher peak
-        load_w, load_perp = _loadings(rho, *drive)
-        yv = yv + np.asarray(m.beta(yv)) * dt + load_w * dw + load_perp * dwp
+        if chatter:
+            u = uniforms.random(nb)
+        for groups, lx, yv in zip(sets, blocks, yvs):
+            _advance(policy, groups, lx, yv, m, t, dt, z, u)
     return ln_x
 
 
-def _wealth_batches(policy, groups, m: MarketModel, cfg: SimConfig):
-    """Yield, batch by batch, the terminal wealths of every (adversary,
-    scales) group, one row per scale, on one set of paths.  The groups must
-    form one _path_sets set."""
-    n_batches = (cfg.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
-    for bi in range(n_batches):
-        ln_x = _log_wealth(policy, groups, m, cfg, bi)
-        finite = np.all(np.isfinite(ln_x), axis=0)
+def _check_finite(ln_x: np.ndarray, sets, bi: int):
+    """Raise FloatingPointError naming the first path of batch bi with a
+    non-finite ln X in the first path set that has one."""
+    for rows in _row_blocks(ln_x, sets):
+        finite = np.all(np.isfinite(rows), axis=0)
         if not np.all(finite):
             bad = int(np.argmin(finite))
-            raise FloatingPointError(
-                f"non-finite wealth on path {bi * BATCH_SIZE + bad}")
+            raise FloatingPointError(f"non-finite wealth on path {bi * BATCH_SIZE + bad}")
+
+
+def _wealth_batches(policy, sets, m: MarketModel, cfg: SimConfig):
+    """Yield, batch by batch, the terminal wealths of every (adversary,
+    scales) group of each path set, one row per scale, in _log_wealth's
+    order; sets lists each set's groups.  A non-finite wealth raises
+    FloatingPointError (_check_finite) before its batch is yielded."""
+    n_batches = (cfg.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
+    for bi in range(n_batches):
+        ln_x = _log_wealth(policy, sets, m, cfg, bi)
+        _check_finite(ln_x, sets, bi)
         np.exp(ln_x, out=ln_x)
         ln_x *= cfg.x0
         yield ln_x
+        del ln_x  # a batch's wealths must not live on into the next batch
 
 
 def _terminal_wealth_batches(policy, groups, m: MarketModel, cfg: SimConfig):
     """_wealth_batches, after checking that the groups' adversaries move Y
     alike (one _path_sets set; the engine drives Y by the first group's
-    adversary) and are distinct objects (a chattering one would draw twice a
-    step).  Raises ValueError otherwise."""
+    adversary) and are distinct objects (one entry per adversary, as
+    _path_sets has them).  Raises ValueError otherwise."""
     if (len(_path_sets(groups, m.rho)) != 1
             or len({id(adv) for adv, _ in groups}) != len(groups)):
         raise ValueError("the groups' adversaries are not distinct on one factor path")
-    return _wealth_batches(policy, groups, m, cfg)
+    return _wealth_batches(policy, [groups], m, cfg)
 
 
 def _resolve_q(policy, q) -> float:
@@ -354,21 +421,25 @@ class _UtilityMoments:
 
 def _estimates(policy, groups, m: MarketModel, cfg: SimConfig, q) -> tuple[tuple, ...]:
     """E[X_T^q / q] for each scale of each (adversary, scales) group, one
-    tuple per group, advancing one path set per _path_sets set (the keys are
-    formed here, once); each estimate equals a run of its (adversary, scale)
-    pair alone bit for bit."""
+    tuple per group, on one path set per _path_sets set (the keys are formed
+    here, once), all sets advancing together batch by batch; each estimate
+    equals a run of its (adversary, scale) pair alone bit for bit.
+
+    Errors are raised batch by batch.  Where one set alone goes non-finite or
+    breaks the moment invariant, the error is the one that set raises run
+    alone.  Where two sets fail, the first batch that fails decides: it may
+    name another path, or another error, than running the sets one after the
+    other would."""
     q = _resolve_q(policy, q)
-    estimates = [None] * len(groups)
-    for members in _path_sets(groups, m.rho):
-        accs = [[_UtilityMoments(q) for _ in groups[i][1]] for i in members]
-        flat = [acc for group in accs for acc in group]
-        for x_t in _wealth_batches(policy, [groups[i] for i in members], m, cfg):
-            for acc, row in zip(flat, x_t):
-                acc.add(row)
-        del x_t, row  # the last batch's wealths must not outlive their path set
-        for i, group in zip(members, accs):
-            estimates[i] = tuple(acc.estimate() for acc in group)
-    return tuple(estimates)
+    sets = _path_sets(groups, m.rho)
+    accs = [[_UtilityMoments(q) for _ in scales] for _, scales in groups]
+    flat = [acc for members in sets for i in members for acc in accs[i]]
+    for x_t in _wealth_batches(policy, [[groups[i] for i in members] for members in sets],
+                               m, cfg):
+        for acc, row in zip(flat, x_t):
+            acc.add(row)
+        del x_t, row  # a batch's wealths must not live on into the next batch
+    return tuple(tuple(acc.estimate() for acc in group) for group in accs)
 
 
 def simulate_eu(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
@@ -464,8 +535,9 @@ def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
     """
     adversaries = _saddle_adversaries(pf, k, cfg.seed)
     field = AdversaryPolicy.field(pf)
-    # one path set per factor path: nu* with the base and its scalings, the
-    # fixed points and chattering join it where they load the factor alike
+    # one path set per factor path, all on one pass over the normals: nu*
+    # with the base and its scalings, the fixed points and chattering join
+    # it where they load the factor alike
     (base, *scaled), *deviations = _estimates(
         pf, [(field, (1.0, *policy_scales)), *((adv, (1.0,)) for adv in adversaries)],
         m, cfg, util)

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +19,10 @@ K = UncertaintyRectangle(0.1, 0.3, 0.2, 0.4)
 
 
 @pytest.fixture
-def normal_draws(monkeypatch):
-    """A list that grows by one at every standard_normal draw of a generator
-    made by np.random.default_rng while the test runs."""
-    draws = []
+def draws(monkeypatch):
+    """A Counter of the standard_normal and random draws of the generators
+    made by np.random.default_rng while the test runs, one per call."""
+    counts = collections.Counter()
     default_rng = np.random.default_rng
 
     class Counting:
@@ -28,15 +30,19 @@ def normal_draws(monkeypatch):
             self._gen = gen
 
         def standard_normal(self, *args, **kwargs):
-            draws.append(1)
+            counts["standard_normal"] += 1
             return self._gen.standard_normal(*args, **kwargs)
+
+        def random(self, *args, **kwargs):
+            counts["random"] += 1
+            return self._gen.random(*args, **kwargs)
 
         def __getattr__(self, attr):
             return getattr(self._gen, attr)
 
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *a, **k: Counting(default_rng(*a, **k)))
-    return draws
+    return counts
 
 
 def const_model(b=0.0, beta=0.0, r=0.0, rho=0.5):
@@ -342,8 +348,8 @@ class TestSharedPaths:
     def test_rows_must_share_the_factor_path(self, tail_pipeline):
         # the engine drives Y by the first group's adversary: a group that
         # would move Y otherwise is refused, not simulated on the wrong factor
-        # path, and so is an adversary listed twice (a chattering one would
-        # draw its uniforms twice per step)
+        # path, and so is an adversary listed twice (the engine takes one
+        # entry per adversary)
         m, _, pf = tail_pipeline
         cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
         adversaries = _saddle_adversaries(pf, TAIL_K, 20240)
@@ -401,17 +407,100 @@ class TestSharedPaths:
              2.9806070968071774, True),
         ]
 
-    def test_one_path_set_per_adversary(self, tail_pipeline, normal_draws):
+    def test_one_path_set_per_adversary(self, tail_pipeline, draws):
         # at seed 5: nu* with the base and its five scalings; the 4 corners
         # and 2 random points, whose factor loadings are equal floats; the
         # third random point, whose loading rounds differently; chattering.
-        # 4 path sets, each drawing its normals once per step and batch (one
-        # run per (adversary, scale) pair drew 14 times as many)
+        # 4 path sets, advancing together on one normal draw per step and
+        # batch (one pass per set drew 4 times as many, one run per
+        # (adversary, scale) pair 14 times), and one uniform draw for the
+        # chattering set
         m, s, pf = tail_pipeline
         cfg = SimConfig(n_paths=BATCH_SIZE + 1, n_steps=2, seed=5, x0=1.0, y0=0.0,
                         horizon=1.0)
+        groups = [(AdversaryPolicy.field(pf), (1.0,)),
+                  *((adv, (1.0,)) for adv in _saddle_adversaries(pf, TAIL_K, cfg.seed))]
+        assert len(_path_sets(groups, m.rho)) == 4
         verify_saddle(s, pf, m, TAIL_K, TAIL_UTIL, cfg)
-        assert len(normal_draws) == 4 * cfg.n_steps * 2
+        assert draws == {"standard_normal": cfg.n_steps * 2, "random": cfg.n_steps * 2}
+
+    def test_chattering_sets_share_one_uniform_draw(self, draws):
+        # two chattering adversaries keep two path sets, which read the same
+        # uniforms a step, as each set run alone draws them; without
+        # chattering there is no uniform draw
+        m = const_model(rho=0.5)
+        pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
+        cfg = SimConfig(n_paths=2 * BATCH_SIZE + 7, n_steps=4, seed=3, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        groups = [(AdversaryPolicy.chattering(pf), (1.0, 0.5)),
+                  (AdversaryPolicy.field(pf), (1.0,)),
+                  (AdversaryPolicy.chattering(pf, "again"), (1.0,))]
+        assert _path_sets(groups, m.rho) == [[0], [1], [2]]
+        _estimates(0.7, groups, m, cfg, 0.5)
+        assert draws == {"standard_normal": cfg.n_steps * 3, "random": cfg.n_steps * 3}
+        draws.clear()
+        _estimates(0.7, groups[1:2], m, cfg, 0.5)
+        assert draws == {"standard_normal": cfg.n_steps * 3}
+
+    def test_verify_saddle_memory(self, tail_pipeline):
+        # three path sets advance together: 14 ln X rows, 3 Y rows, the
+        # step's 2 normal rows and 1 uniform row, with at most 8 more rows
+        # alive within a set's step (fraction, moments, f, f^2 / 2 and the
+        # row update; Y moves before the rows, so the drive's sigma has
+        # died).  Each batch dies before the next one starts: two full
+        # batches peak as one does.  Keeping the last batch's wealths (42
+        # rows), moving Y after the rows (30.05), forming b(Y) + mu_m as a
+        # new row or r(Y) as a row where r is constant (29.05 each) fail
+        m, s, pf = tail_pipeline
+        cfg = SimConfig(n_paths=2 * BATCH_SIZE, n_steps=3, seed=31001, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        tracemalloc.start()
+        try:
+            verify_saddle(s, pf, m, TAIL_K, TAIL_UTIL, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 29 * 8 * BATCH_SIZE, peak / (8 * BATCH_SIZE)
+
+    def test_one_failing_set_raises_as_alone(self):
+        # a field whose drift is NaN where Y rounds to the node y = 3 makes
+        # its paths non-finite once they cross y = 1.5; the sets that finish
+        # their batches do not change the path the error names
+        m = const_model(rho=0.5)
+        pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
+        mu = pf.atom_mu.copy()
+        mu[:, 2] = np.nan
+        nan_field = AdversaryPolicy.field(dataclasses.replace(pf, atom_mu=mu), "nan")
+        groups = [(AdversaryPolicy.constant_point(0.2, 0.3), (1.0,)),
+                  (nan_field, (1.0, 0.5)),
+                  (AdversaryPolicy.chattering(pf), (1.0,))]
+        assert _path_sets(groups, m.rho) == [[0, 2], [1]]
+        cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=1.4,
+                        horizon=1.0)
+        with pytest.raises(FloatingPointError) as alone:
+            simulate_eu(0.7, nan_field, m, cfg, q=0.5, policy_scale=0.5)
+        with pytest.raises(FloatingPointError) as grouped:
+            _estimates(0.7, groups, m, cfg, 0.5)
+        assert str(grouped.value) == str(alone.value) == "non-finite wealth on path 2"
+
+    def test_one_set_breaking_the_invariant_raises_as_alone(self):
+        # moments that no measure has, at the node y = 3 only, in the second
+        # of two path sets
+        m = const_model(rho=0.5)
+        pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
+        weight = pf.weight_a.copy()
+        weight[:, 2] = 1.5
+        bad = AdversaryPolicy.field(dataclasses.replace(pf, weight_a=weight), "bad")
+        groups = [(AdversaryPolicy.field(pf), (1.0,)), (bad, (1.0, 0.5))]
+        assert _path_sets(groups, m.rho) == [[0], [1]]
+        cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=1.4,
+                        horizon=1.0)
+        with pytest.raises(AssertionError) as alone:
+            simulate_eu(0.7, bad, m, cfg, q=0.5)
+        with pytest.raises(AssertionError) as grouped:
+            _estimates(0.7, groups, m, cfg, 0.5)
+        assert str(grouped.value) == str(alone.value) == (
+            "internal invariant failure: (sigma,nu)^2 > (sigma^2,nu)")
 
 
 class TestLoadingKeys:
@@ -419,7 +508,7 @@ class TestLoadingKeys:
     factor the same loading floats wherever it acts."""
 
     def test_single_atom_field_runs_one_path_set(self, smoke_pipeline, smoke_model,
-                                                 smoke_util, normal_draws):
+                                                 smoke_util, draws):
         # nu* is the (mu-, sigma+) corner at every node of the smoke market,
         # and every sigma of K loads the factor by rho at rho = 0.5: nu*,
         # chattering and the 7 points run their 14 pairs on one path set
@@ -427,7 +516,7 @@ class TestLoadingKeys:
         cfg = SimConfig(n_paths=BATCH_SIZE + 1, n_steps=2, seed=5, x0=1.0, y0=0.0,
                         horizon=1.0)
         report = verify_saddle(s, pf, smoke_model, K, smoke_util, cfg)
-        assert len(normal_draws) == cfg.n_steps * 2
+        assert draws == {"standard_normal": cfg.n_steps * 2, "random": cfg.n_steps * 2}
 
         field = AdversaryPolicy.field(pf)
         assert report.base == simulate_eu(pf, field, smoke_model, cfg)
