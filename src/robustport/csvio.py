@@ -7,7 +7,9 @@ version; no timestamps) followed by a header row.  Each cell is the
 significant digits so a reload is bit-exact and repeated runs produce
 identical bytes.  Rows go out in chunks, and each chunk formats every
 distinct value of a numeric column once (told apart by bit pattern, so -0.0
-and 0.0 keep their own texts) and gathers the texts back.  The surface
+and 0.0 keep their own texts) and gathers the texts back; a column that is
+one value stored once (zero strides, as PolicyField keeps a measure that is
+one node everywhere) is formatted once per chunk.  The surface
 cache (`write_surface_npz`) is an uncompressed `.npz` of `u` and the config
 hash of its solve; the CLI reads it back with `read_surface_npz`, and
 `surface.csv` is an export only.  Every file is written through `_atomic` to
@@ -78,9 +80,12 @@ def _atomic(path: str | Path):
 
 
 def _cells(spec: str, col: np.ndarray) -> list[str]:
-    """`spec % value` for every value of `col`.  A numeric column formats
+    """`spec % value` for every value of `col`.  A column of one value
+    stored once (zero strides) formats it once; a numeric column formats
     each distinct bit pattern once (so -0.0 and 0.0 stay apart) and gathers
     the texts back by index; any other column formats element by element."""
+    if len(col) and not any(col.strides):
+        return [spec % (col[:1].tolist()[0],)] * len(col)
     if col.dtype.kind in "iuf":
         bits, inverse = np.unique(col.view(f"u{col.dtype.itemsize}"), return_inverse=True)
         texts = np.array([spec % v for v in bits.view(col.dtype).tolist()], dtype=object)
@@ -148,13 +153,22 @@ def read_surface(path: str | Path, grid: GridSpec) -> ValueSurface:
     return ValueSurface.from_u(grid, data[:, 2].reshape(grid.n_t, grid.n_y))
 
 
+def _branch_names(codes: np.ndarray) -> np.ndarray:
+    """The branch name of every code; a broadcast where the codes are one
+    value stored once."""
+    if any(codes.strides):
+        return _BRANCH_NAMES[codes]
+    return np.broadcast_to(_BRANCH_NAMES[codes[:1]], codes.shape)
+
+
 def write_policy_csv(path: str | Path, pf: PolicyField, config_hash: str, seed: int):
+    # reshape(-1), not ravel(): a surface stored as one value stays a view
     _write_csv(path, config_hash, seed,
                "t,y,mu_star_mean,sigma_star_mean,alpha,branch,pi_frac",
                "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%.17g",
-               [*_node_columns(pf.t, pf.y), pf.mu_mean.ravel(), pf.sigma_mean.ravel(),
-                pf.weight_a.ravel(), _BRANCH_NAMES[pf.branch_code.ravel()],
-                pf.pi_frac.ravel()])
+               [*_node_columns(pf.t, pf.y), pf.mu_mean.reshape(-1),
+                pf.sigma_mean.reshape(-1), pf.weight_a.reshape(-1),
+                _branch_names(pf.branch_code.reshape(-1)), pf.pi_frac.reshape(-1)])
 
 
 def write_sim_report_csv(path: str | Path, rows: list[tuple[str, str, UtilityEstimate, str]],

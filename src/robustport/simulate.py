@@ -23,15 +23,16 @@ whose atoms, load the factor alike at every node, as a field that sits at
 one corner of K does.  Their Y, b(Y), r(Y) and f(t, Y) are bit-identical, and
 only mu and sigma^2 enter their ln X rows.  The path engine takes one
 (adversary, scales) entry per adversary and groups the entries into path
-sets, one per factor path, with at most one chattering adversary in each.
-It makes one pass over each batch's normals: every step draws them once,
-and the chattering uniforms once, and each set advances its own Y row and
-one ln X row per scale off those draws, forming each adversary's moments
-once per step.  verify_saddle's 14 rows form 1 path set where nu* is one
-corner at every node and all 7 points load alike, as on configs/smoke.yaml
-and configs/ramp.yaml, and 3 or more, advancing together, where nu* has
-two-atom nodes.  Each row keeps the arithmetic of a run of its pair alone,
-so its estimate equals that run's bit for bit.
+sets, one per factor path, chattering adversaries included.  It makes one
+pass over each batch's normals: every step draws them once, and the
+chattering uniforms once, and each set advances its own Y row and one ln X
+row per scale off those draws, forming each adversary's moments once per
+step (without a gather where nu* is stored as one node).  verify_saddle's
+14 rows form 1 path set where nu* is one corner at every node and all 7
+points load alike, as on configs/smoke.yaml and configs/ramp.yaml, and 3 or
+more, advancing together, where nu* has two-atom nodes.  Each row keeps the
+arithmetic of a run of its pair alone, so its estimate equals that run's bit
+for bit.
 
 Reproducibility: paths are processed in fixed batches of 65536.  Batch b draws
 its two normal increments per step from
@@ -139,8 +140,10 @@ class AdversaryPolicy:
 
     def moments(self, t: float, y: np.ndarray, u: np.ndarray | None):
         """(mu, sigma, sigma^2) seen by the paths at (t, y); scalars for a
-        fixed point.  Only chattering reads u, one uniform per path: a path
-        takes atom a where its uniform falls below weight_a."""
+        fixed point and for a field whose measure is one node everywhere
+        (sigma stays a row under chattering).  Only chattering reads u, one
+        uniform per path: a path takes atom a where its uniform falls below
+        weight_a."""
         if self.pf is None:
             return _point_moments(*self.point)
         if not self.chatter:
@@ -173,27 +176,26 @@ def _loadings(rho: float, sig_m, vol):
     return load_w, np.sqrt(np.maximum(1.0 - load_w * load_w, 0.0))
 
 
-def _one_value(a: np.ndarray):
-    """a's single value where all of a holds one, else a itself."""
-    v = a.flat[0]
-    return v if a.min() == v == a.max() else a
-
-
 def _field_loadings(pf: PolicyField, rho: float, chatter: bool):
     """The one (load_w, load_perp) pair the engine forms at every node of pf's
     measure field, from the moments or, with chatter, from each atom as a
     point; None where the pair varies or the moments break
-    (sigma, nu)^2 <= (sigma^2, nu).  Scanned in blocks of rows of about
-    BATCH_SIZE nodes, so no surface-sized array is formed; a block whose
-    atoms hold one value each is reduced to that node."""
+    (sigma, nu)^2 <= (sigma^2, nu).  A measure stored as one node
+    (PolicyField.one_node) is that node alone; any other is scanned in
+    blocks of rows of about BATCH_SIZE nodes, so no surface-sized array is
+    formed."""
+    node = pf.one_node
+    if node is None:
+        step = max(1, BATCH_SIZE // pf.y.size)
+        blocks = ((pf.sigma_a[i:i + step], pf.sigma_b[i:i + step], pf.weight_a[i:i + step])
+                  for i in range(0, pf.t.size, step))
+    else:
+        blocks = [node[1:]]
     pair = None
-    step = max(1, BATCH_SIZE // pf.y.size)
-    for i in range(0, pf.t.size, step):
-        rows = slice(i, i + step)
-        sig_a, sig_b = _one_value(pf.sigma_a[rows]), _one_value(pf.sigma_b[rows])
-        blocks = ([_point_moments(None, sig_a), _point_moments(None, sig_b)] if chatter
-                  else [measure_moments(None, sig_a, sig_b, _one_value(pf.weight_a[rows]))])
-        for _, sig, sig2 in blocks:
+    for sig_a, sig_b, w_a in blocks:
+        measures = ([_point_moments(None, sig_a), _point_moments(None, sig_b)] if chatter
+                    else [measure_moments(None, sig_a, sig_b, w_a)])
+        for _, sig, sig2 in measures:
             if not np.all(sig * sig <= sig2):
                 return None
             with np.errstate(divide="ignore", invalid="ignore"):  # a NaN fails ==
@@ -211,11 +213,9 @@ def _path_sets(groups, rho: float) -> list[list[int]]:
     the same pair of loading floats wherever they act share a set (their Y
     paths are then bit-identical): a fixed point is keyed by its loadings, a
     field by _field_loadings' pair or, where it has none, by its identity.
-    A set holds at most one chattering adversary.  (Every set reads the
-    step's one row of uniforms, so two chattering adversaries could share a
-    set and each still read the uniforms of its run alone; the rule keeps
-    the partition of the engine that drew uniforms per set.)  The keys are
-    formed once per call; one group needs none."""
+    Chattering adversaries share a set like any other: every set reads the
+    step's one row of uniforms, the row each reads when run alone.  The keys
+    are formed once per call; one group needs none."""
     if len(groups) == 1:
         return [[0]]
     sets: list[list[int]] = []
@@ -227,8 +227,6 @@ def _path_sets(groups, rho: float) -> list[list[int]]:
         else:
             key = _field_loadings(adv.pf, rho, adv.chatter) or id(adv)
         members = by_key.setdefault(key, [])
-        if adv.chatter and any(groups[j][0].chatter for j in members):
-            members = []
         if not members:
             sets.append(members)
         members.append(i)

@@ -2,6 +2,7 @@
 name; installing it here makes a renamed or dropped name fail this suite
 rather than the traced benchmark."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -65,9 +66,17 @@ def test_tracer_sees_the_policy_kernel(ramp_model, smoke_util, smoke_rect):
 
 
 def test_policy_field_has_what_the_bench_reads(ramp_model, smoke_util, smoke_rect):
-    # bench/workloads.py reads these surfaces off a built PolicyField
+    # bench/workloads.py reads these surfaces off a built PolicyField, whole
+    # and gathered at sampled nodes.  ramp's measure is one corner of K at
+    # every node, so its atoms are stored as one value each: they read as
+    # the full arrays do
     s = pde.solve_hjbi(ramp_model, smoke_rect, smoke_util, GridSpec(1.0, 21, 13, 4.0))
     pf = strategy.build_policy(s, ramp_model, smoke_rect, smoke_util)
-    for name in ("mu_mean", "sigma_mean", "sigma_sq_mean", "pi_frac", "atom_mu",
-                 "sigma_a", "sigma_b", "weight_a"):
-        assert getattr(pf, name).shape == s.u.shape, name
+    atoms = ("atom_mu", "sigma_a", "sigma_b", "weight_a")
+    assert all(getattr(pf, name).strides == (0, 0) for name in atoms)
+    full = dataclasses.replace(pf, **{name: np.array(getattr(pf, name)) for name in atoms})
+    i, j = np.array([0, 7, 19, 19]), np.array([1, 6, 11, 1])
+    for name in ("mu_mean", "sigma_mean", "sigma_sq_mean", "pi_frac", *atoms):
+        got, want = getattr(pf, name), getattr(full, name)
+        assert got.shape == s.u.shape, name
+        assert np.array_equal(got[i, j], want[i, j]) and np.array_equal(got, want), name

@@ -2,6 +2,7 @@
 CLI's full-size exports against pinned hashes, and the surface cache against
 the surface.csv export."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -133,6 +134,32 @@ def test_dedupe_across_chunk_boundaries(tmp_path, monkeypatch):
     # -0.0 and 0.0 are distinct values with distinct texts
     lines = (tmp_path / "e.csv").read_text().splitlines()[2:]
     assert [line.split(",")[0] for line in lines[:6]] == ["-0"] * 3 + ["0"] * 3
+
+
+def test_one_value_columns_format_once(tmp_path, monkeypatch, smoke_model, smoke_rect,
+                                      smoke_util):
+    # a column stored as one value (zero strides) formats it once per chunk,
+    # with the texts and bytes of the full column
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 7)
+    n = 19
+    cols = [np.broadcast_to(v, (n,)) for v in (-0.0, float("nan"), 2**63 - 1)]
+    cols.append(np.broadcast_to(np.array(["MINUS_CORNER"], dtype=object), (n,)))
+    cells = csvio._cells("%.17g", cols[0])
+    assert cells == ["-0"] * n and cells[0] is cells[-1]
+    header, fmt = "a,b,i,s", "%.17g,%.17g,%d,%s"
+    csvio._write_csv(tmp_path / "one.csv", HASH, SEED, header, fmt, cols)
+    csvio._write_csv(tmp_path / "full.csv", HASH, SEED, header, fmt, [np.array(c) for c in cols])
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    # nu* is one corner of K at every node of the flat market: four of the
+    # policy's seven columns are one value, and the file is the full field's
+    s = solve_hjbi(smoke_model, smoke_rect, smoke_util, GridSpec(1.0, 11, 9, 3.0))
+    pf = build_policy(s, smoke_model, smoke_rect, smoke_util)
+    surfaces = ("atom_mu", "sigma_a", "sigma_b", "weight_a", "branch_code")
+    assert all(getattr(pf, name).strides == (0, 0) for name in surfaces)
+    full = dataclasses.replace(pf, **{name: np.array(getattr(pf, name)) for name in surfaces})
+    csvio.write_policy_csv(tmp_path / "one.csv", pf, HASH, SEED)
+    csvio.write_policy_csv(tmp_path / "full.csv", full, HASH, SEED)
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
 def test_columns_of_unequal_length_raise(tmp_path):

@@ -495,6 +495,7 @@ class TestGoldenBits:
         self.assert_residual_reused(s, ramp_model, K, smoke_util)
 
 
+@pytest.mark.memory
 class TestSolveMemory:
     def test_traced_peak_is_a_few_surfaces(self, ramp_model, smoke_util):
         # u, its u_y and the stepper's H rows are three surfaces, and the

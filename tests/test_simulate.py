@@ -425,16 +425,18 @@ class TestSharedPaths:
         assert draws == {"standard_normal": cfg.n_steps * 2, "random": cfg.n_steps * 2}
 
     def test_chattering_sets_share_one_uniform_draw(self, draws):
-        # two chattering adversaries keep two path sets, which read the same
-        # uniforms a step, as each set run alone draws them; without
-        # chattering there is no uniform draw
-        m = const_model(rho=0.5)
+        # at rho = 0.9 the atoms 0.2 and 0.4 load the factor by rho, the atom
+        # 0.3 does not: two chattering adversaries on two path sets, which
+        # read the same uniforms a step, as each set run alone draws them;
+        # without chattering there is no uniform draw
+        m = const_model(rho=0.9)
         pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
         cfg = SimConfig(n_paths=2 * BATCH_SIZE + 7, n_steps=4, seed=3, x0=1.0, y0=0.0,
                         horizon=1.0)
         groups = [(AdversaryPolicy.chattering(pf), (1.0, 0.5)),
                   (AdversaryPolicy.field(pf), (1.0,)),
-                  (AdversaryPolicy.chattering(pf, "again"), (1.0,))]
+                  (AdversaryPolicy.chattering(constant_field(0.7, 0.15, 0.3, 0.3, 1.0)),
+                   (1.0,))]
         assert _path_sets(groups, m.rho) == [[0], [1], [2]]
         _estimates(0.7, groups, m, cfg, 0.5)
         assert draws == {"standard_normal": cfg.n_steps * 3, "random": cfg.n_steps * 3}
@@ -442,6 +444,7 @@ class TestSharedPaths:
         _estimates(0.7, groups[1:2], m, cfg, 0.5)
         assert draws == {"standard_normal": cfg.n_steps * 3}
 
+    @pytest.mark.memory
     def test_verify_saddle_memory(self, tail_pipeline):
         # three path sets advance together: 14 ln X rows, 3 Y rows, the
         # step's 2 normal rows and 1 uniform row, with at most 8 more rows
@@ -528,19 +531,18 @@ class TestLoadingKeys:
         assert [(f.kind, f.label, f.eu, f.std_error) for f in report.findings[1:]] == [
             (kind, label, est.mean, est.std_error) for kind, label, est in alone]
 
-    def test_one_chattering_adversary_per_path_set(self):
+    def test_chattering_adversaries_share_a_path_set(self):
         # both atoms of this constant two-atom field load the factor like any
-        # point at rho = 0.5, its moments do not: the chattering adversaries
-        # key with the point, the relaxed field alone.  Each chattering
-        # adversary draws its own uniforms, so the second one gets a set of
-        # its own
+        # point at rho = 0.5, its moments do not: both chattering adversaries
+        # key with the point, the relaxed field alone.  They read the step's
+        # one row of uniforms, as each does run alone
         m = const_model(rho=0.5)
         pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
         groups = [(AdversaryPolicy.chattering(pf), (1.0, 0.5)),
                   (AdversaryPolicy.field(pf), (1.0,)),
                   (AdversaryPolicy.constant_point(0.2, 0.3), (1.0,)),
                   (AdversaryPolicy.chattering(pf, "again"), (1.0,))]
-        assert _path_sets(groups, m.rho) == [[0, 2], [1], [3]]
+        assert _path_sets(groups, m.rho) == [[0, 2, 3], [1]]
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=0.0,
                         horizon=1.0)
         assert _estimates(0.7, groups, m, cfg, 0.5) == tuple(

@@ -1,11 +1,13 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from robustport import (GridSpec, UncertaintyRectangle, build_policy,
-                        solve_hjbi, value_function)
-from robustport.worst_case import BranchRegion, _REGION_CODE
+from robustport import (CoefficientFn, GridSpec, MarketModel, PowerUtility,
+                        UncertaintyRectangle, build_policy, solve_hjbi, value_function)
+from robustport.strategy import _one_valued
+from robustport.worst_case import BranchRegion, _REGION_CODE, branch_fields, measure_moments
 
 from oracles import DerivativeBundle, saddle_point
 
@@ -112,10 +114,87 @@ class TestSaddleConsistency:
         assert jumps[0] < 0.5
 
 
+ATOMS = ("atom_mu", "sigma_a", "sigma_b", "weight_a")
+SURFACES = dict(zip(ATOMS, ATOMS), branch_code="code")
+
+
+def full_fields(s, m, k):
+    """branch_fields' full arrays on the surface, as build_policy forms them."""
+    return branch_fields(np.asarray(m.b(s.y))[None, :], m.rho * s.u_y, k)
+
+
+@pytest.fixture(scope="module")
+def tail_market():
+    """mu- = 0 lets the tail branch win: two-atom measures on ~40% of nodes."""
+    zero = CoefficientFn.constant(0.0)
+    m = MarketModel(CoefficientFn.ramp(0.0, 0.4, 1.0), zero, zero, 0.9)
+    k = UncertaintyRectangle(0.0, 0.3, 0.2, 0.4)
+    s = solve_hjbi(m, k, PowerUtility(0.5), GridSpec(1.0, 201, 61, 3.0))
+    return s, m, k, build_policy(s, m, k, PowerUtility(0.5))
+
+
+class TestOneValueStorage:
+    @pytest.mark.parametrize("market", ["flat", "ramp"])
+    def test_corner_field_is_one_value(self, market, flat_surface, ramp_surface,
+                                       smoke_model, ramp_model, smoke_util):
+        # nu* is the (mu-, sigma+) corner at every node: the five surfaces
+        # are broadcasts of one value with the bits of the full arrays
+        s, m = (flat_surface, smoke_model) if market == "flat" else (ramp_surface, ramp_model)
+        pf = build_policy(s, m, K, smoke_util)
+        fields = full_fields(s, m, K)
+        for name, key in SURFACES.items():
+            got = getattr(pf, name)
+            assert got.strides == (0, 0) and not got.flags.writeable, name
+            assert got.dtype == fields[key].dtype, name
+            assert np.ascontiguousarray(got).tobytes() == fields[key].tobytes(), name
+        full = measure_moments(*(fields[name] for name in ATOMS))
+        for n, name in ((1, "sigma_mean"), (2, "sigma_sq_mean")):
+            got = getattr(pf, name)
+            assert got.strides == (0, 0), name
+            assert np.ascontiguousarray(got).tobytes() == full[n].tobytes(), name
+        b_vec = np.asarray(m.b(s.y))[None, :]
+        pi_frac = ((b_vec + full[0]) + m.rho * full[1] * s.u_y) / ((1 - smoke_util.q) * full[2])
+        assert pf.pi_frac.tobytes() == pi_frac.tobytes()
+
+    def test_tail_field_stays_full(self, tail_market):
+        s, m, k, pf = tail_market
+        fields = full_fields(s, m, k)
+        for name, key in SURFACES.items():
+            got = getattr(pf, name)
+            assert got.flags.c_contiguous, name
+            assert got.tobytes() == fields[key].tobytes(), name
+
+    def test_bits_not_values_decide(self):
+        # -0.0 == 0.0, but a surface that mixes them keeps both
+        mixed = np.array([[0.0, -0.0], [0.0, 0.0]])
+        assert _one_valued(mixed) is mixed
+        one = _one_valued(np.full((2, 3), -0.0))
+        assert one.strides == (0, 0) and one.shape == (2, 3)
+        assert np.signbit(one).all()
+        codes = _one_valued(np.full((3, 2), 4, dtype=np.int8))
+        assert codes.dtype == np.int8 and codes.strides == (0, 0)
+
+    def test_lookups_return_the_one_value(self, ramp_surface, ramp_model, smoke_util):
+        # the same bits as the nearest-node gathers of a full-array field
+        pf = build_policy(ramp_surface, ramp_model, K, smoke_util)
+        full = dataclasses.replace(pf, **{name: np.array(getattr(pf, name))
+                                          for name in SURFACES})
+        y = np.linspace(-5.0, 5.0, 37)
+        for t in (0.0, 0.4999, 1.0):
+            for got, want in (*zip(pf.moments_at(t, y), full.moments_at(t, y)),
+                              *zip(pf.atoms_at(t, y), full.atoms_at(t, y))):
+                assert np.ndim(got) == 0
+                assert np.full(y.shape, got).tobytes() == want.tobytes()
+
+
+@pytest.mark.memory
 class TestPolicyMemory:
     def test_field_stores_no_moment_surface(self, ramp_model, smoke_util):
-        # the field keeps pi_frac, four measure surfaces and the int8 codes
-        # (about 5.1x u.nbytes); two stored moment surfaces would make it 7.1x
+        # ramp's measure is one corner of K at every node: the field keeps
+        # pi_frac and five one-value broadcasts (about 1.0x u.nbytes).  Four
+        # full atom surfaces and the int8 codes would make it 5.1x, and two
+        # stored moment surfaces on top 7.1x.  Traced, not summed from
+        # .nbytes: a broadcast reports the size of the full array
         g = GridSpec(1.0, 2001, 321, 4.0)
         s = solve_hjbi(ramp_model, K, smoke_util, g)
         tracemalloc.start()
@@ -125,7 +204,7 @@ class TestPolicyMemory:
         finally:
             tracemalloc.stop()
         assert pf.pi_frac.shape == s.u.shape
-        assert live <= 5.5 * s.u.nbytes, live / s.u.nbytes
+        assert live <= 1.5 * s.u.nbytes, live / s.u.nbytes
 
 
 class TestValueFunction:
