@@ -92,8 +92,13 @@ def _cached_policy(args):
 
 
 def _print_occupancy(pf):
-    """One line with the node count of every worst-case branch, in enum order."""
-    counts = np.bincount(pf.branch_code.ravel(), minlength=len(BranchRegion))
+    """One line with the node count of every worst-case branch, in enum order.
+    A code stored as one value counts all nodes for that value unexpanded."""
+    codes = pf.branch_code.reshape(-1)  # a view, as one value stays one value
+    if codes.size and not codes.strides[0]:
+        counts = np.bincount(codes[:1], minlength=len(BranchRegion)) * codes.size
+    else:
+        counts = np.bincount(codes, minlength=len(BranchRegion))
     print("branch occupancy (nodes): "
           + " ".join(f"{r.value}={n}" for r, n in zip(BranchRegion, counts)))
 

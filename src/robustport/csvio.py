@@ -5,22 +5,27 @@ Every CSV starts with a provenance comment line (config hash, seed, package
 version; no timestamps) followed by a header row.  Each cell is the
 `%`-format text of its value, as `fmt % row` would give it; floats carry 17
 significant digits so a reload is bit-exact and repeated runs produce
-identical bytes.  Rows go out in chunks, and each chunk formats every
-distinct value of a numeric column once (told apart by bit pattern, so -0.0
-and 0.0 keep their own texts) and gathers the texts back; a column that is
-one value stored once (zero strides, as PolicyField keeps a measure that is
-one node everywhere) is formatted once per chunk.  The surface
-cache (`write_surface_npz`) is an uncompressed `.npz` of `u` and the config
-hash of its solve; the CLI reads it back with `read_surface_npz`, and
-`surface.csv` is an export only.  Every file is written through `_atomic` to
-a `.tmp` sibling and then renamed over the target, so an interrupted write
-never leaves a partial file under the real name.
+identical bytes.  Rows go out in chunks, and each chunk is one row-major
+list of cells, every text already ending in its separator, joined and
+written at once.  The grid coordinates of a surface or policy export are
+formatted once per file, n_t texts of t and n_y of y, and repeated into each
+chunk; any other numeric column formats every distinct value of a chunk once
+(told apart by bit pattern, so -0.0 and 0.0 keep their own texts) and
+gathers the texts back, and a column that is one value stored once (zero
+strides, as PolicyField keeps a measure that is one node everywhere) is
+formatted once per chunk.  The surface cache (`write_surface_npz`) is an
+uncompressed `.npz` of `u` and the config hash of its solve; the CLI reads
+it back with `read_surface_npz`, and `surface.csv` is an export only.  Every
+file is written through `_atomic` to a `.tmp` sibling and then renamed over
+the target, so an interrupted write never leaves a partial file under the
+real name.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager, suppress
+from dataclasses import dataclass
 from importlib.metadata import PackageNotFoundError, version as _pkg_version
 from pathlib import Path
 
@@ -93,35 +98,81 @@ def _cells(spec: str, col: np.ndarray) -> list[str]:
     return [spec % (v,) for v in col.tolist()]
 
 
+@dataclass(frozen=True)
+class _Axis:
+    """A grid coordinate over the nodes of a t-major grid, not expanded:
+    row i holds `values[i // each % len(values)]`, for `n_rows` rows."""
+
+    values: np.ndarray
+    each: int
+    n_rows: int
+
+    def __len__(self):
+        return self.n_rows
+
+
+def _chunk_cells(spec: str, col):
+    """The function (lo, n) -> the cells of rows lo..lo+n of `col`.  An
+    _Axis formats each of its values once per file: texts that change every
+    row are tiled by list repetition, and texts that hold for `each` rows
+    are repeated by np.repeat over the chunk's object array of them.  Any
+    other column goes through _cells chunk by chunk."""
+    if not isinstance(col, _Axis):
+        return lambda lo, n: _cells(spec, col[lo:lo + n])
+    texts = [spec % v for v in col.values.tolist()]
+    m, each = len(texts), col.each
+    if each == 1:
+        def cells(lo, n):
+            start = lo % m
+            return (texts * ((start + n - 1) // m + 1))[start:start + n]
+        return cells
+    texts = np.array(texts, dtype=object)
+
+    def cells(lo, n):
+        first, skip = divmod(lo, each)
+        held = texts[np.arange(first, (lo + n - 1) // each + 1) % m]
+        return np.repeat(held, each)[skip:skip + n].tolist()
+    return cells
+
+
 def _write_csv(path: str | Path, config_hash: str, seed: int, header: str, fmt: str,
                columns):
     """Provenance line, header, then one row per index of the equal-length
-    `columns` (arrays or sequences): each cell is `spec % value` for its
-    column's spec in the comma-separated `fmt`, so a row's text is
-    `fmt % row`.  Rows go out _CHUNK_ROWS at a time, so no more than one
-    chunk of text is held at once, and each chunk formats every distinct
-    value of a numeric column once.
+    `columns` (arrays, sequences or grid axes): each cell is `spec % value`
+    for its column's spec in the comma-separated `fmt`, so a row's text is
+    `fmt % row`.  Rows go out _CHUNK_ROWS at a time.  A chunk is one
+    row-major list of cells, each text already ending in its separator (`,`,
+    or `\n` after the last column), filled a column at a time and written
+    with one join; so no more than one chunk of text is held at once, and
+    no per-row string is made.
 
     Raises ValueError when the columns differ in length or their number is
     not the number of specs; no file is touched then."""
     specs = fmt.split(",")
-    cols = [np.asarray(c) for c in columns]
+    cols = [c if isinstance(c, _Axis) else np.asarray(c) for c in columns]
     if cols and len(cols) != len(specs):
         raise ValueError(f"{len(cols)} columns for {len(specs)} formats")
     lengths = {len(c) for c in cols}
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
+    k = len(cols)
+    seps = [","] * (k - 1) + ["\n"]
+    chunkers = [_chunk_cells(spec + sep, c) for spec, sep, c in zip(specs, seps, cols)]
     with _atomic(path) as fh:
         fh.write(f"{provenance_line(config_hash, seed)}\n{header}\n".encode())
         for lo in range(0, n_rows, _CHUNK_ROWS):
-            cells = [_cells(spec, c[lo:lo + _CHUNK_ROWS]) for spec, c in zip(specs, cols)]
-            fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
+            n = min(_CHUNK_ROWS, n_rows - lo)
+            flat = [""] * (n * k)
+            for c, cells in enumerate(chunkers):
+                flat[c::k] = cells(lo, n)
+            fh.write("".join(flat).encode())
 
 
 def _node_columns(t: np.ndarray, y: np.ndarray):
-    """(t, y) of every node of a t-major grid."""
-    return np.repeat(t, len(y)), np.tile(y, len(t))
+    """(t, y) of every node of a t-major grid, as axes."""
+    n_rows = len(t) * len(y)
+    return _Axis(t, len(y), n_rows), _Axis(y, 1, n_rows)
 
 
 def write_surface(path: str | Path, s: ValueSurface, config_hash: str, seed: int):

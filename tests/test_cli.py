@@ -1,11 +1,15 @@
+import dataclasses
+import hashlib
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from robustport.cli import main
+from robustport import GridSpec, build_policy, solve_hjbi
+from robustport.cli import _print_occupancy, main
 from robustport.config import (ConfigError, canonical_dict, dump_config,
                                load_config, parse_config, solve_config_hash)
 from robustport.worst_case import BranchRegion
@@ -280,6 +284,39 @@ class TestBranchOccupancy:
         assert sum(int(n) for n in counts.values()) == 201 * 61
         assert int(counts["HIGH_TAIL"]) > 0
 
+    @pytest.mark.memory
+    def test_one_value_code_is_counted_unexpanded(self, capsys, smoke_model, smoke_rect,
+                                                  smoke_util):
+        # nu* is one corner at every node of the flat market, so the code
+        # surface is one value stored once; counting it by expansion would
+        # trace a byte and an intp per node (365 KB here)
+        s = solve_hjbi(smoke_model, smoke_rect, smoke_util, GridSpec(1.0, 401, 101, 3.0))
+        pf = build_policy(s, smoke_model, smoke_rect, smoke_util)
+        assert pf.branch_code.strides == (0, 0)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            _print_occupancy(pf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        one = capsys.readouterr().out
+        _print_occupancy(dataclasses.replace(pf, branch_code=np.array(pf.branch_code)))
+        assert capsys.readouterr().out == one
+        assert "MINUS_CORNER=40501 " in one
+
+
+# sha256 of every CSV the pipeline test writes, pinned from the writer that
+# joined each row's cells into a string of its own
+PIPELINE_SHA256 = {
+    "surface.csv": "470b47061332f70acb6f75381bc7032fa1d9eac553686500cb860fe252abdaee",
+    "policy.csv": "0ffa242838a3f6df20379af7b9d6ea5ee604b22a69988c252cac6b72838f6480",
+    "sim_report.csv": "ddfea0f58e4eddbdc652457c336e94c2ae94b62be742f3c78dd4e448ca34eeed",
+    "wealth_histogram.csv": "13d7cd8e00007eb0d38aa85c851ad1f58c8ac3dce25948b10e54ea822e2b9f14",
+    "verify_report.csv": "5ee7bb1399ce04136eaf6e973a1d25bd184fd9698c674a101993d7a21027ed33",
+}
+
 
 class TestPipeline:
     def test_solve_strategy_simulate_verify(self, tmp_path, capsys):
@@ -314,6 +351,8 @@ class TestPipeline:
                 "MINUS_CORNER=10251 HIGH_TAIL=0") in capsys.readouterr().out
         report = (out / "verify_report.csv").read_text()
         assert "FAIL" not in report
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in PIPELINE_SHA256}
+        assert got == PIPELINE_SHA256
 
     def test_oracle_output(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -7,6 +7,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,70 @@ def test_one_value_columns_format_once(tmp_path, monkeypatch, smoke_model, smoke
     csvio.write_policy_csv(tmp_path / "one.csv", pf, HASH, SEED)
     csvio.write_policy_csv(tmp_path / "full.csv", full, HASH, SEED)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def grid_fields(smoke_model, smoke_rect, smoke_util):
+    """(surface, policy field) of a tail field, whose every policy column is
+    a full surface; of a field stored as one value; and of the smallest grid."""
+    fields = {}
+    for name, model, rect, grid in (("tail", MODEL, K, GridSpec(1.0, 41, 13, 3.0)),
+                                    ("one-value", smoke_model, smoke_rect,
+                                     GridSpec(1.0, 11, 9, 3.0)),
+                                    ("smallest", MODEL, K, GridSpec(1.0, 2, 3, 3.0))):
+        s = solve_hjbi(model, rect, smoke_util, grid)
+        fields[name] = s, build_policy(s, model, rect, smoke_util)
+    tail = fields["tail"][1]
+    assert all(any(a.strides) for a in (tail.atom_mu, tail.sigma_a, tail.sigma_b,
+                                        tail.weight_a, tail.branch_code))
+    assert fields["one-value"][1].branch_code.strides == (0, 0)
+    return fields
+
+
+# chunk sizes by (n_y, rows): each row, a chunk that ends one short of a
+# t-level, on it or one past it, a short last chunk, and one chunk for all
+CHUNKS = {"1": lambda n_y, n: 1, "7": lambda n_y, n: 7, "n_y-1": lambda n_y, n: n_y - 1,
+          "n_y": lambda n_y, n: n_y, "n_y+1": lambda n_y, n: n_y + 1,
+          "short-last": lambda n_y, n: n // 2 + 1, "all": lambda n_y, n: n + 5}
+
+
+@pytest.mark.parametrize("chunk", sorted(CHUNKS))
+@pytest.mark.parametrize("field", ["tail", "one-value", "smallest"])
+def test_grid_writers_across_chunk_boundaries(tmp_path, monkeypatch, grid_fields, field,
+                                              chunk):
+    s, pf = grid_fields[field]
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", CHUNKS[chunk](len(s.y), s.u.size))
+    csvio.write_surface(tmp_path / "s.csv", s, HASH, SEED)
+    assert_written(tmp_path / "s.csv", "t,y,u,u_y",
+                   [(t, y, s.u[i, j], s.u_y[i, j])
+                    for i, t in enumerate(s.t) for j, y in enumerate(s.y)])
+    names = [r.value for r in BranchRegion]
+    csvio.write_policy_csv(tmp_path / "p.csv", pf, HASH, SEED)
+    assert_written(tmp_path / "p.csv",
+                   "t,y,mu_star_mean,sigma_star_mean,alpha,branch,pi_frac",
+                   [(t, y, pf.mu_mean[i, j], pf.sigma_mean[i, j], pf.weight_a[i, j],
+                     names[pf.branch_code[i, j]], pf.pi_frac[i, j])
+                    for i, t in enumerate(pf.t) for j, y in enumerate(pf.y)])
+
+
+@pytest.mark.memory
+def test_grid_writers_hold_one_chunk_of_text(tmp_path, smoke_model, smoke_rect,
+                                            smoke_util, smoke_grid):
+    # the flat smoke field: 402,201 rows in 7 chunks.  Assembled as one list
+    # of cells per chunk, the traced peaks are 11.8 and 18.3 MB.  A string
+    # per row (21.8 and 28.3 MB), or t and y expanded to full columns (+6.4
+    # MB), fails.
+    s = solve_hjbi(smoke_model, smoke_rect, smoke_util, smoke_grid)
+    pf = build_policy(s, smoke_model, smoke_rect, smoke_util)
+    for write, data, bound in ((csvio.write_surface, s, 15e6),
+                               (csvio.write_policy_csv, pf, 22e6)):
+        tracemalloc.start()
+        try:
+            write(tmp_path / "x.csv", data, HASH, SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (write.__name__, peak)
 
 
 def test_columns_of_unequal_length_raise(tmp_path):
