@@ -173,9 +173,6 @@ class PowerUtility:
         if not math.isfinite(self.q) or not self.q < 1 or self.q == 0:
             raise ValueError("power utility needs a finite q < 1 and q != 0")
 
-    def __call__(self, x):
-        return np.asarray(x, dtype=float) ** self.q / self.q
-
 
 @dataclass(frozen=True)
 class GridSpec:

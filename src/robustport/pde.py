@@ -35,15 +35,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .model import (GridSpec, MarketModel, PowerUtility, UncertaintyRectangle,
                     validate_assumptions)
 from .worst_case import all_finite, ratio_kernel
 
-# not called: bench/tracing.py wraps pde.min_ratio_values and pde.solve_banded
-# by name, so both must resolve here
-from scipy.linalg import solve_banded  # noqa: F401
+# not called: bench/tracing.py wraps pde.min_ratio_values by name, so it must
+# resolve here
 from .worst_case import min_ratio_values  # noqa: F401
 
 __all__ = [
@@ -208,26 +208,23 @@ def _diffusion_solver(a: float, n: int):
     The matrix is strictly diagonally dominant, so LAPACK never pivots:
     dgttrf factors it once here, and each dgttrs back-substitution then does
     dgtsv's elimination on the right-hand side, giving its result bit for
-    bit.  f2py's dgttrf refuses n = 1 and n = 2, which keep dgtsv and a
-    division (what solve_banded does there)."""
+    bit.  f2py's dgttrf refuses n = 1 and n = 2, which keep solve_banded (a
+    division and dgtsv there)."""
     off = np.full(n - 1, -a)
     diag = np.full(n, 1.0 + 2.0 * a)
-    if n == 1:
-        def solve(x: np.ndarray):
-            x /= diag[0]
-    elif n == 2:
-        def solve(x: np.ndarray):
-            info = dgtsv(off, diag, off, x, overwrite_b=True)[-1]
-            if info:
-                raise SolverError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
-    else:
-        dl, d, du, du2, ipiv, info = dgttrf(off, diag, off)
-        if info:
-            raise SolverError(f"tridiagonal factorization failed (LAPACK dgttrf info {info})")
+    if n < 3:
+        ab = np.array([[0.0, *off], diag, [*off, 0.0]])
 
         def solve(x: np.ndarray):
-            # info is non-zero only for an illegal argument
-            dgttrs(dl, d, du, du2, ipiv, x, overwrite_b=True)
+            x[:] = solve_banded((1, 1), ab, x, check_finite=False)
+        return solve
+    dl, d, du, du2, ipiv, info = dgttrf(off, diag, off)
+    if info:
+        raise SolverError(f"tridiagonal factorization failed (LAPACK dgttrf info {info})")
+
+    def solve(x: np.ndarray):
+        # info is non-zero only for an illegal argument
+        dgttrs(dl, d, du, du2, ipiv, x, overwrite_b=True)
     return solve
 
 

@@ -25,14 +25,16 @@ only mu and sigma^2 enter their ln X rows.  The path engine takes one
 (adversary, scales) entry per adversary and groups the entries into path
 sets, one per factor path, chattering adversaries included.  It makes one
 pass over each batch's normals: every step draws them once, and the
-chattering uniforms once, and each set advances its own Y row and one ln X
-row per scale off those draws, forming each adversary's moments once per
-step (without a gather where nu* is stored as one node).  verify_saddle's
-14 rows form 1 path set where nu* is one corner at every node and all 7
-points load alike, as on configs/smoke.yaml and configs/ramp.yaml, and 3 or
-more, advancing together, where nu* has two-atom nodes.  Each row keeps the
-arithmetic of a run of its pair alone, so its estimate equals that run's bit
-for bit.
+chattering uniforms once, and each set advances its own Y row (driven by
+its first adversary, moved once its last has read it) and one ln X row per
+scale off those draws, forming each adversary's moments once per step
+(without a gather where nu* is stored as one node).  verify_saddle's 14
+rows form 1 path set where nu* is one corner at every node and all 7 points
+load alike, as on configs/smoke.yaml and configs/ramp.yaml, and 3 or more,
+advancing together, where nu* has two-atom nodes.  These are the draws a set
+makes when run alone, and each row keeps the operand pairing of a run of its
+pair alone, so its estimate equals that run's bit for bit.  Where one set
+alone fails, the error is the one it raises run alone.
 
 Reproducibility: paths are processed in fixed batches of 65536.  Batch b draws
 its two normal increments per step from
@@ -180,12 +182,10 @@ def _field_loadings(pf: PolicyField, rho: float, chatter: bool):
     """The one (load_w, load_perp) pair the engine forms at every node of pf's
     measure field, from the moments or, with chatter, from each atom as a
     point; None where the pair varies or the moments break
-    (sigma, nu)^2 <= (sigma^2, nu).  A measure stored as one node
-    (PolicyField.one_node) is that node alone; any other is scanned in
-    blocks of rows of about BATCH_SIZE nodes, so no surface-sized array is
-    formed."""
+    (sigma, nu)^2 <= (sigma^2, nu)."""
     node = pf.one_node
     if node is None:
+        # blocks of rows of about BATCH_SIZE nodes: no surface-sized array
         step = max(1, BATCH_SIZE // pf.y.size)
         blocks = ((pf.sigma_a[i:i + step], pf.sigma_b[i:i + step], pf.weight_a[i:i + step])
                   for i in range(0, pf.t.size, step))
@@ -208,14 +208,11 @@ def _field_loadings(pf: PolicyField, rho: float, chatter: bool):
 
 
 def _path_sets(groups, rho: float) -> list[list[int]]:
-    """Partition the indices of the (adversary, scales) groups into path sets,
-    in order of first appearance.  Adversaries that give the factor one and
-    the same pair of loading floats wherever they act share a set (their Y
-    paths are then bit-identical): a fixed point is keyed by its loadings, a
-    field by _field_loadings' pair or, where it has none, by its identity.
-    Chattering adversaries share a set like any other: every set reads the
-    step's one row of uniforms, the row each reads when run alone.  The keys
-    are formed once per call; one group needs none."""
+    """The indices of the (adversary, scales) groups partitioned into path
+    sets, in order of first appearance.  Groups share a set where their
+    adversaries give the factor one pair of loading floats: a fixed point
+    is keyed by its loadings, a field by _field_loadings' pair or, where it
+    has none, by its identity."""
     if len(groups) == 1:
         return [[0]]
     sets: list[list[int]] = []
@@ -248,15 +245,13 @@ def _move_factor(yv: np.ndarray, m: MarketModel, sig_m, vol, dt: float, dw, dwp)
 
 
 def _advance(policy, groups, lx, yv, m: MarketModel, t: float, dt: float, z, u):
-    """One Euler step of one path set: its ln X rows lx, one per scale of each
-    (adversary, scales) group in order, and its factor row yv, both in place,
-    on the step's scaled normals z = (dw, dw_perp) and uniforms u.  Y is
-    driven by the first group's adversary and moves once the last one has
-    read it.  Each adversary's moments and b(Y) + mu_m are formed once per
-    step, the rest of the step once, and f = scale * frac with 0.5 f^2 once
-    per run of consecutive rows of equal scale.  Every row keeps the operand
-    pairing of a run of its pair alone, so it equals that run bit for bit;
-    the step's arrays die on return."""
+    """One Euler step of one path set, in place: its ln X rows lx, one per
+    scale of each (adversary, scales) group in order, and its factor row yv,
+    which the first group's adversary drives.  z = (dw, dw_perp) are the
+    step's scaled normals, u its uniforms (None without chattering).
+
+    Raises AssertionError where an adversary's moments break
+    (sigma, nu)^2 <= (sigma^2, nu)."""
     dw, dwp = z
     frac = (policy.fraction_at(t, yv) if isinstance(policy, PolicyField)
             else float(policy))
@@ -310,13 +305,8 @@ def _row_blocks(ln_x: np.ndarray, sets) -> list[np.ndarray]:
 
 def _log_wealth(policy, sets, m: MarketModel, cfg: SimConfig, bi: int) -> np.ndarray:
     """ln X_T on the paths of batch bi, one row per scale of each (adversary,
-    scales) group of each path set, set by set and in order (the path
-    engine); sets lists each set's groups.  The sets advance in lockstep on
-    one pass over the batch's normals: a step draws (dw, dw_perp) once, and
-    the chattering uniforms once if some set holds a chattering adversary,
-    and each set steps its own Y row and ln X rows off them (_advance).
-    These are the draws a set makes when run alone, so every row equals a
-    run of its pair alone bit for bit."""
+    scales) group of each path set, set by set and in order; sets lists each
+    set's groups."""
     dt = cfg.horizon / cfg.n_steps
     sq_dt = math.sqrt(dt)
     nb = min(BATCH_SIZE, cfg.n_paths - bi * BATCH_SIZE)
@@ -364,17 +354,6 @@ def _wealth_batches(policy, sets, m: MarketModel, cfg: SimConfig):
         del ln_x  # a batch's wealths must not live on into the next batch
 
 
-def _terminal_wealth_batches(policy, groups, m: MarketModel, cfg: SimConfig):
-    """_wealth_batches, after checking that the groups' adversaries move Y
-    alike (one _path_sets set; the engine drives Y by the first group's
-    adversary) and are distinct objects (one entry per adversary, as
-    _path_sets has them).  Raises ValueError otherwise."""
-    if (len(_path_sets(groups, m.rho)) != 1
-            or len({id(adv) for adv, _ in groups}) != len(groups)):
-        raise ValueError("the groups' adversaries are not distinct on one factor path")
-    return _wealth_batches(policy, [groups], m, cfg)
-
-
 def _resolve_q(policy, q) -> float:
     if q is None:
         if not isinstance(policy, PolicyField):
@@ -419,15 +398,11 @@ class _UtilityMoments:
 
 def _estimates(policy, groups, m: MarketModel, cfg: SimConfig, q) -> tuple[tuple, ...]:
     """E[X_T^q / q] for each scale of each (adversary, scales) group, one
-    tuple per group, on one path set per _path_sets set (the keys are formed
-    here, once), all sets advancing together batch by batch; each estimate
-    equals a run of its (adversary, scale) pair alone bit for bit.
+    tuple of UtilityEstimate per group.
 
-    Errors are raised batch by batch.  Where one set alone goes non-finite or
-    breaks the moment invariant, the error is the one that set raises run
-    alone.  Where two sets fail, the first batch that fails decides: it may
-    name another path, or another error, than running the sets one after the
-    other would."""
+    Raises FloatingPointError on a non-finite wealth and AssertionError on
+    broken moments, batch by batch: where two path sets fail, the first
+    batch that fails decides which error, and which path, is named."""
     q = _resolve_q(policy, q)
     sets = _path_sets(groups, m.rho)
     accs = [[_UtilityMoments(q) for _ in scales] for _, scales in groups]
@@ -452,11 +427,11 @@ def simulate_eu(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
     return _estimates(policy, [(adv, (policy_scale,))], m, cfg, q)[0][0]
 
 
-def terminal_wealths(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
-                     policy_scale: float = 1.0) -> np.ndarray:
+def terminal_wealths(policy, adv: AdversaryPolicy, m: MarketModel,
+                     cfg: SimConfig) -> np.ndarray:
     """All terminal wealths (same paths and seed scheme as simulate_eu)."""
-    return np.concatenate([x_t[0] for x_t in _terminal_wealth_batches(
-        policy, [(adv, (policy_scale,))], m, cfg)])
+    return np.concatenate([x_t[0] for x_t in _wealth_batches(
+        policy, [[(adv, (1.0,))]], m, cfg)])
 
 
 def utility_estimate(x_t: np.ndarray, q: float) -> UtilityEstimate:

@@ -13,10 +13,11 @@ minimum is piecewise in kappa over five regions split at
 with half-open (left-open, right-closed) region boundaries.
 
 Each part of the minimizer is written once.  `_prepared` forms the b-only
-part (the A3 check b + mu- >= 0, m± and the thresholds).  `ratio_kernel` owns
-the value: prepared once for fixed b, it evaluates for many kappas the value
-expressions of only the branches that occur (the PDE's hot path;
-`min_ratio_values` is its one-shot form).
+part (the A3 check b + mu- >= 0, m± and the thresholds, ordered and without
+NaN), and `_walk` assigns each node its region, for the value and the measure
+alike.  `ratio_kernel` owns the value: prepared once for fixed b, it
+evaluates for many kappas the value expressions of only the regions that
+occur (the PDE's hot path; `min_ratio_values` is its one-shot form).
 `branch_fields` owns the measure: per node the region code and the four numbers
 (mu, sigma_a, sigma_b, weight_a) of weight_a d(mu, sigma_a) + (1 - weight_a)
 d(mu, sigma_b).  `WorstCaseMeasure` is one such node, and `measure_moments`
@@ -61,14 +62,16 @@ class BranchRegion(enum.Enum):
 # stable integer codes for vectorized field output
 _REGION_CODE = {r: i for i, r in enumerate(BranchRegion)}
 _CODE_REGION = {i: r for r, i in _REGION_CODE.items()}
+# the codes by name: _CODE_REGION's keys run in BranchRegion's order
+_LOW, _PLUS, _ZERO, _MINUS, _HIGH = _CODE_REGION
 
 
 @dataclass(frozen=True)
 class KappaBranch:
     """Which kappa-region the minimizer falls in, plus the region thresholds.
 
-    For a degenerate rectangle (sigma- == sigma+) the tail thresholds diverge
-    and are reported as -inf/+inf.
+    For a degenerate rectangle (sigma_mid rounds onto sigma- or sigma+) the
+    tail thresholds diverge and are reported as -inf/+inf.
     """
 
     region: BranchRegion
@@ -128,11 +131,13 @@ class RatioMin(NamedTuple):
 
 def _prepared(b_vals, k: UncertaintyRectangle):
     """The b-only part of the minimizer: (b, m-, m+, (t1, t2, t3, t4)) with
-    m± = b + mu±, as float arrays of b_vals' shape.
+    m± = b + mu±, as float arrays of b_vals' shape.  The thresholds are
+    ordered, t1 <= t2 <= t3 <= t4, and hold no NaN, as _walk needs: t1 <= t2
+    holds exactly and is restored where rounding crosses them (sigma- below
+    about an ulp of sigma+), and a rectangle whose sigma_mid rounds onto
+    sigma- or sigma+ is degenerate, with t1 = -inf and t4 = +inf.
 
-    Raises ValueError unless b + mu_minus >= 0 (NaN fails it too): no region
-    mask would select a NaN node.  For a degenerate rectangle (sigma- ==
-    sigma+) t1 and t4 are -inf and +inf.
+    Raises ValueError unless b + mu_minus >= 0 (NaN fails it too).
     """
     b = np.asarray(b_vals, dtype=float)
     m_lo = b + k.mu_minus
@@ -140,13 +145,40 @@ def _prepared(b_vals, k: UncertaintyRectangle):
     if not (m_lo >= 0).all():
         raise ValueError("precondition b + mu_minus >= 0 violated")
     s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
-    if s_lo == s_hi:
+    t2 = -m_hi / s_lo
+    if s_mid in (s_lo, s_hi):
         t1 = np.full_like(m_hi, -np.inf)
         t4 = np.full_like(m_lo, np.inf)
     else:
-        t1 = m_hi * s_mid / (s_lo * (s_mid - s_hi))
+        t1 = np.minimum(m_hi * s_mid / (s_lo * (s_mid - s_hi)), t2)
         t4 = m_lo * s_mid / (s_hi * (s_mid - s_lo))
-    return b, m_lo, m_hi, (t1, -m_hi / s_lo, -m_lo / s_hi, t4)
+    return b, m_lo, m_hi, (t1, t2, -m_lo / s_hi, t4)
+
+
+def _walk(kap, ts) -> list:
+    """The regions besides MINUS_CORNER that hold a node of kap, as (region
+    code, mask) pairs in the order to write them over a MINUS_CORNER
+    default: HIGH_TAIL where kappa > t4, then ZERO where kappa <= t3,
+    PLUS_CORNER where kappa <= t2 and LOW_TAIL where kappa <= t1.  On
+    _prepared's ordered thresholds each of the last three masks lies within
+    the one before, so a node ends in the last region written over it, the
+    first i with kappa <= t_i (left-open, right-closed regions)."""
+    t1, t2, t3, t4 = ts
+    # count_nonzero is the cheapest emptiness test of a mask
+    walk = []
+    mask = kap > t4
+    if np.count_nonzero(mask):
+        walk.append((_HIGH, mask))
+    mask = kap <= t3
+    if np.count_nonzero(mask):
+        walk.append((_ZERO, mask))
+        mask = kap <= t2
+        if np.count_nonzero(mask):
+            walk.append((_PLUS, mask))
+            mask = kap <= t1
+            if np.count_nonzero(mask):
+                walk.append((_LOW, mask))
+    return walk
 
 
 # all_finite's zeros: one ddot call covers at most this many values
@@ -190,60 +222,45 @@ def _fields(prepared, kappas, k: UncertaintyRectangle):
     """branch_fields on the output of _prepared."""
     b, m_lo, m_hi, ts = prepared
     kap = _finite(kappas)
-    b, m_lo, m_hi, t1, t2, t3, t4, kap = np.broadcast_arrays(b, m_lo, m_hi, *ts, kap)
+    b, m_lo, m_hi, kap = np.broadcast_arrays(b, m_lo, m_hi, kap)
     s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
 
-    low = kap <= t1
-    plus = (kap > t1) & (kap <= t2)
-    zero = (kap > t2) & (kap <= t3)
-    minus = (kap > t3) & (kap <= t4)
-    high = kap > t4
-
-    atom_mu = np.empty(kap.shape)
-    sigma_a = np.empty(kap.shape)
-    sigma_b = np.empty(kap.shape)
+    # the minus corner everywhere, then each region _walk finds over it
+    code = np.full(kap.shape, _MINUS, dtype=np.int8)
+    atom_mu = np.full(kap.shape, k.mu_minus)
+    sigma_a = np.full(kap.shape, s_hi)
+    sigma_b = np.full(kap.shape, s_hi)
     weight_a = np.ones(kap.shape)
-    code = np.empty(kap.shape, dtype=np.int8)
 
-    prod = s_lo * s_hi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # tail branches: Bernoulli volatility with target mean m/kappa + s-s+/sM
-        for mask, m_a, region in ((low, m_hi, BranchRegion.LOW_TAIL),
-                                  (high, m_lo, BranchRegion.HIGH_TAIL)):
-            if not np.any(mask):
-                continue
+    # a kappa near 0 can overflow m/kappa; the clips then take the edge of K
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for region, mask in _walk(kap, ts):
+            code[mask] = region
             km = kap[mask]
-            ma = m_a[mask]
-            # km == 0 only reaches a tail when ma == 0 (then any mean yields 0)
-            drift_term = np.where(km != 0.0, ma / np.where(km != 0.0, km, 1.0), 0.0)
-            sbar = np.clip(drift_term + prod / s_mid, s_lo, s_hi)
-            alpha = (s_hi - sbar) / (s_hi - s_lo) if s_hi > s_lo else np.ones_like(sbar)
-            atom_mu[mask] = k.mu_plus if region is BranchRegion.LOW_TAIL else k.mu_minus
-            sigma_a[mask] = s_lo
-            sigma_b[mask] = s_hi
-            weight_a[mask] = alpha
-            code[mask] = _REGION_CODE[region]
-
-        for mask, mu, sig, region in (
-                (plus, k.mu_plus, s_lo, BranchRegion.PLUS_CORNER),
-                (minus, k.mu_minus, s_hi, BranchRegion.MINUS_CORNER)):
-            atom_mu[mask] = mu
-            sigma_a[mask] = sig
-            sigma_b[mask] = sig
-            code[mask] = _REGION_CODE[region]
-
-        if np.any(zero):
-            # any atom on the line m + kappa*sigma = 0 kills the ratio; take the
-            # midpoint of the feasible sigma interval for determinism
-            km = kap[zero]
-            neg = -km
-            lo_feas = np.where(neg > 0, np.maximum(s_lo, m_lo[zero] / neg), s_lo)
-            hi_feas = np.where(neg > 0, np.minimum(s_hi, m_hi[zero] / neg), s_hi)
-            sig_hat = 0.5 * (lo_feas + hi_feas)
-            atom_mu[zero] = -km * sig_hat - b[zero]
-            sigma_a[zero] = sig_hat
-            sigma_b[zero] = sig_hat
-            code[zero] = _REGION_CODE[BranchRegion.ZERO]
+            if region == _PLUS:
+                atom_mu[mask] = k.mu_plus
+                sigma_a[mask] = sigma_b[mask] = s_lo
+            elif region == _ZERO:
+                # any atom on the line m + kappa*sigma = 0 kills the ratio;
+                # take the midpoint of the feasible sigma interval
+                neg = -km
+                lo_feas = np.where(neg > 0, np.maximum(s_lo, m_lo[mask] / neg), s_lo)
+                hi_feas = np.where(neg > 0, np.minimum(s_hi, m_hi[mask] / neg), s_hi)
+                sig_hat = 0.5 * (lo_feas + hi_feas)
+                atom_mu[mask] = -km * sig_hat - b[mask]
+                sigma_a[mask] = sigma_b[mask] = sig_hat
+            else:
+                # a tail: Bernoulli volatility with target mean m/kappa +
+                # s-s+/sM; km == 0 only reaches a tail when m == 0 (then any
+                # mean yields 0).  Tails are empty on a degenerate rectangle.
+                low = region == _LOW
+                ma = (m_hi if low else m_lo)[mask]
+                drift_term = np.where(km != 0.0, ma / np.where(km != 0.0, km, 1.0), 0.0)
+                sbar = np.clip(drift_term + s_lo * s_hi / s_mid, s_lo, s_hi)
+                atom_mu[mask] = k.mu_plus if low else k.mu_minus
+                sigma_a[mask] = s_lo
+                sigma_b[mask] = s_hi
+                weight_a[mask] = (s_hi - sbar) / (s_hi - s_lo)
 
     return {"code": code, "atom_mu": atom_mu, "sigma_a": sigma_a,
             "sigma_b": sigma_b, "weight_a": weight_a}
@@ -254,9 +271,9 @@ def ratio_kernel(b_vals, k: UncertaintyRectangle):
 
     The b-only terms are formed here once (after _prepared's A3 check);
     values(kappas) does only the kappa-dependent arithmetic: the minus-corner
-    value over every node, then the value expression of only the branches
-    that occur, each written where the half-open regions select it.  b_vals
-    and kappas broadcast (the residual passes 1-D b against 2-D kappa).
+    value over every node, then the value expression of each region _walk
+    finds, written where its mask selects.  b_vals and kappas broadcast (the
+    residual passes 1-D b against 2-D kappa).
 
     Raises ValueError if b + mu_minus >= 0 fails (NaN included); values
     raises ValueError on a non-finite kappa.
@@ -267,37 +284,26 @@ def ratio_kernel(b_vals, k: UncertaintyRectangle):
 def _kernel(prepared, k: UncertaintyRectangle):
     """ratio_kernel on the output of _prepared."""
     _, m_lo, m_hi, ts = prepared
-    # each threshold raised to the running maximum of those before it: a
-    # node's region is the first with kappa <= t_i, and kappa <= max(t1..t_i)
-    # holds exactly when kappa <= t_j for some j <= i, so the masks nest
-    # (low within plus within zero) and select the same region as t1..t4
-    t1, t2, t3, t4 = np.maximum.accumulate(np.stack(ts), axis=0)
     s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
     prod = s_lo * s_hi
     lin_hi = 2.0 * m_hi * s_mid
     lin_lo = 2.0 * m_lo * s_mid
     s_mid_sq, s_lo_sq, s_hi_sq = s_mid**2, s_lo**2, s_hi**2
+    # np.square is what `array ** 2` runs; a numpy scalar's `** 2` calls
+    # pow(), which can differ in the last bit
+    branch_values = {
+        _HIGH: lambda kap: kap * (lin_lo + kap * prod) / s_mid_sq,
+        _ZERO: lambda kap: 0.0,
+        _PLUS: lambda kap: np.square(m_hi + kap * s_lo) / s_lo_sq,
+        _LOW: lambda kap: kap * (lin_hi + kap * prod) / s_mid_sq,
+    }
 
     def values(kappas) -> np.ndarray:
         kap = _finite(kappas)
-        # the minus corner everywhere, then each other branch only where a
-        # node falls in it.  np.square is what `array ** 2` runs; a numpy
-        # scalar's `** 2` calls pow(), which can differ in the last bit.
-        # asarray turns a 0-d result (a numpy scalar) into an array to fill;
-        # count_nonzero is the cheapest emptiness test of a mask.
+        # asarray turns a 0-d result (a numpy scalar) into an array to fill
         out = np.asarray(np.square(m_lo + kap * s_hi) / s_hi_sq)
-        mask = kap > t4
-        if np.count_nonzero(mask):
-            np.copyto(out, kap * (lin_lo + kap * prod) / s_mid_sq, where=mask)
-        mask = kap <= t3
-        if np.count_nonzero(mask):
-            np.copyto(out, 0.0, where=mask)
-            mask = kap <= t2
-            if np.count_nonzero(mask):
-                np.copyto(out, np.square(m_hi + kap * s_lo) / s_lo_sq, where=mask)
-                mask = kap <= t1
-                if np.count_nonzero(mask):
-                    np.copyto(out, kap * (lin_hi + kap * prod) / s_mid_sq, where=mask)
+        for region, mask in _walk(kap, ts):
+            np.copyto(out, branch_values[region](kap), where=mask)
         return out
 
     return values

@@ -12,6 +12,7 @@ from robustport import GridSpec, build_policy, solve_hjbi
 from robustport.cli import _print_occupancy, main
 from robustport.config import (ConfigError, canonical_dict, dump_config,
                                load_config, parse_config, solve_config_hash)
+from robustport.simulate import BATCH_SIZE
 from robustport.worst_case import BranchRegion
 
 SMALL_CONFIG = {
@@ -417,6 +418,28 @@ class TestPipeline:
 
 
 class TestDeterminism:
+    def test_simulate_histogram_keeps_the_estimate(self, tmp_path, capsys):
+        # --histogram estimates from the wealths it bins, the plain run from
+        # simulate_eu: the same paths give the same report and EU line, here
+        # over three batches, on a policy that varies in y
+        path = write_config(tmp_path, {
+            "model.b": {"kind": "smooth-ramp", "left": 0.0, "right": 0.2,
+                        "tail_radius": 2.0},
+            "grid.y_radius": 4.0, "sim.n_steps": 5})
+        out = tmp_path / "sim"
+        n_paths = 2 * BATCH_SIZE + 1000
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        runs = []
+        for extra in ([], ["--histogram"]):
+            capsys.readouterr()
+            assert main(["simulate", "--config", path, "--out", str(out),
+                         "--paths", str(n_paths), *extra]) == 0
+            eu = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("EU(pi*, nu*) = ")]
+            runs.append((eu, (out / "sim_report.csv").read_bytes()))
+        assert len(runs[0][0]) == 1 and f"({n_paths} paths" in runs[0][0][0]
+        assert runs[0] == runs[1]
+
     def test_identical_runs_identical_bytes(self, tmp_path, capsys):
         path = write_config(tmp_path)
         outs = []

@@ -115,14 +115,6 @@ class TestUncertaintyRectangle:
 
 
 class TestPowerUtility:
-    def test_increasing_and_concave(self):
-        for q in (0.5, -1.0, 0.9, -3.0):
-            u = PowerUtility(q)
-            xs = np.linspace(0.2, 5.0, 50)
-            vals = u(xs)
-            assert np.all(np.diff(vals) > 0)
-            assert np.all(np.diff(vals, 2) < 0)
-
     def test_q_validation(self):
         for q in (0.0, 1.0, 1.5, np.nan, -np.inf):
             with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
                         solve_hjbi, terminal_wealths, value_function, verify_saddle)
 from robustport import simulate
 from robustport.simulate import (BATCH_SIZE, _estimates, _path_sets, _saddle_adversaries,
-                                 _terminal_wealth_batches)
+                                 _wealth_batches)
 
 from oracles import lognormal_eu
 
@@ -346,25 +346,14 @@ class TestSharedPaths:
             ("policy-scale", "0.5*pi*", scaled.mean, scaled.std_error)]
 
     def test_rows_must_share_the_factor_path(self, tail_pipeline):
-        # the engine drives Y by the first group's adversary: a group that
-        # would move Y otherwise is refused, not simulated on the wrong factor
-        # path, and so is an adversary listed twice (the engine takes one
-        # entry per adversary)
+        # the groups of one path set share the factor path: the engine gives
+        # one row per scale of each group, in order
         m, _, pf = tail_pipeline
         cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
         adversaries = _saddle_adversaries(pf, TAIL_K, 20240)
-        (a, b, *_), (c,), *_ = _path_sets([(adv, (1.0,)) for adv in adversaries], m.rho)
-        field = AdversaryPolicy.field(pf)
-        chat = AdversaryPolicy.chattering(pf)
-        for groups in ([(adversaries[a], (1.0,)), (adversaries[c], (1.0,))],
-                       [(field, (1.0,)), (adversaries[a], (1.0,))],
-                       [(field, (1.0,)), (AdversaryPolicy.field(pf), (1.0,))],
-                       [(adversaries[a], (1.0,)), (adversaries[a], (2.0,))],
-                       [(chat, (1.0,)), (chat, (0.5,))]):
-            with pytest.raises(ValueError, match="one factor path"):
-                next(_terminal_wealth_batches(pf, groups, m, cfg))
-        x_t = next(_terminal_wealth_batches(
-            pf, [(adversaries[a], (1.0, 2.0)), (adversaries[b], (0.5,))], m, cfg))
+        (a, b, *_), *_ = _path_sets([(adv, (1.0,)) for adv in adversaries], m.rho)
+        x_t = next(_wealth_batches(
+            pf, [[(adversaries[a], (1.0, 2.0)), (adversaries[b], (0.5,))]], m, cfg))
         assert x_t.shape == (3, 10)
 
     def test_tail_report_is_pinned(self, tail_pipeline):

@@ -412,16 +412,25 @@ class TestAgainstNestedSelection:
         self.assert_nested(bs, with_neighbours(np.array(worst_case._prepared(bs, k)[3])), k)
 
     def test_thresholds_out_of_order_by_rounding(self):
-        # sigma- is below half an ulp of sigma+, so sigma_M rounds and t1 lands
-        # above t2; a node is still in the first region with kappa <= t_i.
-        # One kappa per call, so no other node opens the inner regions.
+        # sigma- is below half an ulp of sigma+, so sigma_M rounds and t1's
+        # formula lands one ulp above t2; _prepared clamps t1 to t2.  The
+        # nested selection on the raw thresholds puts kappa = raw t1 in the
+        # low tail (-0.0); it lies in ZERO, for the value and the measure
+        # alike.  Every other neighbour keeps the nested value.
         k = UncertaintyRectangle(0.0, 0.020486761968097345, 1.5721481466038875e-17,
                                  1.3102272059107631)
         b = 0.008263817764264547
+        raw_t1 = (b + k.mu_plus) * k.sigma_mid / (
+            k.sigma_minus * (k.sigma_mid - k.sigma_plus))
         ts = np.array(worst_case._prepared(b, k)[3])
-        assert ts[0] > ts[1]
-        for kap in with_neighbours(ts):
-            self.assert_nested(b, kap, k)
+        assert raw_t1 > ts[1] and ts[0] == ts[1]
+        for kap in with_neighbours(np.array([raw_t1, *ts[1:]])):
+            if kap == raw_t1:
+                r = minimize_ratio(b, kap, k)
+                assert r.branch.region is BranchRegion.ZERO
+                assert same_bits(r.value, 0.0)
+            else:
+                self.assert_nested(b, kap, k)
 
     @pytest.mark.parametrize("k", RECTS, ids=["K", "point-sigma", "point-mu", "point"])
     def test_thresholds_tie_at_signed_zero(self, k):
@@ -543,6 +552,51 @@ class TestDegenerateRectangles:
             closed = minimize_ratio(0.0, kappa, k)
             brute = brute_force_min(0.0, kappa, k, resolution=500)
             assert abs(closed.value - brute.value) <= 5e-3 * (1 + closed.value)
+
+
+class TestDegenerateUpToRounding:
+    """Rectangles that rounding makes degenerate: the value and the measure
+    put every node in one region."""
+
+    def test_rounded_thresholds_agree_on_the_zero_region(self):
+        # t1's formula lands above t2; just above t2 the node is in ZERO,
+        # not in the low tail, whose formula reads -25.67 there
+        k = UncertaintyRectangle(0.0, 0.3, 1e-17, 0.4)
+        b = 0.07
+        kap = np.nextafter(worst_case._prepared(b, k)[3][1], np.inf)
+        r = minimize_ratio(b, kap, k)
+        assert r.branch.region is BranchRegion.ZERO
+        assert same_bits(r.value, 0.0)
+        assert branch_fields(b, kap, k)["code"] == worst_case._REGION_CODE[BranchRegion.ZERO]
+        assert same_bits(ratio_kernel(b, k)(kap), 0.0)
+
+    def test_sigma_mid_rounding_onto_sigma_minus_is_degenerate(self):
+        # sigma_mid rounds onto sigma-: t4 would be 0/0; the tails are empty
+        # and every node with kappa > t3 = -0.0 is the minus corner
+        k = UncertaintyRectangle(0.1, 0.3, 0.2, np.nextafter(0.2, 1))
+        assert k.sigma_mid == k.sigma_minus
+        kap = np.array([1.0, 5e-324, 0.5, 3.0, 1e6])
+        r = minimize_ratio(-0.1, 1.0, k)
+        assert r.branch.region is BranchRegion.MINUS_CORNER
+        assert (r.branch.t1, r.branch.t4) == (-np.inf, np.inf)
+        assert r.measure.atoms == (((0.1, k.sigma_plus), 1.0),)
+        f = branch_fields(-0.1, kap, k)
+        assert np.all(f["code"] == worst_case._REGION_CODE[BranchRegion.MINUS_CORNER])
+        assert np.all(f["atom_mu"] == 0.1) and np.all(f["weight_a"] == 1.0)
+        assert np.all(f["sigma_a"] == k.sigma_plus) and np.all(f["sigma_b"] == k.sigma_plus)
+        assert_consistent(-0.1, kap, k)
+
+    @pytest.mark.parametrize("k", [
+        UncertaintyRectangle(0.0, 0.3, 1e-17, 0.4),
+        UncertaintyRectangle(0.1, 0.3, 0.2, np.nextafter(0.2, 1)),
+        UncertaintyRectangle(0.1, 0.3, np.nextafter(0.2, 0), 0.2)],
+        ids=["tiny-sigma-minus", "mid-onto-minus", "mid-onto-plus"])
+    def test_every_threshold_and_one_ulp_off(self, k):
+        rng = np.random.default_rng(50)
+        for b in [*rng.uniform(-k.mu_minus, 0.5, 20), -k.mu_minus]:
+            ts = np.array(worst_case._prepared(b, k)[3])
+            assert not np.isnan(ts).any() and np.all(ts[:-1] <= ts[1:])
+            assert_consistent(b, with_neighbours(ts), k)
 
 
 class TestPsi:
