@@ -45,7 +45,10 @@ _UNREADABLE = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile)
 def _out_dir(args, cfg: RunConfig) -> Path:
     out = args.out or cfg.output_dir or os.environ.get("ROBUSTPORT_OUT") or "out"
     p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
     return p
 
 

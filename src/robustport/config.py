@@ -1,7 +1,7 @@
 """Run configuration: a strict key-value (YAML) schema wiring the model,
 uncertainty rectangle, utility, grid, and simulation settings.
 
-Schema (all keys validated, unknown keys rejected)::
+Schema (all keys validated, unknown and repeated keys rejected)::
 
     model:
       b:    {kind: smooth-ramp, left: 0.0, right: 0.2, tail_radius: 2.0}
@@ -170,10 +170,28 @@ def parse_config(data) -> RunConfig:
     return RunConfig(model, rect, utility, grid, sim, out)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader refusing a mapping that repeats a key, which
+    yaml.safe_load would silently resolve to the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        key_nodes = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        seen = set()
+        for key_node in key_nodes:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                mark = key_node.start_mark
+                raise ConfigError(f"{mark.name}: duplicate key {key!r} "
+                                  f"(line {mark.line + 1})")
+            seen.add(key)
+        return mapping
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:

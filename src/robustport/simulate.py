@@ -16,25 +16,27 @@ atom of nu*(t, Y) per step.
 The fraction f never enters dY, and an adversary enters it only through the
 loadings rho sig_m / sqrt(sig2_m) and sqrt(1 - that^2).  So every policy
 scaling under one adversary shares the factor paths, and so do adversaries
-whose two loadings are the same floats wherever they act: fixed points (rho
-sigma / sigma rounds to rho for every sigma of [0.2, 0.4] at rho = 0.5, for
-about 78% of them at 0.9), and a field whose moments, or with chattering
-whose atoms, load the factor alike at every node, as a field that sits at
-one corner of K does.  Their Y, b(Y), r(Y) and f(t, Y) are bit-identical, and
-only mu and sigma^2 enter their ln X rows.  The path engine takes one
-(adversary, scales) entry per adversary and groups the entries into path
-sets, one per factor path, chattering adversaries included.  It makes one
-pass over each batch's normals: every step draws them once, and the
-chattering uniforms once, and each set advances its own Y row (driven by
-its first adversary, moved once its last has read it) and one ln X row per
-scale off those draws, forming each adversary's moments once per step
-(without a gather where nu* is stored as one node).  verify_saddle's 14
-rows form 1 path set where nu* is one corner at every node and all 7 points
-load alike, as on configs/smoke.yaml and configs/ramp.yaml, and 3 or more,
-advancing together, where nu* has two-atom nodes.  These are the draws a set
-makes when run alone, and each row keeps the operand pairing of a run of its
-pair alone, so its estimate equals that run's bit for bit.  Where one set
-alone fails, the error is the one it raises run alone.
+that give the factor the same two loading floats.  The keying rule: an
+adversary whose measure is one node (AdversaryPolicy.one_node: a fixed
+point, or a field stored as one node, as one at a corner of K) is keyed by
+the loadings of its moments or, with chattering, of each atom as a point;
+every other adversary has a path set of its own.  Fixed points share where
+rho sigma / sigma rounds alike (to rho for every sigma of [0.2, 0.4] at
+rho = 0.5, for about 78% of them at 0.9).  The Y, b(Y), r(Y) and f(t, Y) of
+a set are bit-identical, and only mu and sigma^2 enter its ln X rows.  The
+path engine takes one (adversary, scales) entry per adversary and groups
+the entries into path sets, one per factor path, chattering adversaries
+included.  It makes one pass over each batch's normals: every step draws
+them once, and the chattering uniforms once, and each set advances its own
+Y row (driven by its first adversary, moved once its last has read it) and
+one ln X row per scale off those draws, forming each adversary's moments
+once per step.  verify_saddle's 14 rows form 1 path set where nu* is one
+corner at every node and all 7 points load alike, as on configs/smoke.yaml
+and configs/ramp.yaml, and 3 or more, advancing together, where nu* has
+two-atom nodes.  These are the draws a set makes when run alone, and each
+row keeps the operand pairing of a run of its pair alone, so its estimate
+equals that run's bit for bit.  Where one set alone fails, the error is the
+one it raises run alone.
 
 Reproducibility: paths are processed in fixed batches of 65536.  Batch b draws
 its two normal increments per step from
@@ -140,17 +142,25 @@ class AdversaryPolicy:
             raise ValueError(f"point ({mu:g}, {sigma:g}) lies outside the rectangle")
         return cls(label or f"point({mu:g},{sigma:g})", point=(float(mu), float(sigma)))
 
-    def moments(self, t: float, y: np.ndarray, u: np.ndarray | None):
-        """(mu, sigma, sigma^2) seen by the paths at (t, y); scalars for a
-        fixed point and for a field whose measure is one node everywhere
-        (sigma stays a row under chattering).  Only chattering reads u, one
-        uniform per path: a path takes atom a where its uniform falls below
-        weight_a."""
+    @property
+    def one_node(self):
+        """(mu, sigma_a, sigma_b, weight_a) where the measure is the same at
+        every node: (mu, sigma, sigma, 1.0) for a fixed point, the field's
+        one node where it stores one (PolicyField.one_node).  Else None."""
         if self.pf is None:
-            return _point_moments(*self.point)
+            mu, sig = self.point
+            return mu, sig, sig, 1.0
+        return self.pf.one_node
+
+    def moments(self, t: float, y: np.ndarray, u: np.ndarray | None):
+        """(mu, sigma, sigma^2) seen by the paths at (t, y); scalars where the
+        measure is one node (sigma stays a row under chattering).  Only
+        chattering reads u, one uniform per path: a path takes atom a where
+        its uniform falls below weight_a."""
+        node = self.one_node
         if not self.chatter:
-            return self.pf.moments_at(t, y)
-        mu, sig_a, sig_b, w_a = self.pf.atoms_at(t, y)
+            return self.pf.moments_at(t, y) if node is None else measure_moments(*node)
+        mu, sig_a, sig_b, w_a = node or self.pf.atoms_at(t, y)
         sig = np.where(u < w_a, sig_a, sig_b)
         del sig_a, sig_b, w_a  # before the moments' temporaries: a lower peak
         return _point_moments(mu, sig)
@@ -178,56 +188,36 @@ def _loadings(rho: float, sig_m, vol):
     return load_w, np.sqrt(np.maximum(1.0 - load_w * load_w, 0.0))
 
 
-def _field_loadings(pf: PolicyField, rho: float, chatter: bool):
-    """The one (load_w, load_perp) pair the engine forms at every node of pf's
-    measure field, from the moments or, with chatter, from each atom as a
-    point; None where the pair varies or the moments break
-    (sigma, nu)^2 <= (sigma^2, nu)."""
-    node = pf.one_node
+def _loading_key(adv: AdversaryPolicy, rho: float):
+    """The one (load_w, load_perp) pair the engine forms wherever adv acts,
+    from the moments of its one node or, with chatter, from each atom as a
+    point; None without one node, where the atoms' pairs differ, a loading
+    is not finite or the moments break (sigma, nu)^2 <= (sigma^2, nu)."""
+    node = adv.one_node
     if node is None:
-        # blocks of rows of about BATCH_SIZE nodes: no surface-sized array
-        step = max(1, BATCH_SIZE // pf.y.size)
-        blocks = ((pf.sigma_a[i:i + step], pf.sigma_b[i:i + step], pf.weight_a[i:i + step])
-                  for i in range(0, pf.t.size, step))
-    else:
-        blocks = [node[1:]]
-    pair = None
-    for sig_a, sig_b, w_a in blocks:
-        measures = ([_point_moments(None, sig_a), _point_moments(None, sig_b)] if chatter
-                    else [measure_moments(None, sig_a, sig_b, w_a)])
-        for _, sig, sig2 in measures:
-            if not np.all(sig * sig <= sig2):
-                return None
-            with np.errstate(divide="ignore", invalid="ignore"):  # a NaN fails ==
-                load_w, load_perp = _loadings(rho, sig, np.sqrt(sig2))
-            if pair is None:
-                pair = np.ravel(load_w)[0], np.ravel(load_perp)[0]
-            if not (np.all(load_w == pair[0]) and np.all(load_perp == pair[1])):
-                return None
-    return pair
+        return None
+    mu, sig_a, sig_b, _ = node
+    measures = ([_point_moments(mu, sig_a), _point_moments(mu, sig_b)] if adv.chatter
+                else [measure_moments(*node)])
+    pairs = set()
+    for _, sig, sig2 in measures:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            load_w, load_perp = _loadings(rho, sig, np.sqrt(sig2))
+        if not (sig * sig <= sig2 and np.isfinite(load_w)):
+            return None
+        pairs.add((load_w, load_perp))
+    return pairs.pop() if len(pairs) == 1 else None
 
 
 def _path_sets(groups, rho: float) -> list[list[int]]:
     """The indices of the (adversary, scales) groups partitioned into path
     sets, in order of first appearance.  Groups share a set where their
-    adversaries give the factor one pair of loading floats: a fixed point
-    is keyed by its loadings, a field by _field_loadings' pair or, where it
-    has none, by its identity."""
-    if len(groups) == 1:
-        return [[0]]
-    sets: list[list[int]] = []
+    adversaries give the factor one pair of loading floats (_loading_key);
+    an adversary without a key has a set of its own."""
     by_key: dict = {}
     for i, (adv, _) in enumerate(groups):
-        if adv.pf is None:
-            _, sig, sig2 = _point_moments(*adv.point)
-            key = _loadings(rho, sig, np.sqrt(sig2))
-        else:
-            key = _field_loadings(adv.pf, rho, adv.chatter) or id(adv)
-        members = by_key.setdefault(key, [])
-        if not members:
-            sets.append(members)
-        members.append(i)
-    return sets
+        by_key.setdefault(_loading_key(adv, rho) or id(adv), []).append(i)
+    return list(by_key.values())
 
 
 def _coefficient(fn, y):
@@ -343,7 +333,14 @@ def _wealth_batches(policy, sets, m: MarketModel, cfg: SimConfig):
     """Yield, batch by batch, the terminal wealths of every (adversary,
     scales) group of each path set, one row per scale, in _log_wealth's
     order; sets lists each set's groups.  A non-finite wealth raises
-    FloatingPointError (_check_finite) before its batch is yielded."""
+    FloatingPointError (_check_finite) before its batch is yielded.
+
+    Raises ValueError where the policy or an adversary is a PolicyField
+    whose grid ends at another time than cfg.horizon."""
+    for pf in (policy, *(adv.pf for groups in sets for adv, _ in groups)):
+        if isinstance(pf, PolicyField) and pf.t[-1] != cfg.horizon:
+            raise ValueError(f"policy field horizon {float(pf.t[-1])} differs from "
+                             f"the simulation horizon {cfg.horizon}")
     n_batches = (cfg.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
     for bi in range(n_batches):
         ln_x = _log_wealth(policy, sets, m, cfg, bi)

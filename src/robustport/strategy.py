@@ -10,10 +10,11 @@ surface keeps one number per node only where its values differ: a surface
 whose bits are equal at every node (on a market where nu* is one corner of
 K everywhere, all four atoms and the branch code) is a read-only broadcast
 of its one value, zero strides over the grid's shape.  Where all four atoms
-are one value, the moments are formed once from those values and lookups
-return them without touching the grid.  pi_frac is interpolated bilinearly
-in (t, y); measures are looked up at the nearest node (they are not
-interpolable without leaving the two-atom family).
+are one value, the moment surfaces are formed once from those values, and
+one_node hands that measure to the path engine, which then never looks the
+grid up.  pi_frac is interpolated bilinearly in (t, y); measures are looked
+up at the nearest node (they are not interpolable without leaving the
+two-atom family).
 """
 
 from __future__ import annotations
@@ -105,19 +106,12 @@ class PolicyField:
 
     def moments_at(self, t: float, y):
         """Nearest-node measure moments (mu, sigma, sigma^2), formed on the
-        row; scalars where the measure is one node everywhere."""
-        node = self.one_node
-        if node is not None:
-            return measure_moments(*node)
+        row."""
         it, jy = self.node_index(t, y)
         return tuple(m[jy] for m in measure_moments(*(a[it] for a in self._atoms)))
 
     def atoms_at(self, t: float, y):
-        """Nearest-node atom data (atom_mu, sigma_a, sigma_b, weight_a);
-        scalars where the measure is one node everywhere."""
-        node = self.one_node
-        if node is not None:
-            return node
+        """Nearest-node atom data (atom_mu, sigma_a, sigma_b, weight_a)."""
         it, jy = self.node_index(t, y)
         return tuple(a[it, jy] for a in self._atoms)
 

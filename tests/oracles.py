@@ -13,6 +13,9 @@ part reduces to the five-branch ratio minimizer with kappa = rho*q12/p1.
 saddle_point takes that part from robustport's minimize_ratio, so it is not
 independent of the minimizer: it checks how strategy assembles the saddle in
 the separated variables, and the grid searches check the minimizer itself.
+
+constant_field is a stand-in, not an oracle: a policy field with one measure
+at every node, stored as build_policy stores it.
 """
 
 import math
@@ -24,6 +27,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from robustport.model import MarketModel, UncertaintyRectangle
+from robustport.strategy import PolicyField, _one_valued
 from robustport.worst_case import WorstCaseMeasure, minimize_ratio
 
 
@@ -227,6 +231,23 @@ def reference_csv(config_hash, seed, version, header, rows):
     lines = [f"# config_hash={config_hash} seed={seed} version={version}", header]
     lines += [",".join(cell(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def constant_field(frac, mu, sigma_a, sigma_b, weight_a):
+    """A PolicyField on a 2 x 3 grid over [0, 1] x [-3, 3] holding the fraction
+    frac and the measure weight_a * d(mu, sigma_a) + (1 - weight_a) *
+    d(mu, sigma_b) at every node.  The atom surfaces and the codes go through
+    _one_valued, as build_policy stores them: the field is one node."""
+    shape = (2, 3)
+
+    def one(v, dtype=float):
+        return _one_valued(np.full(shape, v, dtype=dtype))
+
+    return PolicyField(
+        t=np.array([0.0, 1.0]), y=np.array([-3.0, 0.0, 3.0]),
+        pi_frac=np.full(shape, frac), atom_mu=one(mu),
+        sigma_a=one(sigma_a), sigma_b=one(sigma_b), weight_a=one(weight_a),
+        branch_code=one(0, np.int8), q=0.5)
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,21 @@ class TestConfigParsing:
         cfg = load_config(str(Path(__file__).parent.parent / "configs" / f"{name}.yaml"))
         assert solve_config_hash(cfg) == digest
 
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        # yaml.safe_load would keep the last value, rho 0.9, silently
+        text = Path(write_config(tmp_path)).read_text()
+        assert text.count("  rho: 0.5\n") == 1
+        p = tmp_path / "twice.yaml"
+        p.write_text(text.replace("  rho: 0.5\n", "  rho: 0.5\n  rho: 0.9\n"))
+        with pytest.raises(ConfigError, match="duplicate key 'rho'"):
+            load_config(str(p))
+        assert main(["validate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {p}: duplicate key 'rho'")
+        # a key that overrides one of a YAML merge (<<) is not a repeat
+        assert text.count("rectangle:\n") == 1
+        p.write_text(text.replace("rectangle:\n", "rectangle:\n  <<: {mu_minus: 0.0}\n"))
+        assert load_config(str(p)).rectangle.mu_minus == 0.1
+
     def test_integer_valued_floats_load_as_floats(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"grid.horizon": 2, "grid.n_t": 401,
                                                   "model.rho": 1, "sim.x0": 3}))
@@ -178,6 +193,19 @@ class TestExitCodes:
 
     def test_unknown_key_is_config_error(self, tmp_path):
         assert main(["validate", "--config", write_config(tmp_path, {"grid.bogus": 1})]) == 2
+
+    @pytest.mark.parametrize("command", ["solve", "strategy"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_dir_that_cannot_be_made_is_config_error(self, tmp_path, capsys,
+                                                          command, below):
+        # --out names a file, or a path below one
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        assert main([command, "--config", write_config(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot make output directory {out}: ")
+        assert "Traceback" not in err
 
     def test_missing_surface_is_exit_3(self, tmp_path):
         path = write_config(tmp_path)

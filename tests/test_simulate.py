@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
-                        PolicyField, PowerUtility, SimConfig, UncertaintyRectangle,
+                        PowerUtility, SimConfig, UncertaintyRectangle,
                         UtilityEstimate, build_policy, simulate_eu,
                         solve_hjbi, terminal_wealths, value_function, verify_saddle)
-from robustport import simulate
-from robustport.simulate import (BATCH_SIZE, _estimates, _path_sets, _saddle_adversaries,
-                                 _wealth_batches)
+from robustport.simulate import (BATCH_SIZE, _estimates, _loading_key, _path_sets,
+                                 _saddle_adversaries, _wealth_batches)
 
-from oracles import lognormal_eu
+from oracles import constant_field, lognormal_eu
 
 K = UncertaintyRectangle(0.1, 0.3, 0.2, 0.4)
 
@@ -48,21 +47,6 @@ def draws(monkeypatch):
 def const_model(b=0.0, beta=0.0, r=0.0, rho=0.5):
     return MarketModel(CoefficientFn.constant(b), CoefficientFn.constant(beta),
                        CoefficientFn.constant(r), rho)
-
-
-def constant_field(frac, mu, sigma_a, sigma_b, weight_a):
-    """A PolicyField stand-in holding the fraction frac and the measure
-    weight_a * d(mu, sigma_a) + (1 - weight_a) * d(mu, sigma_b) at every node."""
-    shape = (2, 3)
-
-    def full(v):
-        return np.full(shape, v)
-
-    return PolicyField(
-        t=np.array([0.0, 1.0]), y=np.array([-3.0, 0.0, 3.0]),
-        pi_frac=full(frac), atom_mu=full(mu),
-        sigma_a=full(sigma_a), sigma_b=full(sigma_b), weight_a=full(weight_a),
-        branch_code=np.zeros(shape, dtype=np.int8), q=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +163,23 @@ class TestSimulateEU:
             simulate_eu(float("nan"), AdversaryPolicy.constant_point(0.1, 0.3),
                         const_model(), cfg, q=0.5)
 
+    def test_field_on_another_horizon_refused(self, smoke_pipeline, smoke_model, smoke_util):
+        # the grid ends at t = 1: run to t = 2, the paths would read its last
+        # time row for a second unit of time and blame the saddle
+        s, pf = smoke_pipeline
+        cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=2.0)
+        point = AdversaryPolicy.constant_point(0.2, 0.3)
+        refused = pytest.raises(ValueError, match=r"policy field horizon 1\.0 differs "
+                                r"from the simulation horizon 2\.0")
+        for policy, adv in ((pf, point), (0.5, AdversaryPolicy.field(pf)),
+                            (0.5, AdversaryPolicy.chattering(pf))):
+            with refused:
+                simulate_eu(policy, adv, smoke_model, cfg, q=0.5)
+            with refused:
+                terminal_wealths(policy, adv, smoke_model, cfg)
+        with refused:
+            verify_saddle(s, pf, smoke_model, K, smoke_util, cfg)
+
     def test_q_required_for_constant_fraction(self):
         cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
         with pytest.raises(ValueError):
@@ -222,21 +223,35 @@ class TestAdversaryValidation:
     def test_field_moments_checked(self):
         # moments that no measure has ((sigma, nu)^2 > (sigma^2, nu)) are refused:
         # weight 1.5 gives (sigma, nu) = 0.1 and (sigma^2, nu) = -0.02
-        pf = constant_field(0.5, 0.2, 0.2, 0.4, 0.5)
-        pf = dataclasses.replace(pf, weight_a=np.full(pf.weight_a.shape, 1.5))
+        pf = constant_field(0.5, 0.2, 0.2, 0.4, 1.5)
         cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
         with pytest.raises(AssertionError, match="invariant"):
             simulate_eu(pf, AdversaryPolicy.field(pf), const_model(), cfg)
-        # such a field keeps a path set of its own, where the engine's check
-        # still fires, also where its loadings are one pair (weight 1.2:
-        # (sigma, nu) = 0.16 and (sigma^2, nu) = 0.016)
+        # such a one-node field has no loading key: it keeps a path set of its
+        # own, where the engine's check still fires, also where its loadings
+        # are finite (weight 1.2: (sigma, nu) = 0.16 and (sigma^2, nu) = 0.016)
         for weight in (1.5, 1.2):
-            pf = dataclasses.replace(pf, weight_a=np.full(pf.weight_a.shape, weight))
+            pf = constant_field(0.5, 0.2, 0.2, 0.4, weight)
             groups = [(AdversaryPolicy.constant_point(0.2, 0.3), (1.0,)),
                       (AdversaryPolicy.field(pf), (1.0,)), (AdversaryPolicy.field(pf), (1.0,))]
             assert _path_sets(groups, 0.5) == [[0], [1], [2]]
             with pytest.raises(AssertionError, match="invariant"):
                 _estimates(pf, groups, const_model(), cfg, None)
+
+
+class TestOneNode:
+    def test_point_is_one_node(self):
+        assert AdversaryPolicy.constant_point(0.1, 0.3).one_node == (0.1, 0.3, 0.3, 1.0)
+
+    def test_corner_field_is_one_node(self, smoke_pipeline):
+        _, pf = smoke_pipeline
+        assert pf.one_node is not None
+        for adv in (AdversaryPolicy.field(pf), AdversaryPolicy.chattering(pf)):
+            assert adv.one_node == pf.one_node
+
+    def test_tail_field_is_not(self, tail_pipeline):
+        _, _, pf = tail_pipeline
+        assert AdversaryPolicy.field(pf).one_node is None
 
 
 class TestFieldLookup:
@@ -523,42 +538,34 @@ class TestLoadingKeys:
     def test_chattering_adversaries_share_a_path_set(self):
         # both atoms of this constant two-atom field load the factor like any
         # point at rho = 0.5, its moments do not: both chattering adversaries
-        # key with the point, the relaxed field alone.  They read the step's
-        # one row of uniforms, as each does run alone
+        # key with the point, the relaxed field alone.  A full-array copy of
+        # the field is not one node: it has a set of its own, and the
+        # estimate of the one-node field.  They read the step's one row of
+        # uniforms, as each does run alone
         m = const_model(rho=0.5)
         pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
+        full = dataclasses.replace(pf, **{name: np.array(getattr(pf, name))
+                                          for name in ("atom_mu", "sigma_a", "sigma_b",
+                                                       "weight_a", "branch_code")})
         groups = [(AdversaryPolicy.chattering(pf), (1.0, 0.5)),
                   (AdversaryPolicy.field(pf), (1.0,)),
                   (AdversaryPolicy.constant_point(0.2, 0.3), (1.0,)),
-                  (AdversaryPolicy.chattering(pf, "again"), (1.0,))]
-        assert _path_sets(groups, m.rho) == [[0, 2, 3], [1]]
+                  (AdversaryPolicy.chattering(pf, "again"), (1.0,)),
+                  (AdversaryPolicy.chattering(full, "full"), (1.0,))]
+        assert _path_sets(groups, m.rho) == [[0, 2, 3], [1], [4]]
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=0.0,
                         horizon=1.0)
-        assert _estimates(0.7, groups, m, cfg, 0.5) == tuple(
+        grouped = _estimates(0.7, groups, m, cfg, 0.5)
+        assert grouped == tuple(
             tuple(simulate_eu(0.7, adv, m, cfg, q=0.5, policy_scale=scale)
                   for scale in scales) for adv, scales in groups)
-
-    def test_keys_are_formed_once_per_call(self, smoke_pipeline, smoke_model, smoke_util,
-                                           monkeypatch):
-        # verify_saddle scans its two field adversaries once each; a single
-        # group, as in simulate_eu and terminal_wealths, is scanned never
-        s, pf = smoke_pipeline
-        scans = []
-        field_loadings = simulate._field_loadings
-        monkeypatch.setattr(simulate, "_field_loadings",
-                            lambda *a: scans.append(1) or field_loadings(*a))
-        cfg = SimConfig(n_paths=100, n_steps=2, seed=5, x0=1.0, y0=0.0, horizon=1.0)
-        verify_saddle(s, pf, smoke_model, K, smoke_util, cfg)
-        assert len(scans) == 2
-        simulate_eu(pf, AdversaryPolicy.chattering(pf), smoke_model, cfg)
-        terminal_wealths(pf, AdversaryPolicy.field(pf), smoke_model, cfg)
-        assert len(scans) == 2
+        assert grouped[4] == grouped[3]
 
     def test_varying_field_keeps_its_identity(self, tail_pipeline):
         # two-atom nodes load below rho: neither the relaxed field nor its
         # chattering shares a path set, not even with a copy of itself
         m, _, pf = tail_pipeline
-        assert simulate._field_loadings(pf, m.rho, False) is None
-        assert simulate._field_loadings(pf, m.rho, True) is None
+        assert _loading_key(AdversaryPolicy.field(pf), m.rho) is None
+        assert _loading_key(AdversaryPolicy.chattering(pf), m.rho) is None
         groups = [(AdversaryPolicy.field(pf), (1.0,)), (AdversaryPolicy.field(pf), (1.0,))]
         assert _path_sets(groups, m.rho) == [[0], [1]]

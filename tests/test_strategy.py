@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from robustport import (CoefficientFn, GridSpec, MarketModel, PowerUtility,
-                        UncertaintyRectangle, build_policy, solve_hjbi, value_function)
+from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
+                        PowerUtility, UncertaintyRectangle, build_policy, solve_hjbi,
+                        value_function)
 from robustport.strategy import _one_valued
 from robustport.worst_case import BranchRegion, _REGION_CODE, branch_fields, measure_moments
 
@@ -174,17 +175,25 @@ class TestOneValueStorage:
         codes = _one_valued(np.full((3, 2), 4, dtype=np.int8))
         assert codes.dtype == np.int8 and codes.strides == (0, 0)
 
-    def test_lookups_return_the_one_value(self, ramp_surface, ramp_model, smoke_util):
-        # the same bits as the nearest-node gathers of a full-array field
+    def test_engine_reads_the_one_value(self, ramp_surface, ramp_model, smoke_util):
+        # the adversary's moments: scalars, with the same bits as the
+        # nearest-node gathers of a full-array field; under chattering (the
+        # same uniforms) rows with the same bits
         pf = build_policy(ramp_surface, ramp_model, K, smoke_util)
         full = dataclasses.replace(pf, **{name: np.array(getattr(pf, name))
                                           for name in SURFACES})
         y = np.linspace(-5.0, 5.0, 37)
+        u = np.random.default_rng(3).random(y.shape)
         for t in (0.0, 0.4999, 1.0):
-            for got, want in (*zip(pf.moments_at(t, y), full.moments_at(t, y)),
-                              *zip(pf.atoms_at(t, y), full.atoms_at(t, y))):
+            relaxed = zip(AdversaryPolicy.field(pf).moments(t, y, None),
+                          AdversaryPolicy.field(full).moments(t, y, None))
+            for got, want in relaxed:
                 assert np.ndim(got) == 0
                 assert np.full(y.shape, got).tobytes() == want.tobytes()
+            chattering = zip(AdversaryPolicy.chattering(pf).moments(t, y, u),
+                             AdversaryPolicy.chattering(full).moments(t, y, u))
+            for got, want in chattering:
+                assert np.broadcast_to(got, y.shape).tobytes() == want.tobytes()
 
 
 @pytest.mark.memory
