@@ -25,7 +25,7 @@ from . import csvio
 from .config import (ConfigError, RunConfig, dump_config, load_config,
                      solve_config_hash)
 from .model import validate_assumptions
-from .pde import SolverError, ValueSurface, checked_b, solve_hjbi
+from .pde import SolverError, ValueSurface, check_solvable, checked_b, solve_hjbi
 from .simulate import (AdversaryPolicy, simulate_eu, terminal_wealths, utility_estimate,
                        verify_saddle)
 from .strategy import build_policy
@@ -214,26 +214,32 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"--levels must be >= 0, got {args.levels}")
     cfg = _load_effective_config(args)
     out = _out_dir(args, cfg)
+    levels = []
+    n_t, n_y = cfg.grid.n_t, cfg.grid.n_y
+    for _ in range(args.levels + 1):
+        levels.append(cfg.with_overrides(n_t=n_t, n_y=n_y))
+        n_t, n_y = 2 * (n_t - 1) + 1, 2 * (n_y - 1) + 1
     rows = []
     prev = None
-    n_t, n_y = cfg.grid.n_t, cfg.grid.n_y
-    for level in range(args.levels + 1):
-        g_cfg = cfg.with_overrides(n_t=n_t, n_y=n_y)
-        try:
+    try:
+        # every level's inputs are checked before the first solve
+        for level, g_cfg in enumerate(levels):
+            check_solvable(g_cfg.model, g_cfg.rectangle, g_cfg.grid)
+        for level, g_cfg in enumerate(levels):
             surface = solve_hjbi(g_cfg.model, g_cfg.rectangle, g_cfg.utility, g_cfg.grid)
-        except SolverError as exc:
-            print(f"solver error at level {level}: {exc}", file=sys.stderr)
-            return EXIT_ASSERTION
-        res = surface.diagnostics.max_residual
-        ratio = prev / res if prev and res else None  # a 0 residual has no ratio
-        rows.append({"level": level, "n_t": n_t, "n_y": n_y,
-                     "residual": res, "ratio": ratio})
-        msg = f"level {level}: ({n_t}, {n_y}) residual = {res:.4e}"
-        if ratio is not None:
-            msg += f"  improvement x{ratio:.2f}"
-        print(msg)
-        prev = res
-        n_t, n_y = 2 * (n_t - 1) + 1, 2 * (n_y - 1) + 1
+            res = surface.diagnostics.max_residual
+            ratio = prev / res if prev and res else None  # a 0 residual has no ratio
+            g = g_cfg.grid
+            rows.append({"level": level, "n_t": g.n_t, "n_y": g.n_y,
+                         "residual": res, "ratio": ratio})
+            msg = f"level {level}: ({g.n_t}, {g.n_y}) residual = {res:.4e}"
+            if ratio is not None:
+                msg += f"  improvement x{ratio:.2f}"
+            print(msg)
+            prev = res
+    except SolverError as exc:
+        print(f"solver error at level {level}: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
     csvio.write_convergence_csv(out / "convergence.csv", rows,
                                 solve_config_hash(cfg), cfg.sim.seed)
     print(f"wrote {out / 'convergence.csv'}")

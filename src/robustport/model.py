@@ -35,7 +35,8 @@ class CoefficientFn:
 
     kind:
       * "constant":       f == left == right everywhere
-      * "smooth-ramp":    C^1 smoothstep from left (y <= -N) to right (y >= N)
+      * "smooth-ramp":    9th-degree (C^4) smoothstep from left (y <= -N) to
+        right (y >= N)
       * "piecewise-linear-clamped": linear interpolation through knots inside
         (-N, N), clamped to the tail values outside
     """
@@ -94,13 +95,24 @@ class CoefficientFn:
         if self.kind == "constant":
             out = np.full_like(y, self.left)
         elif self.kind == "smooth-ramp":
-            n = self.tail_radius
-            z = np.clip((y + n) / (2.0 * n), 0.0, 1.0)
-            s = z**5 * (126.0 + z * (-420.0 + z * (540.0 + z * (-315.0 + 70.0 * z))))
-            out = self.left + (self.right - self.left) * s
+            # left + (right - left) z**5 (126 + z (-420 + z (540 + z (-315
+            # + 70 z)))), z = clip((y + n) / 2n, 0, 1), in place and in that
+            # expression's order: the path engine calls this once per step
+            n, left = self.tail_radius, self.left
+            z = np.add(y, n, out=np.empty_like(y))
+            z /= 2.0 * n
+            np.clip(z, 0.0, 1.0, out=z)
+            out = np.multiply(70.0, z, out=np.empty_like(y))
+            for c in (-315.0, 540.0, -420.0):
+                out += c
+                out *= z
+            out += 126.0
+            out *= np.power(z, 5, out=z)
+            out *= self.right - left
+            out += left
             # the polynomial rounds at z = 0 and 1; the tails are exact
-            out = np.where(y <= -n, self.left, out)
-            out = np.where(y >= n, self.right, out)
+            np.copyto(out, left, where=y <= -n)
+            np.copyto(out, self.right, where=y >= n)
         else:
             # np.interp returns the end values, which are the tails, at and
             # beyond the end points

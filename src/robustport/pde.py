@@ -15,10 +15,15 @@ its y-only terms, with the b-only parts of the min term
 (`worst_case.ratio_kernel`), are formed before the time loop.  The stepper
 and the boundary data evaluate it; the residual of a solve reuses the
 predictor's H rows (H lagged at each level, the same values bit for bit), so
-H is formed once per time level.  Diffusion is treated
-theta-implicitly: its tridiagonal matrix is the same at every step, so LAPACK
-dgttrf factors it once per solve and each step back-substitutes twice
-(dgttrs), for the predictor and the corrector, in place in the output rows.
+H is formed once per time level.  H leaves out beta u_y where beta is 0 at
+every node and q r where it is +-0 at every node; both skips keep the bits.
+A time step writes only into rows that the solve allocates once: the
+stencil row, both right-hand sides, H and the kernel's values are formed in
+place, and a step allocates nothing but the kernel's region masks.
+Diffusion is treated theta-implicitly: its tridiagonal matrix is the same at
+every step, so LAPACK dgttrf factors it once per solve and each step
+back-substitutes twice (dgttrs), for the predictor and the corrector, in
+place in the output rows.
 H is explicit: a lagged predictor from the later-time level plus one
 trapezoidal correction (second order in time at theta = 1/2, no Newton
 iterations on the nonsmooth min term).  The stepper's central differences
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -181,21 +187,48 @@ def checked_b(m: MarketModel, k: UncertaintyRectangle, y: np.ndarray) -> np.ndar
 
 
 def _operator(m: MarketModel, k: UncertaintyRectangle, q: float, y: np.ndarray):
-    """H(y, .) at the nodes y: u_y -> beta u_y + u_y^2/2 + q r
-    + q/(2(1-q)) min_ratio(b, rho u_y).  u_y may carry leading axes.
-    Everything that depends on y alone is formed here, once per solve.
+    """H(y, .) at the nodes y: h(u_y, out) -> beta u_y + u_y^2/2 + q r
+    + q/(2(1-q)) min_ratio(b, rho u_y), written into out.  u_y may carry
+    leading axes.  Everything that depends on y alone is formed here, once
+    per solve, with the scratch rows of an out of y's shape; without out, h
+    allocates its result and scratch.
+
+    beta u_y is left out where beta is 0 at every node, and q r where it is
+    +-0 at every node, with the same bits: u_y is finite once the kernel has
+    checked kappa, so beta u_y is +-0, and neither u_y^2/2 nor beta u_y +
+    u_y^2/2 is ever -0.
 
     Raises SolverError naming the first node where b + mu_minus < 0 (A3)."""
     min_ratio = ratio_kernel(checked_b(m, k, y), k)
     beta = np.asarray(m.beta(y))
     qr = q * np.asarray(m.r(y))
+    beta = beta if np.any(beta) else None
+    qr = qr if np.any(qr) else None
     coef = q / (2.0 * (1.0 - q))  # > 0 for q in (0,1), < 0 for q < 0
-    rho = m.rho
+    # the scalars as 0-d arrays: a ufunc then takes them without converting
+    # a Python float on each call, with the same bits
+    coef, rho, half = np.asarray(coef), np.asarray(m.rho), np.asarray(0.5)
+    held = np.empty(y.shape), np.empty(y.shape)
 
     def h(u_y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # the min term first: its temporaries peak before the others exist
-        min_term = min_ratio(rho * u_y)
-        return np.add(beta * u_y + 0.5 * u_y**2 + qr, coef * min_term, out=out)
+        if out is None:
+            # np.multiply allocates beta u_y where term is None
+            out = np.empty(np.shape(u_y))
+            x, term = np.empty_like(out), None
+        else:
+            x, term = held
+        # the min term first, in out; the kernel's return value, which need
+        # not be out, is read
+        np.multiply(rho, u_y, out=x)
+        np.multiply(coef, min_ratio(x, out=out), out=out)
+        # then beta u_y + 0.5 u_y**2 + q r in x, in that expression's order
+        np.square(u_y, out=x)
+        x *= half
+        if beta is not None:
+            np.add(np.multiply(beta, u_y, out=term), x, out=x)
+        if qr is not None:
+            x += qr
+        return np.add(x, out, out=out)
 
     return h
 
@@ -221,11 +254,8 @@ def _diffusion_solver(a: float, n: int):
     dl, d, du, du2, ipiv, info = dgttrf(off, diag, off)
     if info:
         raise SolverError(f"tridiagonal factorization failed (LAPACK dgttrf info {info})")
-
-    def solve(x: np.ndarray):
-        # info is non-zero only for an illegal argument
-        dgttrs(dl, d, du, du2, ipiv, x, overwrite_b=True)
-    return solve
+    # info is non-zero only for an illegal argument
+    return partial(dgttrs, dl, d, du, du2, ipiv, overwrite_b=True)
 
 
 def _advection_cfl(u_y: np.ndarray, abs_beta: np.ndarray, dt: float, dy: float,
@@ -255,6 +285,24 @@ def _advection_cfl(u_y: np.ndarray, abs_beta: np.ndarray, dt: float, dy: float,
     return max_cfl, max_u_y
 
 
+def check_solvable(m: MarketModel, k: UncertaintyRectangle, g: GridSpec):
+    """solve_hjbi's input checks, which need no solve: the standing
+    assumptions, y_radius against the coefficients' tail radius, and the
+    explicit-diffusion guard on dt.  Raises SolverError naming the first that
+    fails."""
+    report = validate_assumptions(m, k)
+    if not report.passed:
+        raise SolverError("assumptions fail:\n" + report.summary())
+    if g.y_radius < m.tail_radius:
+        raise SolverError(
+            f"y_radius {g.y_radius:g} < coefficient tail radius {m.tail_radius:g}")
+    dt_cap = g.dy * g.dy / (2.0 * (1.0 - g.theta) + _CFL_EPS)
+    if g.dt > dt_cap:
+        raise SolverError(
+            f"dt = {g.dt:.3g} violates the explicit-diffusion guard "
+            f"dy^2/(2(1-theta)+eps) = {dt_cap:.3g}; refine n_t or coarsen n_y")
+
+
 def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
                g: GridSpec) -> ValueSurface:
     """Backward theta-IMEX solve of the value-exponent PDE on the grid.
@@ -262,20 +310,8 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
     Raises SolverError on assumption violations, stability-guard violations,
     or non-finite values (with the offending dt / grid location).
     """
-    report = validate_assumptions(m, k)
-    if not report.passed:
-        raise SolverError("assumptions fail:\n" + report.summary())
-    if g.y_radius < m.tail_radius:
-        raise SolverError(
-            f"y_radius {g.y_radius:g} < coefficient tail radius {m.tail_radius:g}")
-
+    check_solvable(m, k, g)
     dt, dy, theta = g.dt, g.dy, g.theta
-    dt_cap = dy * dy / (2.0 * (1.0 - theta) + _CFL_EPS)
-    if dt > dt_cap:
-        raise SolverError(
-            f"dt = {dt:.3g} violates the explicit-diffusion guard "
-            f"dy^2/(2(1-theta)+eps) = {dt_cap:.3g}; refine n_t or coarsen n_y")
-
     q = util.q
     t_nodes = g.t_nodes()
     y_nodes = g.y_nodes()
@@ -289,21 +325,9 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
     a = theta * dt / (2.0 * dy * dy)
     diffuse = _diffusion_solver(a, g.n_y - 2)
 
-    def implicit_solve(row: np.ndarray, lo: float, hi: float):
-        """Diffusion solve in place: the interior of row holds the right-hand
-        side, lo and hi are the Dirichlet data of its level."""
-        x = row[1:-1]
-        x[0] += a * lo
-        x[-1] += a * hi
-        diffuse(x)
-        row[0] = lo
-        row[-1] = hi
-
-    def check_finite(row: np.ndarray, i: int):
-        if not all_finite(row):
-            j = int(np.argmax(~np.isfinite(row)))
-            raise SolverError(
-                f"non-finite value at t = {t_nodes[i]:.6g}, y = {y_nodes[j]:.6g}")
+    def non_finite(row: np.ndarray, i: int) -> SolverError:
+        j = int(np.argmax(~np.isfinite(row)))
+        return SolverError(f"non-finite value at t = {t_nodes[i]:.6g}, y = {y_nodes[j]:.6g}")
 
     u = np.zeros((g.n_t, g.n_y))
     u[-1, [0, -1]] = bc[-1]
@@ -317,41 +341,67 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
     # 1..n_t-1 of the surface's u_y
     u_y = np.empty((g.n_t, g.n_y))
 
-    d_exp = (1.0 - theta) * dt / (2.0 * dy * dy)
-    two_dy = 2.0 * dy
-    half_dt = 0.5 * dt
+    # the step's scalars as 0-d arrays, as in _operator
+    d_exp, two_dy, dt_0d, half_dt = map(np.asarray, (
+        (1.0 - theta) * dt / (2.0 * dy * dy), 2.0 * dy, dt, 0.5 * dt))
+    # a step writes only into rows of these arrays, allocated here: the
+    # predicted level, the stencil row, the corrector's u_y and H, and |u|
     pred = np.empty(g.n_y)
+    pred_in, pred_lo, pred_hi = pred[1:-1], pred[:-2], pred[2:]
+    base, uy_c, h_c = (np.empty(g.n_y - 2) for _ in range(3))
+    abs_row = np.empty(g.n_y)
+    u_in, u_lo, u_hi = u[:, 1:-1], u[:, :-2], u[:, 2:]
+    h_rows, uy_rows = h_u[:, 1:-1], u_y[:, 1:-1]
     max_abs_u = float(np.abs(u[-1]).max())
     prev_max = 0.0
 
     try:
         for i in range(g.n_t - 2, -1, -1):
-            uo = u[i + 1]
-            uy = np.subtract(uo[2:], uo[:-2], out=u_y[i + 1, 1:-1])
+            uo_in, uo_lo, uo_hi = u_in[i + 1], u_lo[i + 1], u_hi[i + 1]
+            uy = np.subtract(uo_hi, uo_lo, out=uy_rows[i + 1])
             uy /= two_dy
             lo, hi = bc_rows[i]
+            # the stencil row uo + d_exp (uo[:-2] - 2 uo + uo[2:]) of both
+            # right-hand sides, in that expression's order (uo + uo is 2 uo
+            # exactly)
+            np.add(uo_in, uo_in, out=base)
+            np.subtract(uo_lo, base, out=base)
+            base += uo_hi
+            base *= d_exp
+            base += uo_in
 
             # predictor: H lagged at the later-time level.  Each right-hand
-            # side is formed in the interior of the row it solves for.
-            base = uo[1:-1] + d_exp * (uo[:-2] - 2.0 * uo[1:-1] + uo[2:])
-            h_old = h(uy, out=h_u[i + 1, 1:-1])
-            x = np.multiply(dt, h_old, out=pred[1:-1])
-            x += base
-            implicit_solve(pred, lo, hi)
-            check_finite(pred, i)
+            # side is formed in the interior of the row it solves for, and
+            # the diffusion solve takes the level's Dirichlet data.
+            h_old = h(uy, out=h_rows[i + 1])
+            np.multiply(dt_0d, h_old, out=pred_in)
+            pred_in += base
+            pred_in[0] += a * lo
+            pred_in[-1] += a * hi
+            diffuse(pred_in)
+            pred[0] = lo
+            pred[-1] = hi
+            if not all_finite(pred):
+                raise non_finite(pred, i)
             # one trapezoidal correction of H (2nd order in time), with the
             # predictor's u_y on the interior only: _d_dy's central difference
-            row = u[i]
-            x = np.add(h_old, h((pred[2:] - pred[:-2]) / two_dy), out=row[1:-1])
+            np.subtract(pred_hi, pred_lo, out=uy_c)
+            uy_c /= two_dy
+            row, x = u[i], u_in[i]
+            np.add(h_old, h(uy_c, out=h_c), out=x)
             x *= half_dt
             x += base
-            implicit_solve(row, lo, hi)
+            x[0] += a * lo
+            x[-1] += a * hi
+            diffuse(x)
+            row[0] = lo
+            row[-1] = hi
 
             # the growth detector's max is also the finiteness test of the
-            # row; check_finite then names the node
-            new_max = float(np.abs(row).max())
+            # row; non_finite then names the node
+            new_max = float(np.abs(row, out=abs_row).max())
             if not math.isfinite(new_max):
-                check_finite(row, i)
+                raise non_finite(row, i)
             if new_max > max(10.0 * prev_max + 1.0, 1e6):
                 raise SolverError(
                     f"explicit update growth detected at t = {t_nodes[i]:.6g} "

@@ -111,9 +111,10 @@ class PolicyField:
         return tuple(m[jy] for m in measure_moments(*(a[it] for a in self._atoms)))
 
     def atoms_at(self, t: float, y):
-        """Nearest-node atom data (atom_mu, sigma_a, sigma_b, weight_a)."""
+        """Nearest-node atom data (atom_mu, sigma_a, sigma_b, weight_a),
+        gathered from the row, as moments_at does."""
         it, jy = self.node_index(t, y)
-        return tuple(a[it, jy] for a in self._atoms)
+        return tuple(a[it][jy] for a in self._atoms)
 
 
 def build_policy(s: ValueSurface, m: MarketModel, k: UncertaintyRectangle,

@@ -193,11 +193,11 @@ def all_finite(a: np.ndarray) -> bool:
     ddot per 4096 values, without the boolean temporary of np.isfinite and
     without numpy's floating-point warnings."""
     flat = a.ravel()
-    for start in range(0, flat.size, _ZEROS.size):
-        part = flat[start:start + _ZEROS.size]
-        if ddot(part, _ZEROS, part.size) != 0.0:
-            return False
-    return True
+    # f2py's ddot refuses an empty x, which the loop below passes over
+    if 0 < flat.size <= _ZEROS.size:
+        return ddot(flat, _ZEROS, flat.size) == 0.0
+    return all(all_finite(flat[start:start + _ZEROS.size])
+               for start in range(0, flat.size, _ZEROS.size))
 
 
 def _finite(kappas) -> np.ndarray:
@@ -270,10 +270,12 @@ def ratio_kernel(b_vals, k: UncertaintyRectangle):
     """The minimal ratio at fixed b, prepared for many kappas.
 
     The b-only terms are formed here once (after _prepared's A3 check);
-    values(kappas) does only the kappa-dependent arithmetic: the minus-corner
-    value over every node, then the value expression of each region _walk
-    finds, written where its mask selects.  b_vals and kappas broadcast (the
-    residual passes 1-D b against 2-D kappa).
+    values(kappas, out=None) does only the kappa-dependent arithmetic: the
+    minus-corner value over every node, then the value expression of each
+    region _walk finds, written where its mask selects.  It writes into out
+    (and returns it), or into a new array without one, and forms the region
+    values in one scratch array that it keeps.  b_vals and kappas broadcast
+    (the residual passes 1-D b against 2-D kappa).
 
     Raises ValueError if b + mu_minus >= 0 fails (NaN included); values
     raises ValueError on a non-finite kappa.
@@ -289,21 +291,48 @@ def _kernel(prepared, k: UncertaintyRectangle):
     lin_hi = 2.0 * m_hi * s_mid
     lin_lo = 2.0 * m_lo * s_mid
     s_mid_sq, s_lo_sq, s_hi_sq = s_mid**2, s_lo**2, s_hi**2
-    # np.square is what `array ** 2` runs; a numpy scalar's `** 2` calls
-    # pow(), which can differ in the last bit
+    # the scalars as 0-d arrays: a ufunc then takes them without converting
+    # a Python float on each call, with the same bits
+    s_lo, s_hi, prod, s_mid_sq, s_lo_sq, s_hi_sq = map(
+        np.asarray, (s_lo, s_hi, prod, s_mid_sq, s_lo_sq, s_hi_sq))
+    # the one scratch row of the region values, kept while out's shape holds
+    held = np.empty(0)
+
+    # each value expression written into x, in the operand order of
+    # kap * (lin + kap * prod) / s_mid_sq and np.square(m + kap * s) / s_sq
+    # (np.square is what `array ** 2` runs; a numpy scalar's `** 2` calls
+    # pow(), which can differ in the last bit)
+    def tail(kap, lin, x):
+        np.multiply(kap, prod, out=x)
+        x += lin
+        x *= kap
+        x /= s_mid_sq
+        return x
+
+    def corner(kap, m, s, s_sq, x):
+        np.multiply(kap, s, out=x)
+        x += m
+        np.square(x, out=x)
+        x /= s_sq
+        return x
+
     branch_values = {
-        _HIGH: lambda kap: kap * (lin_lo + kap * prod) / s_mid_sq,
-        _ZERO: lambda kap: 0.0,
-        _PLUS: lambda kap: np.square(m_hi + kap * s_lo) / s_lo_sq,
-        _LOW: lambda kap: kap * (lin_hi + kap * prod) / s_mid_sq,
+        _HIGH: lambda kap, x: tail(kap, lin_lo, x),
+        _ZERO: lambda kap, x: 0.0,
+        _PLUS: lambda kap, x: corner(kap, m_hi, s_lo, s_lo_sq, x),
+        _LOW: lambda kap, x: tail(kap, lin_hi, x),
     }
 
-    def values(kappas) -> np.ndarray:
+    def values(kappas, out: np.ndarray | None = None) -> np.ndarray:
+        nonlocal held
         kap = _finite(kappas)
-        # asarray turns a 0-d result (a numpy scalar) into an array to fill
-        out = np.asarray(np.square(m_lo + kap * s_hi) / s_hi_sq)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(m_lo.shape, kap.shape))
+        if held.shape != out.shape:
+            held = np.empty_like(out)
+        corner(kap, m_lo, s_hi, s_hi_sq, out)
         for region, mask in _walk(kap, ts):
-            np.copyto(out, branch_values[region](kap), where=mask)
+            np.copyto(out, branch_values[region](kap, held), where=mask)
         return out
 
     return values

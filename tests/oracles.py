@@ -112,6 +112,17 @@ def nested_ratio_values(b_vals, kappas, k):
                                       np.where(kap <= t4, minus, high))))
 
 
+def smooth_ramp(y, left, right, n):
+    """CoefficientFn.ramp(left, right, n) at y, written out: the 9th-degree
+    smoothstep of z = clip((y + n) / 2n, 0, 1), with exact tails."""
+    y = np.asarray(y, dtype=float)
+    z = np.clip((y + n) / (2.0 * n), 0.0, 1.0)
+    s = z**5 * (126.0 + z * (-420.0 + z * (540.0 + z * (-315.0 + 70.0 * z))))
+    out = left + (right - left) * s
+    out = np.where(y <= -n, left, out)
+    return np.where(y >= n, right, out)
+
+
 def flat_tail_u(t, b_side, r_side, k, q, horizon):
     """u on a tail where b == b_side and r == r_side are constant: nature
     takes the (mu-, sigma+) corner (kappa = rho*u_y = 0), so u solves

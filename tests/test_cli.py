@@ -417,6 +417,23 @@ class TestPipeline:
         rows = (out / "convergence.csv").read_text().splitlines()[2:]
         assert [row.split(",")[3:] for row in rows] == [["0", ""], ["0", ""]]
 
+    def test_convergence_checks_every_level_before_solving(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # dt = 0.01 passes level 0's explicit-diffusion guard; level 1 halves
+        # dt and dy, and fails it
+        from robustport import cli
+        solves = []
+        monkeypatch.setattr(cli, "solve_hjbi", lambda *args: solves.append(args))
+        path = write_config(tmp_path, {"grid.n_t": 101})
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", path, "--out", str(out),
+                     "--levels", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "solver error at level 1: dt = 0.005 violates the explicit-diffusion guard")
+        assert captured.out == "" and solves == []
+        assert not (out / "convergence.csv").exists()
+
     def test_dump_config_round_trip(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["solve", "--config", path, "--dump-config"]) == 0

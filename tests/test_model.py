@@ -5,6 +5,8 @@ from robustport import (CoefficientFn, GridSpec, MarketModel, PowerUtility,
                         UncertaintyRectangle, default_y_radius,
                         validate_assumptions)
 
+from oracles import smooth_ramp
+
 
 class TestCoefficientFn:
     def test_constant_everywhere(self):
@@ -31,6 +33,20 @@ class TestCoefficientFn:
                     assert f(y) == left
                 for y in (n, n + 1, 10 * n):
                     assert f(y) == right
+
+    def test_ramp_is_the_written_out_formula_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for left, right, n in ((0.0, 0.2, 2.0), (0.1, -0.1, 2.0), (-0.7, 0.3, 0.6)):
+            f = CoefficientFn.ramp(left, right, n)
+            ys = np.concatenate([rng.normal(0.0, 0.6, 65536),
+                                 [-n, n, *np.nextafter([-n, n], 0.0)],
+                                 [-3 * n, 3 * n, *np.nextafter([-n, n], [-np.inf, np.inf])]])
+            expect = smooth_ramp(ys, left, right, n)
+            assert np.array_equal(f(ys).view(np.uint64), expect.view(np.uint64))
+            for y in (0.0, -n, 0.3 * n, 2 * n, np.float64(0.1), np.array(-0.2)):
+                got = f(y)
+                assert type(got) is float
+                assert got.hex() == float(smooth_ramp(y, left, right, n)).hex()
 
     def test_piecewise_interpolation_and_slopes(self):
         f = CoefficientFn.piecewise(0.0, 1.0, 2.0, [(0.0, 0.5)])

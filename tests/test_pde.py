@@ -127,12 +127,12 @@ class TestTinyGrids:
 
 def patch_kernel(monkeypatch, wrap):
     """Route every evaluation of the prepared ratio kernel through
-    wrap(values, kappa)."""
+    wrap(values, kappa); values writes into the out its caller passes."""
     factory = pde.ratio_kernel
 
     def prepared(b, k):
         values = factory(b, k)
-        return lambda kappa: wrap(values, kappa)
+        return lambda kappa, out=None: wrap(lambda kap: values(kap, out), kappa)
 
     monkeypatch.setattr(pde, "ratio_kernel", prepared)
 
@@ -501,6 +501,27 @@ class TestGoldenBits:
             "max_abs_u_y=0.11112716616349012, max_advection_cfl=0.0023991298096162207, "
             "max_residual=1.3533285511679871e-06, max_edge_abs_u_y=7.587065736741269e-05)")
         self.assert_residual_reused(s, ramp_model, K, smoke_util)
+
+    # H leaves out beta u_y where beta is 0 at every node, and q r where it
+    # is +-0 at every node: one market for each side of each rule
+    @pytest.mark.parametrize("beta, r, digest, diagnostics", [
+        (0.05, 0.0,
+         "f492ca54ad9784c6037e05ac9b9845e172b236e716a7aef8b24ee4466b131e08",
+         "SolveDiagnostics(time_steps=200, max_abs_u=0.28125, "
+         "max_abs_u_y=0.114713417027162, max_advection_cfl=0.0024638418883239353, "
+         "max_residual=1.3509656248689161e-06, max_edge_abs_u_y=6.360943618911874e-05)"),
+        (0.0, 0.02,
+         "68223c7287bea821869568b4f825b7ab1f46ac1f9fb3d7808255045771325971",
+         "SolveDiagnostics(time_steps=200, max_abs_u=0.29125, "
+         "max_abs_u_y=0.1147134090161428, max_advection_cfl=0.0017137971670073606, "
+         "max_residual=1.3301091718043168e-06, max_edge_abs_u_y=5.252017922894453e-05)"),
+    ], ids=["constant-beta", "constant-rate"])
+    def test_constant_beta_or_rate(self, smoke_util, beta, r, digest, diagnostics):
+        m = MarketModel(CoefficientFn.ramp(0.0, 0.2, 2.0), CoefficientFn.constant(beta),
+                        CoefficientFn.constant(r), 0.5)
+        s = solve_hjbi(m, K, smoke_util, GridSpec(1.0, 201, 25, 4.0))
+        assert self.fingerprint(s) == (digest, diagnostics)
+        self.assert_residual_reused(s, m, K, smoke_util)
 
 
 @pytest.mark.memory

@@ -314,6 +314,18 @@ class TestValueKernel:
             assert all(a.shape == () for a in branch_fields(b, kap, k).values())
             assert_consistent(b, kap, k)
 
+    def test_values_written_into_out(self, cases):
+        # the solver passes out=: the allocating call's bits, in out, whatever
+        # out held; the second call reuses the kernel's scratch row
+        for group in cases.values():
+            for b, kap, k in group:
+                values = ratio_kernel(b, k)
+                expect = values(kap)
+                for _ in range(2):
+                    out = np.full(expect.shape, np.nan)
+                    assert values(kap, out=out) is out
+                    assert same_bits(out, expect)
+
     def test_outputs_are_pinned(self, cases):
         # the five measure arrays and the minimal ratio of every case
         assert kernel_digest(cases) == (
