@@ -11,13 +11,16 @@ written at once.  The grid coordinates of a surface or policy export are
 formatted once per file, n_t texts of t and n_y of y, and repeated into each
 chunk; any other numeric column formats every distinct value of a chunk once
 (told apart by bit pattern, so -0.0 and 0.0 keep their own texts) and
-gathers the texts back, and a column that is one value stored once (zero
-strides, as PolicyField keeps a measure that is one node everywhere) is
-formatted once per chunk.  The surface cache (`write_surface_npz`) is an
-uncompressed `.npz` of `u` and the config hash of its solve; the CLI reads
-it back with `read_surface_npz`, and `surface.csv` is an export only.  Every
-file is written through `_atomic` to a `.tmp` sibling and then renamed over
-the target, so an interrupted write never leaves a partial file under the
+gathers the texts back.  A column stored as one value (zero strides, as a
+PolicyField's one-node measure) is formatted once per file and folded into
+the texts of the grid axis it follows, directly or after other such
+columns, else once per chunk.  Cells stay str: `b"".join` of 262,144
+`%.17g` cells took 5.5 ms, `"".join` 2.2 ms plus 0.4 ms to encode.  The
+surface cache (`write_surface_npz`) is an uncompressed `.npz` of `u` and
+the config hash of its solve; the CLI reads it back with
+`read_surface_npz`, and `surface.csv` is an export only.  Every file is
+written through `_atomic` to a `.tmp` sibling and then renamed over the
+target, so an interrupted write never leaves a partial file under the
 real name.
 """
 
@@ -111,15 +114,15 @@ class _Axis:
         return self.n_rows
 
 
-def _chunk_cells(spec: str, col):
+def _chunk_cells(spec: str, col, folded: str = ""):
     """The function (lo, n) -> the cells of rows lo..lo+n of `col`.  An
-    _Axis formats each of its values once per file: texts that change every
-    row are tiled by list repetition, and texts that hold for `each` rows
-    are repeated by np.repeat over the chunk's object array of them.  Any
-    other column goes through _cells chunk by chunk."""
+    _Axis formats each of its values once per file, then appends `folded`:
+    texts that change every row are tiled by list repetition, and texts that
+    hold for `each` rows are repeated by np.repeat over the chunk's object
+    array of them.  Any other column goes through _cells chunk by chunk."""
     if not isinstance(col, _Axis):
         return lambda lo, n: _cells(spec, col[lo:lo + n])
-    texts = [spec % v for v in col.values.tolist()]
+    texts = [spec % v + folded for v in col.values.tolist()]
     m, each = len(texts), col.each
     if each == 1:
         def cells(lo, n):
@@ -144,7 +147,8 @@ def _write_csv(path: str | Path, config_hash: str, seed: int, header: str, fmt: 
     row-major list of cells, each text already ending in its separator (`,`,
     or `\n` after the last column), filled a column at a time and written
     with one join; so no more than one chunk of text is held at once, and
-    no per-row string is made.
+    no per-row string is made.  One-value columns (zero strides) right
+    after a grid axis are folded into its texts, formatted once per file.
 
     Raises ValueError when the columns differ in length or their number is
     not the number of specs; no file is touched then."""
@@ -156,9 +160,16 @@ def _write_csv(path: str | Path, config_hash: str, seed: int, header: str, fmt: 
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
-    k = len(cols)
-    seps = [","] * (k - 1) + ["\n"]
-    chunkers = [_chunk_cells(spec + sep, c) for spec, sep, c in zip(specs, seps, cols)]
+    seps = [","] * (len(cols) - 1) + ["\n"]
+    parts = []  # [spec, column, folded texts]
+    for spec, sep, c in zip(specs, seps, cols):
+        if (parts and isinstance(parts[-1][1], _Axis) and n_rows
+                and not isinstance(c, _Axis) and not any(c.strides)):
+            parts[-1][2] += _cells(spec + sep, c[:1])[0]
+        else:
+            parts.append([spec + sep, c, ""])
+    chunkers = [_chunk_cells(*part) for part in parts]
+    k = len(chunkers)
     with _atomic(path) as fh:
         fh.write(f"{provenance_line(config_hash, seed)}\n{header}\n".encode())
         for lo in range(0, n_rows, _CHUNK_ROWS):

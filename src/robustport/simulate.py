@@ -27,25 +27,30 @@ a set are bit-identical, and only mu and sigma^2 enter its ln X rows.  The
 path engine takes one (adversary, scales) entry per adversary and groups
 the entries into path sets, one per factor path, chattering adversaries
 included.  It makes one pass over each batch's normals: every step draws
-them once, and the chattering uniforms once, and each set advances its own
-Y row (driven by its first adversary, moved once its last has read it) and
-one ln X row per scale off those draws, forming each adversary's moments
-once per step.  verify_saddle's 14 rows form 1 path set where nu* is one
-corner at every node and all 7 points load alike, as on configs/smoke.yaml
-and configs/ramp.yaml, and 3 or more, advancing together, where nu* has
-two-atom nodes.  These are the draws a set makes when run alone, and each
-row keeps the operand pairing of a run of its pair alone, so its estimate
-equals that run's bit for bit.  Where one set alone fails, the error is the
-one it raises run alone.
+them once, and the chattering uniforms once where an adversary reads them
+(draws_atoms), and each set advances its own Y row (driven by its first
+adversary, moved once its last has read it) and one ln X row per scale off
+those draws, forming each adversary's moments once per step.  A constant
+coefficient is one float, left out where it is 0.0: that changes at most
+the sign of a zero in an increment or in Y, never an ln X row (they start
+at +0.0, and round-to-nearest never makes one -0.0), and b, fraction_at and
+node_index read both zeros alike.  verify_saddle's 14 rows form 1 path set
+where nu* is one corner at every node and all 7 points load alike, as on
+configs/smoke.yaml and configs/ramp.yaml, and 3 or more, advancing
+together, where nu* has two-atom nodes.  These are the draws a set makes
+when run alone, and each row keeps the operand pairing of a run of its pair
+alone, so its estimate equals that run's bit for bit.  Where one set alone
+fails, the error is the one it raises run alone.
 
 Reproducibility: paths are processed in fixed batches of 65536.  Batch b draws
 its two normal increments per step from
 np.random.default_rng(SeedSequence(seed, spawn_key=(b,))), and chattering
 draws its uniforms from a stream of its own, SeedSequence(seed,
-spawn_key=(b, 1)), each once per step for all path sets.  The Brownian
-increments are therefore common to every (policy, adversary) pair at a seed
-(common random numbers for the saddle comparisons), and estimates are
-independent of how batches would be distributed across workers.
+spawn_key=(b, 1)), each once per step for all path sets (not at all
+where no adversary reads them).  The Brownian increments are therefore
+common to every (policy, adversary) pair at a seed (common random numbers
+for the saddle comparisons), and estimates are independent of how batches
+would be distributed across workers.
 """
 
 from __future__ import annotations
@@ -152,14 +157,22 @@ class AdversaryPolicy:
             return mu, sig, sig, 1.0
         return self.pf.one_node
 
+    @property
+    def draws_atoms(self) -> bool:
+        """Whether moments reads uniforms: chattering, unless on one node of one point."""
+        node = self.one_node
+        return self.chatter and (node is None or node[1] != node[2])
+
     def moments(self, t: float, y: np.ndarray, u: np.ndarray | None):
         """(mu, sigma, sigma^2) seen by the paths at (t, y); scalars where the
-        measure is one node (sigma stays a row under chattering).  Only
-        chattering reads u, one uniform per path: a path takes atom a where
-        its uniform falls below weight_a."""
+        measure is one node (sigma stays a row under chattering between two
+        atoms).  Only draws_atoms reads u, one uniform per path: a path takes
+        atom a where its uniform falls below weight_a."""
         node = self.one_node
         if not self.chatter:
             return self.pf.moments_at(t, y) if node is None else measure_moments(*node)
+        if not self.draws_atoms:
+            return _point_moments(*node[:2])
         mu, sig_a, sig_b, w_a = node or self.pf.atoms_at(t, y)
         sig = np.where(u < w_a, sig_a, sig_b)
         del sig_a, sig_b, w_a  # before the moments' temporaries: a lower peak
@@ -221,15 +234,20 @@ def _path_sets(groups, rho: float) -> list[list[int]]:
 
 
 def _coefficient(fn, y):
-    """fn(y): its one value as a float where fn is constant, else a row."""
-    return fn.left if fn.kind == "constant" else np.asarray(fn(y))
+    """fn(y): its one value as a float where fn is constant, else a row;
+    None where fn is the constant 0.0 (either sign), a term a step leaves out."""
+    if fn.kind != "constant":
+        return np.asarray(fn(y))
+    return fn.left if fn.left else None
 
 
 def _move_factor(yv: np.ndarray, m: MarketModel, sig_m, vol, dt: float, dw, dwp):
     """yv = ((yv + beta(yv) dt) + load_w dw) + load_perp dw_perp, in place,
     with the loadings of adversary moments sig_m and vol = sqrt(sig2_m)."""
     load_w, load_perp = _loadings(m.rho, sig_m, vol)
-    yv += _coefficient(m.beta, yv) * dt
+    beta_y = _coefficient(m.beta, yv)
+    if beta_y is not None:
+        yv += beta_y * dt
     yv += load_w * dw
     yv += load_perp * dwp
 
@@ -245,7 +263,7 @@ def _advance(policy, groups, lx, yv, m: MarketModel, t: float, dt: float, z, u):
     dw, dwp = z
     frac = (policy.fraction_at(t, yv) if isinstance(policy, PolicyField)
             else float(policy))
-    b_y = np.asarray(m.b(yv))
+    b_y = _coefficient(m.b, yv)
     r_y = _coefficient(m.r, yv)
     rows = iter(lx)
     last = f = half_ff = None
@@ -258,7 +276,8 @@ def _advance(policy, groups, lx, yv, m: MarketModel, t: float, dt: float, z, u):
         if n == 1:
             drive = sig_m, vol
         del sig_m
-        excess += b_y  # b(Y) + mu_m: in place where mu_m is a row (a fresh gather)
+        if b_y is not None:
+            excess += b_y  # b(Y) + mu_m: in place where mu_m is a row (a fresh gather)
         if n == len(groups):
             # no later adversary reads Y or b(Y): lower the step's peak
             del b_y
@@ -272,7 +291,8 @@ def _advance(policy, groups, lx, yv, m: MarketModel, t: float, dt: float, z, u):
                 half_ff = 0.5 * f * f
             # row += (r_y + f*excess - half_ff*sig2_m)*dt + f*vol*dw
             inc = f * excess
-            inc += r_y
+            if r_y is not None:
+                inc += r_y
             inc -= half_ff * sig2_m
             inc *= dt
             noise = f * vol
@@ -301,7 +321,7 @@ def _log_wealth(policy, sets, m: MarketModel, cfg: SimConfig, bi: int) -> np.nda
     sq_dt = math.sqrt(dt)
     nb = min(BATCH_SIZE, cfg.n_paths - bi * BATCH_SIZE)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi,)))
-    chatter = any(adv.chatter for groups in sets for adv, _ in groups)
+    chatter = any(adv.draws_atoms for groups in sets for adv, _ in groups)
     if chatter:
         uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi, 1)))
     ln_x = np.zeros((sum(map(_n_rows, sets)), nb))

@@ -9,12 +9,13 @@ The measure is stored once, as branch_fields' four numbers per node, and a
 surface keeps one number per node only where its values differ: a surface
 whose bits are equal at every node (on a market where nu* is one corner of
 K everywhere, all four atoms and the branch code) is a read-only broadcast
-of its one value, zero strides over the grid's shape.  Where all four atoms
-are one value, the moment surfaces are formed once from those values, and
-one_node hands that measure to the path engine, which then never looks the
-grid up.  pi_frac is interpolated bilinearly in (t, y); measures are looked
-up at the nearest node (they are not interpolable without leaving the
-two-atom family).
+of its one value, zero strides over the grid's shape (branch_fields' own
+where nu* is the minus corner everywhere, neither written nor scanned).
+Where all four atoms are one value, the moment surfaces are formed once
+from those values, and one_node hands that measure to the path engine,
+which then never looks the grid up.  pi_frac is interpolated bilinearly in
+(t, y); measures are looked up at the nearest node (they are not
+interpolable without leaving the two-atom family).
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ __all__ = ["PolicyField", "build_policy", "value_function"]
 def _one_valued(a: np.ndarray) -> np.ndarray:
     """a, or where all of a holds one bit pattern, a read-only broadcast of
     that value: a's shape and dtype, zero strides, the same bits.  Bits are
-    compared, not values, so a surface that mixes -0.0 and 0.0 stays full."""
+    compared, not values, so a surface that mixes -0.0 and 0.0 stays full;
+    zero strides are returned unscanned."""
+    if not any(a.strides):
+        return a
     bits = a.view(f"u{a.itemsize}")
     return np.broadcast_to(a.flat[0], a.shape) if bits.min() == bits.max() else a
 

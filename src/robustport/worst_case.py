@@ -212,8 +212,9 @@ def branch_fields(b_vals, kappas, k: UncertaintyRectangle):
 
     Returns a dict of arrays broadcast to the common shape of b_vals/kappas:
     code (BranchRegion integer code), atom_mu, sigma_a, sigma_b, weight_a.
-    Single-atom nodes have weight_a == 1 and sigma_b == sigma_a.  The value
-    of the minimum is ratio_kernel's.
+    Single-atom nodes have weight_a == 1 and sigma_b == sigma_a.  Where every
+    node is MINUS_CORNER, each array is a read-only broadcast of its one
+    value (zero strides).  The value of the minimum is ratio_kernel's.
     """
     return _fields(_prepared(b_vals, k), kappas, k)
 
@@ -224,17 +225,17 @@ def _fields(prepared, kappas, k: UncertaintyRectangle):
     kap = _finite(kappas)
     b, m_lo, m_hi, kap = np.broadcast_arrays(b, m_lo, m_hi, kap)
     s_lo, s_hi, s_mid = k.sigma_minus, k.sigma_plus, k.sigma_mid
-
-    # the minus corner everywhere, then each region _walk finds over it
-    code = np.full(kap.shape, _MINUS, dtype=np.int8)
-    atom_mu = np.full(kap.shape, k.mu_minus)
-    sigma_a = np.full(kap.shape, s_hi)
-    sigma_b = np.full(kap.shape, s_hi)
-    weight_a = np.ones(kap.shape)
+    walk = _walk(kap, ts)
+    # the minus corner everywhere, then each region _walk finds over it; a
+    # read-only broadcast of each value where it finds none
+    code, atom_mu, sigma_a, sigma_b, weight_a = (
+        np.full(kap.shape, v, dtype) if walk else np.broadcast_to(np.array(v, dtype), kap.shape)
+        for v, dtype in ((_MINUS, np.int8), (k.mu_minus, float), (s_hi, float),
+                         (s_hi, float), (1.0, float)))
 
     # a kappa near 0 can overflow m/kappa; the clips then take the edge of K
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for region, mask in _walk(kap, ts):
+        for region, mask in walk:
             code[mask] = region
             km = kap[mask]
             if region == _PLUS:

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -142,6 +145,17 @@ class TestExitCodes:
     def test_validate_ok(self, tmp_path, capsys):
         assert main(["validate", "--config", write_config(tmp_path)]) == 0
         assert "assumptions hold" in capsys.readouterr().out
+
+    def test_package_runs_as_a_module(self):
+        # `PYTHONPATH=src python -m robustport ...` works without an install
+        repo = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "robustport", "validate", "--config",
+             str(repo / "configs" / "smoke.yaml")],
+            env={**os.environ, "PYTHONPATH": str(repo / "src")}, cwd=repo,
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "all assumptions hold" in done.stdout
 
     def test_validate_assumption_failure(self, tmp_path, capsys):
         path = write_config(tmp_path, {"model.b": {"kind": "constant", "value": -1.0}})

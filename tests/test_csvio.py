@@ -163,6 +163,50 @@ def test_one_value_columns_format_once(tmp_path, monkeypatch, smoke_model, smoke
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
+class Counted:
+    """A `%s` cell that counts how often it is formatted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __str__(self):
+        self.calls += 1
+        return "counted"
+
+
+# (fmt, which columns after t and y, as "one" (one value) or "number"), and
+# how often the counted one-value column is formatted in 3 chunks of 7 rows:
+# once per file folded into the y axis, else once per chunk
+FOLDS = {"after-y": ("%.17g,%.17g,%s,%.17g", ["one", "number"], 1),
+         "after-number": ("%.17g,%.17g,%.17g,%s,%.17g", ["number", "one", "number"], 3),
+         "last": ("%.17g,%.17g,%s", ["one"], 1),
+         "run": ("%.17g,%.17g,%s,%.17g,%d,%.17g,%.17g",
+                 ["one", -0.0, 2**63 - 1, float("nan"), "number"], 1)}
+
+
+@pytest.mark.parametrize("layout", sorted(FOLDS))
+def test_one_value_columns_fold_into_the_axis(tmp_path, monkeypatch, layout):
+    # every layout writes the bytes of fmt % row; a one-value column right
+    # after the y axis, alone or in a run, is folded into y's texts
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 7)
+    fmt, kinds, formats = FOLDS[layout]
+    t, y = np.array([0.0, 0.5, 1.0]), np.array([-1.0, -0.0, 0.0, 2.5, 1 / 3, 7.0])
+    axes = csvio._node_columns(t, y)
+    n = len(t) * len(y)
+    counted = Counted()
+    cols = [np.arange(n) * 0.25 - 1.0 if kind == "number" else
+            np.broadcast_to(np.array(counted if kind == "one" else kind,
+                                     dtype=object if kind == "one" else None), (n,))
+            for kind in kinds]
+    header = ",".join(f"c{i}" for i in range(2 + len(cols)))
+    csvio._write_csv(tmp_path / "f.csv", HASH, SEED, header, fmt, [*axes, *cols])
+    assert counted.calls == formats
+    rows = [(t[i // len(y)], y[i % len(y)], *(c[i] for c in cols)) for i in range(n)]
+    want = f"{csvio.provenance_line(HASH, SEED)}\n{header}\n" + "".join(
+        fmt % row + "\n" for row in rows)
+    assert (tmp_path / "f.csv").read_bytes() == want.encode()
+
+
 @pytest.fixture(scope="module")
 def grid_fields(smoke_model, smoke_rect, smoke_util):
     """(surface, policy field) of a tail field, whose every policy column is
@@ -211,13 +255,14 @@ def test_grid_writers_across_chunk_boundaries(tmp_path, monkeypatch, grid_fields
 def test_grid_writers_hold_one_chunk_of_text(tmp_path, smoke_model, smoke_rect,
                                             smoke_util, smoke_grid):
     # the flat smoke field: 402,201 rows in 7 chunks.  Assembled as one list
-    # of cells per chunk, the traced peaks are 11.8 and 18.3 MB.  A string
-    # per row (21.8 and 28.3 MB), or t and y expanded to full columns (+6.4
-    # MB), fails.
+    # of cells per chunk, the traced peaks are 11.8 and 16.2 MB; the policy's
+    # four one-value columns are folded into y's texts (3 cells a row, not
+    # 7: 18.3 MB unfolded).  A string per row (21.8 and 28.3 MB), or t and y
+    # expanded to full columns (+6.4 MB), fails.
     s = solve_hjbi(smoke_model, smoke_rect, smoke_util, smoke_grid)
     pf = build_policy(s, smoke_model, smoke_rect, smoke_util)
     for write, data, bound in ((csvio.write_surface, s, 15e6),
-                               (csvio.write_policy_csv, pf, 22e6)):
+                               (csvio.write_policy_csv, pf, 17.5e6)):
         tracemalloc.start()
         try:
             write(tmp_path / "x.csv", data, HASH, SEED)

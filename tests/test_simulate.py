@@ -411,6 +411,50 @@ class TestSharedPaths:
              2.9806070968071774, True),
         ]
 
+    def test_corner_report_is_pinned(self, smoke_pipeline, smoke_model, smoke_util):
+        # nu* is the (mu-, sigma+) corner at every node and b, beta and r are
+        # constants: the values of the engine that formed b(Y) as a row and
+        # added r = 0 and beta dt = 0 row by row.  y0 = -0.0 reads as 0.0
+        s, pf = smoke_pipeline
+        cfg = SimConfig(n_paths=4096, n_steps=10, seed=31001, x0=1.0, y0=0.0, horizon=1.0)
+        report = verify_saddle(s, pf, smoke_model, K, smoke_util, cfg)
+        assert report.base == UtilityEstimate(
+            mean=2.0812595204984623, std_error=0.008231823779743554, n_paths=4096,
+            min_terminal_wealth=0.17677561035036846, max_terminal_wealth=5.910443355629244)
+        assert report.pde_value == 2.0634868149982046
+        assert [(f.kind, f.label, f.eu, f.std_error, f.bound, f.passed)
+                for f in report.findings] == [
+            ('value-match', 'EU(pi*, nu*) vs PDE', 2.0812595204984623, 0.008231823779743554,
+             2.0634868149982046, True),
+            ('adversary', 'point(0.1,0.2)', 2.1215443921123462, 0.004154589126643305,
+             2.0535970585334136, True),
+            ('adversary', 'point(0.1,0.4)', 2.0812595204984623, 0.008231823779743554,
+             2.046334850001326, True),
+            ('adversary', 'point(0.3,0.2)', 2.4040247460347057, 0.004707766241984119,
+             2.0528107266475932, True),
+            ('adversary', 'point(0.3,0.4)', 2.3583760060834367, 0.009327878381935122,
+             2.0439372732370726, True),
+            ('adversary', 'random(0.297,0.378)', 2.3602063038813332, 0.008818638686422622,
+             2.045068612811561, True),
+            ('adversary', 'random(0.214,0.237)', 2.272109833547908, 0.005286550631336565,
+             2.05190999132224, True),
+            ('adversary', 'random(0.217,0.344)', 2.254740278285312, 0.007651797898741441,
+             2.0475428124086235, True),
+            ('adversary', 'chattering', 2.0812595204984623, 0.008231823779743554,
+             2.046334850001326, True),
+            ('policy-scale', '0*pi*', 2.0, 0.0, 2.105954991837693, True),
+            ('policy-scale', '0.5*pi*', 2.056271333252199, 0.004026765857136741,
+             2.1087513355364074, True),
+            ('policy-scale', '0.8*pi*', 2.0751309732564396, 0.006535226203311742,
+             2.1127912337158383, True),
+            ('policy-scale', '1.2*pi*', 2.082163903562456, 0.009939529752100544,
+             2.1199766300225833, True),
+            ('policy-scale', '1.5*pi*', 2.073698927366429, 0.012505926643210534,
+             2.126175554556636, True),
+        ]
+        negative = dataclasses.replace(cfg, y0=-0.0)
+        assert verify_saddle(s, pf, smoke_model, K, smoke_util, negative) == report
+
     def test_one_path_set_per_adversary(self, tail_pipeline, draws):
         # at seed 5: nu* with the base and its five scalings; the 4 corners
         # and 2 random points, whose factor loadings are equal floats; the
@@ -518,12 +562,14 @@ class TestLoadingKeys:
                                                  smoke_util, draws):
         # nu* is the (mu-, sigma+) corner at every node of the smoke market,
         # and every sigma of K loads the factor by rho at rho = 0.5: nu*,
-        # chattering and the 7 points run their 14 pairs on one path set
+        # chattering and the 7 points run their 14 pairs on one path set.
+        # Chattering's atoms are one point, so no uniform is drawn
         s, pf = smoke_pipeline
         cfg = SimConfig(n_paths=BATCH_SIZE + 1, n_steps=2, seed=5, x0=1.0, y0=0.0,
                         horizon=1.0)
         report = verify_saddle(s, pf, smoke_model, K, smoke_util, cfg)
-        assert draws == {"standard_normal": cfg.n_steps * 2, "random": cfg.n_steps * 2}
+        assert not AdversaryPolicy.chattering(pf).draws_atoms
+        assert draws == {"standard_normal": cfg.n_steps * 2}
 
         field = AdversaryPolicy.field(pf)
         assert report.base == simulate_eu(pf, field, smoke_model, cfg)

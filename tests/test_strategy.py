@@ -174,6 +174,8 @@ class TestOneValueStorage:
         assert np.signbit(one).all()
         codes = _one_valued(np.full((3, 2), 4, dtype=np.int8))
         assert codes.dtype == np.int8 and codes.strides == (0, 0)
+        # a broadcast is returned as it is, unscanned
+        assert _one_valued(one) is one
 
     def test_engine_reads_the_one_value(self, ramp_surface, ramp_model, smoke_util):
         # the adversary's moments: scalars, with the same bits as the
@@ -214,6 +216,22 @@ class TestPolicyMemory:
             tracemalloc.stop()
         assert pf.pi_frac.shape == s.u.shape
         assert live <= 1.5 * s.u.nbytes, live / s.u.nbytes
+
+    def test_one_node_build_writes_no_measure_surface(self, smoke_model, smoke_util,
+                                                      smoke_grid):
+        # nu* is the minus corner at every node of smoke's 2001x201 surface:
+        # branch_fields hands out five broadcasts, and the traced peak is
+        # 2.0x u.nbytes.  Five full measure surfaces, written and then
+        # scanned, peaked at 5.4x
+        s = solve_hjbi(smoke_model, K, smoke_util, smoke_grid)
+        tracemalloc.start()
+        try:
+            pf = build_policy(s, smoke_model, K, smoke_util)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pf.one_node is not None
+        assert peak <= 2.5 * s.u.nbytes, peak / s.u.nbytes
 
 
 class TestValueFunction:

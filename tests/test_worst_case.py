@@ -479,6 +479,34 @@ class TestAgainstNestedSelection:
             assert same_bits(values(kap), nested_ratio_values(b, kap, K))
 
 
+class TestMinusCornerFields:
+    """Where no node leaves the minus corner, branch_fields' arrays are the
+    full arrays' values, dtypes and shapes, and read-only."""
+
+    def test_equals_the_full_arrays(self):
+        # kappa in (t3, t4] = (-(b + 0.1)/0.4, 7.5 (b + 0.1)] at every node
+        b = np.linspace(0.0, 0.3, 7)
+        kap = np.linspace(-0.2, 0.7, 5)[:, None]
+        f = branch_fields(b, kap, K)
+        shape = (5, 7)
+        want = {"code": np.full(shape, 3, dtype=np.int8), "atom_mu": np.full(shape, 0.1),
+                "sigma_a": np.full(shape, 0.4), "sigma_b": np.full(shape, 0.4),
+                "weight_a": np.ones(shape)}
+        assert list(f) == list(want)
+        for key, full in want.items():
+            got = f[key]
+            assert got.dtype == full.dtype and got.shape == shape, key
+            assert np.ascontiguousarray(got).tobytes() == full.tobytes(), key
+            assert not got.flags.writeable, key
+
+    def test_zero_d_kappa_serves_minimize_ratio(self):
+        nu, value, branch = minimize_ratio(0.0, 0.5, K)
+        assert nu == WorstCaseMeasure(0.1, 0.4, 0.4, 1.0)
+        assert branch.region is BranchRegion.MINUS_CORNER
+        assert value == float(ratio_kernel(0.0, K)(0.5))
+        assert all(np.shape(a) == () for a in branch_fields(0.0, 0.5, K).values())
+
+
 class TestOnePreparation:
     """minimize_ratio prepares b once and hands it to the measure, the value
     and the thresholds."""
