@@ -49,13 +49,19 @@ draws its uniforms from a stream of its own, SeedSequence(seed,
 spawn_key=(b, 1)), each once per step for all path sets (not at all
 where no adversary reads them).  The Brownian increments are therefore
 common to every (policy, adversary) pair at a seed (common random numbers
-for the saddle comparisons), and estimates are independent of how batches
-would be distributed across workers.
+for the saddle comparisons).  The calling thread draws them; each step then
+advances the batch's paths in column chunks of at least 16384, one per CPU,
+on threads in the caller's numpy error state.  A path's arithmetic is the
+same in any chunk, so no estimate or error depends on the chunking.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +89,10 @@ BATCH_SIZE = 65536
 # allowance of the PDE value match on top of 3 standard errors
 N_RANDOM_ADVERSARIES = 3
 PDE_TOLERANCE = 1e-3
+# _log_wealth advances a batch in column chunks of at least _CHUNK_MIN paths,
+# at most one per CPU the process may run on
+_CHUNK_MIN = 16384
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -328,15 +338,33 @@ def _log_wealth(policy, sets, m: MarketModel, cfg: SimConfig, bi: int) -> np.nda
     blocks = _row_blocks(ln_x, sets)
     yvs = np.full((len(sets), nb), cfg.y0)
     u = None
-    for step in range(cfg.n_steps):
-        t = step * dt
-        z = rng.standard_normal((2, nb))
-        z *= sq_dt
-        if chatter:
-            u = uniforms.random(nb)
-        for groups, lx, yv in zip(sets, blocks, yvs):
-            _advance(policy, groups, lx, yv, m, t, dt, z, u)
+    n = max(1, min(_CPUS, nb // _CHUNK_MIN))
+    first, *rest = (slice(nb * c // n, nb * (c + 1) // n) for c in range(n))
+    with ThreadPoolExecutor(n - 1) if rest else nullcontext() as pool:
+        for step in range(cfg.n_steps):
+            t = step * dt
+            z = rng.standard_normal((2, nb))
+            z *= sq_dt
+            if chatter:
+                u = uniforms.random(nb)
+            args = policy, sets, blocks, yvs, m, t, dt, z, u
+            # each chunk in the caller's numpy error state; all end before an error is raised
+            futures = [pool.submit(copy_context().run, _advance_chunk, sl, *args) for sl in rest]
+            try:
+                _advance_chunk(first, *args)
+            finally:
+                wait(futures)
+            for future in futures:  # the first error in chunk order
+                future.result()
     return ln_x
+
+
+def _advance_chunk(sl: slice, policy, sets, blocks, yvs, m, t, dt, z, u):
+    """One Euler step of the paths sl of every path set, in place: _advance
+    on column views, so each path reads and writes only its own columns."""
+    for groups, lx, yv in zip(sets, blocks, yvs):
+        _advance(policy, groups, lx[:, sl], yv[sl], m, t, dt, z[:, sl],
+                 None if u is None else u[sl])
 
 
 def _check_finite(ln_x: np.ndarray, sets, bi: int):

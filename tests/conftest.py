@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from robustport import (CoefficientFn, GridSpec, MarketModel, PowerUtility,
                         UncertaintyRectangle)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves a thread alive which it did not find: a path
+    engine pool that outlived its batch would keep a process from exiting."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left alive: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
                         PowerUtility, SimConfig, UncertaintyRectangle,
                         UtilityEstimate, build_policy, simulate_eu,
                         solve_hjbi, terminal_wealths, value_function, verify_saddle)
-from robustport.simulate import (BATCH_SIZE, _estimates, _loading_key, _path_sets,
-                                 _saddle_adversaries, _wealth_batches)
+from robustport import simulate
+from robustport.simulate import (BATCH_SIZE, _estimates, _log_wealth, _loading_key,
+                                 _path_sets, _saddle_adversaries, _wealth_batches)
 
 from oracles import constant_field, lognormal_eu
 
@@ -615,3 +618,110 @@ class TestLoadingKeys:
         assert _loading_key(AdversaryPolicy.chattering(pf), m.rho) is None
         groups = [(AdversaryPolicy.field(pf), (1.0,)), (AdversaryPolicy.field(pf), (1.0,))]
         assert _path_sets(groups, m.rho) == [[0], [1]]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the thread pools the engine builds while the test
+    runs, one per pool."""
+    built = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+    return built
+
+
+def tail_node_field(name, value):
+    """constant_field(0.7, 0.15, 0.2, 0.4, 0.4) with name set to value at the
+    node y = 3, which the paths reach once Y crosses 1.5.  From y0 = -1.5 in
+    two steps at seed 13 only paths 50816 and 53658 of the first batch do:
+    both lie in the last chunk of 2 or 3."""
+    pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
+    surface = np.array(getattr(pf, name))
+    surface[:, 2] = value
+    return AdversaryPolicy.field(dataclasses.replace(pf, **{name: surface}), name)
+
+
+TAIL_NODE_CFG = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=2, seed=13, x0=1.0, y0=-1.5,
+                          horizon=1.0)
+
+
+class TestChunks:
+    """Each step advances a batch's paths in column chunks on threads, one
+    chunk per CPU: no row, estimate or error depends on the chunking."""
+
+    @pytest.mark.parametrize("fraction", ["field", 0.7])
+    def test_rows_do_not_depend_on_the_chunking(self, tail_pipeline, monkeypatch, pools,
+                                                fraction):
+        # chattering with scales that include 0.0, the relaxed field and the
+        # points of verify_saddle; batch 0 splits into up to 4 chunks, batch 1
+        # (40001 paths) into up to 2
+        m, _, pf = tail_pipeline
+        policy = pf if fraction == "field" else fraction
+        cfg = SimConfig(n_paths=BATCH_SIZE + 40001, n_steps=4, seed=8, x0=1.0, y0=0.3,
+                        horizon=1.0)
+        groups = [(AdversaryPolicy.chattering(pf), (1.0, 0.0, 0.5)),
+                  (AdversaryPolicy.field(pf), (0.0, 1.2)),
+                  *((adv, (1.0,)) for adv in _saddle_adversaries(pf, TAIL_K, cfg.seed)[:-1])]
+        sets = [[groups[i] for i in members] for members in _path_sets(groups, m.rho)]
+        rows = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_CPUS", cpus)
+            rows[cpus] = [_log_wealth(policy, sets, m, cfg, bi).tobytes() for bi in (0, 1)]
+        assert rows[2] == rows[3] == rows[1]
+        # 1 CPU builds no pool; 2 CPUs one 1-worker pool a batch; 3 CPUs 3
+        # chunks of batch 0 and 2 of batch 1
+        assert pools == [1, 1, 2, 1]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_chunks_run_in_the_callers_error_state(self, monkeypatch, cpus):
+        # mu = 1e308 overflows f * (b + mu) on the paths of the last chunk
+        # only: under errstate(all="ignore") the overflow must not warn in a
+        # worker thread, and the wealth check names the path one chunk names
+        m = const_model(rho=0.5)
+        adv = tail_node_field("atom_mu", 1e308)
+        errors = {}
+        for n in (1, cpus):
+            monkeypatch.setattr(simulate, "_CPUS", n)
+            with pytest.raises(FloatingPointError) as err, np.errstate(all="ignore"):
+                simulate_eu(2.0, adv, m, TAIL_NODE_CFG, q=0.5)
+            errors[n] = str(err.value)
+        assert errors[cpus] == errors[1] == "non-finite wealth on path 50816"
+
+    def test_error_in_the_last_chunk_raises_as_alone(self, monkeypatch, pools):
+        # moments that no measure has, at the node only the last chunk reaches
+        m = const_model(rho=0.5)
+        bad = tail_node_field("weight_a", 1.5)
+        before = threading.enumerate()
+        errors = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(simulate, "_CPUS", cpus)
+            with pytest.raises(AssertionError) as err:
+                simulate_eu(0.7, bad, m, TAIL_NODE_CFG, q=0.5)
+            errors[cpus] = str(err.value)
+            assert threading.enumerate() == before
+        assert errors[2] == errors[1] == (
+            "internal invariant failure: (sigma,nu)^2 > (sigma^2,nu)")
+        assert pools == [1]
+
+    @pytest.mark.memory
+    def test_chunks_add_at_most_a_row(self, tail_pipeline, monkeypatch):
+        # the chunks' temporaries are column slices of one chunk's: two
+        # chunks peak within one batch row of a single chunk
+        m, s, pf = tail_pipeline
+        cfg = SimConfig(n_paths=2 * BATCH_SIZE, n_steps=3, seed=31001, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        peaks = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(simulate, "_CPUS", cpus)
+            tracemalloc.start()
+            try:
+                verify_saddle(s, pf, m, TAIL_K, TAIL_UTIL, cfg)
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= peaks[1] + 8 * BATCH_SIZE, (peaks[2] - peaks[1]) / (8 * BATCH_SIZE)
