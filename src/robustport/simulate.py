@@ -30,13 +30,23 @@ included.  It makes one pass over each batch's normals: every step draws
 them once, and the chattering uniforms once where an adversary reads them
 (draws_atoms), and each set advances its own Y row (driven by its first
 adversary, moved once its last has read it) and one ln X row per scale off
-those draws, forming each adversary's moments once per step.  A constant
-coefficient is one float, left out where it is 0.0: that changes at most
-the sign of a zero in an increment or in Y, never an ln X row (they start
-at +0.0, and round-to-nearest never makes one -0.0), and b, fraction_at and
-node_index read both zeros alike.  verify_saddle's 14 rows form 1 path set
-where nu* is one corner at every node and all 7 points load alike, as on
-configs/smoke.yaml and configs/ramp.yaml, and 3 or more, advancing
+those draws, forming each adversary's moments once per step.  In a path
+set, an (adversary, scale) entry whose adversary is one node and draws no
+atoms is keyed by the bit patterns of the moments the engine forms for it
+and of the scale (_entry_key): each key advances one ln X row, and every
+entry with that key reads it and shares its estimate.  Chattering that
+draws atoms, a field that is not one node and entries that differ in any
+bit never share a row.  A step evaluates b, beta and r at Y once, before
+its groups, with one smoothstep per distinct ramp tail radius
+(model.smoothstep), which dies as soon as the ramps of that radius are
+mapped from it.  A constant coefficient is one float, left out where it
+is 0.0: that changes at most the sign of a zero in an increment or in Y,
+never an ln X row (they start at +0.0, and round-to-nearest never makes one
+-0.0), and b, fraction_at and node_index read both zeros alike.
+verify_saddle's 14 entries form 1 path set of 12 rows where nu* is one
+corner at every node and all 7 points load alike, as on configs/smoke.yaml
+and configs/ramp.yaml (the base pair, the (mu-, sigma+) corner and
+chattering are one row), and 3 or more sets of 14 rows, advancing
 together, where nu* has two-atom nodes.  These are the draws a set makes
 when run alone, and each row keeps the operand pairing of a run of its pair
 alone, so its estimate equals that run's bit for bit.  Where one set alone
@@ -66,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MarketModel, PowerUtility, UncertaintyRectangle
+from .model import MarketModel, PowerUtility, UncertaintyRectangle, smoothstep
 from .pde import ValueSurface
 from .strategy import PolicyField, value_function
 from .worst_case import measure_moments
@@ -251,11 +261,30 @@ def _coefficient(fn, y):
     return fn.left if fn.left else None
 
 
-def _move_factor(yv: np.ndarray, m: MarketModel, sig_m, vol, dt: float, dw, dwp):
-    """yv = ((yv + beta(yv) dt) + load_w dw) + load_perp dw_perp, in place,
-    with the loadings of adversary moments sig_m and vol = sqrt(sig2_m)."""
-    load_w, load_perp = _loadings(m.rho, sig_m, vol)
-    beta_y = _coefficient(m.beta, yv)
+def _coefficients(fns, y) -> list:
+    """[_coefficient(fn, y) for fn in fns], bit for bit, forming one
+    smoothstep per distinct ramp tail radius: the ramps of a radius are
+    mapped from it, the last of them into it, so it dies with them."""
+    values = [None] * len(fns)
+    ramps = {}
+    for i, fn in enumerate(fns):
+        if fn.kind == "smooth-ramp":
+            ramps.setdefault(fn.tail_radius, []).append(i)
+        else:
+            values[i] = _coefficient(fn, y)
+    for n, (*shared, last) in ramps.items():
+        step = smoothstep(y, n)
+        for i in shared:
+            values[i] = fns[i].ramp_from(step, y)
+        values[last] = fns[last].ramp_from(step, y, out=step)
+    return values
+
+
+def _move_factor(yv: np.ndarray, rho: float, beta_y, sig_m, vol, dt: float, dw, dwp):
+    """yv = ((yv + beta_y dt) + load_w dw) + load_perp dw_perp, in place,
+    with the loadings of adversary moments sig_m and vol = sqrt(sig2_m);
+    beta_y is beta(yv) (_coefficient)."""
+    load_w, load_perp = _loadings(rho, sig_m, vol)
     if beta_y is not None:
         yv += beta_y * dt
     yv += load_w * dw
@@ -273,8 +302,8 @@ def _advance(policy, groups, lx, yv, m: MarketModel, t: float, dt: float, z, u):
     dw, dwp = z
     frac = (policy.fraction_at(t, yv) if isinstance(policy, PolicyField)
             else float(policy))
-    b_y = _coefficient(m.b, yv)
-    r_y = _coefficient(m.r, yv)
+    # beta(Y) too, before the loop: a ramp shares b's smoothstep where their radii match
+    b_y, beta_y, r_y = _coefficients((m.b, m.beta, m.r), yv)
     rows = iter(lx)
     last = f = half_ff = None
     for n, (adv, scales) in enumerate(groups, 1):
@@ -291,8 +320,8 @@ def _advance(policy, groups, lx, yv, m: MarketModel, t: float, dt: float, z, u):
         if n == len(groups):
             # no later adversary reads Y or b(Y): lower the step's peak
             del b_y
-            _move_factor(yv, m, *drive, dt, dw, dwp)
-            del drive
+            _move_factor(yv, m.rho, beta_y, *drive, dt, dw, dwp)
+            del beta_y, drive
         # scales first: zip must not pull a row past this group's last
         for scale, row in zip(scales, rows):
             # 0.0 == -0.0, but either scale adds zeros to the row alike
@@ -441,23 +470,59 @@ class _UtilityMoments:
         return UtilityEstimate(self.mean, math.sqrt(var / n), n, self.min_x, self.max_x)
 
 
+def _entry_key(adv: AdversaryPolicy, scale: float):
+    """The bit patterns of the moments the engine forms for adv, and of
+    scale, where adv is one node and draws no atoms: in one path set, the
+    (adversary, scale) entries with one key advance equal ln X rows.  None
+    for any other adversary, whose moments may vary with (t, Y) or u."""
+    if adv.one_node is None or adv.draws_atoms:
+        return None
+    return tuple(np.float64(v).tobytes() for v in (*adv.moments(0.0, None, None), scale))
+
+
+def _distinct_rows(groups, rho: float):
+    """The path sets to run for (adversary, scales) groups, each a list of
+    groups keeping only the scales that need a row of their own, and for
+    each scale of each group the index of the ln X row it reads, in
+    _log_wealth's order.  In a path set, an entry whose _entry_key an
+    earlier entry has reads that entry's row; no other entry shares one."""
+    sets, slots = [], [[] for _ in groups]
+    n_rows = 0
+    for members in _path_sets(groups, rho):
+        rows = {}
+        run = []
+        for i in members:
+            adv, scales = groups[i]
+            kept = []
+            for j, scale in enumerate(scales):
+                row = rows.setdefault(_entry_key(adv, scale) or (i, j), n_rows)
+                if row == n_rows:
+                    kept.append(scale)
+                    n_rows += 1
+                slots[i].append(row)
+            if kept:
+                run.append((adv, tuple(kept)))
+        sets.append(run)
+    return sets, slots
+
+
 def _estimates(policy, groups, m: MarketModel, cfg: SimConfig, q) -> tuple[tuple, ...]:
     """E[X_T^q / q] for each scale of each (adversary, scales) group, one
-    tuple of UtilityEstimate per group.
+    tuple of UtilityEstimate per group; equal entries (_distinct_rows) are
+    simulated once and share one estimate.
 
     Raises FloatingPointError on a non-finite wealth and AssertionError on
     broken moments, batch by batch: where two path sets fail, the first
     batch that fails decides which error, and which path, is named."""
     q = _resolve_q(policy, q)
-    sets = _path_sets(groups, m.rho)
-    accs = [[_UtilityMoments(q) for _ in scales] for _, scales in groups]
-    flat = [acc for members in sets for i in members for acc in accs[i]]
-    for x_t in _wealth_batches(policy, [[groups[i] for i in members] for members in sets],
-                               m, cfg):
-        for acc, row in zip(flat, x_t):
+    sets, slots = _distinct_rows(groups, m.rho)
+    accs = [_UtilityMoments(q) for _ in range(sum(map(_n_rows, sets)))]
+    for x_t in _wealth_batches(policy, sets, m, cfg):
+        for acc, row in zip(accs, x_t):
             acc.add(row)
         del x_t, row  # a batch's wealths must not live on into the next batch
-    return tuple(tuple(acc.estimate() for acc in group) for group in accs)
+    estimates = [acc.estimate() for acc in accs]
+    return tuple(tuple(estimates[k] for k in rows) for rows in slots)
 
 
 def simulate_eu(policy, adv: AdversaryPolicy, m: MarketModel, cfg: SimConfig,
@@ -555,7 +620,8 @@ def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
     field = AdversaryPolicy.field(pf)
     # one path set per factor path, all on one pass over the normals: nu*
     # with the base and its scalings, the fixed points and chattering join
-    # it where they load the factor alike
+    # it where they load the factor alike, and an entry that forms the
+    # base's moments at its scale reads the base's row
     (base, *scaled), *deviations = _estimates(
         pf, [(field, (1.0, *policy_scales)), *((adv, (1.0,)) for adv in adversaries)],
         m, cfg, util)

@@ -15,11 +15,14 @@ independent of the minimizer: it checks how strategy assembles the saddle in
 the separated variables, and the grid searches check the minimizer itself.
 
 constant_field is a stand-in, not an oracle: a policy field with one measure
-at every node, stored as build_policy stores it.
+at every node, stored as build_policy stores it.  words, record_results and
+traced_peak are probes: bit patterns, the results of a patched call, a
+tracemalloc peak.
 """
 
 import math
 import re
+import tracemalloc
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -342,3 +345,34 @@ def saddle_point(x: float, y: float, d: DerivativeBundle, m: MarketModel,
     pi_star = -sig_m * m.rho * d.q12 / (sig2_m * d.q11)
     value = const - m.rho**2 * d.q12**2 * s_lo * s_hi / (2.0 * d.q11 * s_mid**2)
     return SaddlePoint(pi_star, nu, value)
+
+
+def words(x):
+    """The float64 bytes of x, or None for None: equal words are equal
+    bits, so -0.0 and 0.0 differ."""
+    return None if x is None else np.asarray(x, dtype=np.float64).tobytes()
+
+
+def record_results(monkeypatch, owner, name, record=lambda out: out) -> list:
+    """A list that receives record(result) of each call of owner.name while
+    the test runs."""
+    fn = getattr(owner, name)
+    results = []
+
+    def recorded(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        results.append(record(out))
+        return out
+
+    monkeypatch.setattr(owner, name, recorded)
+    return results
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of the call fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from robustport import GridSpec, build_policy, solve_hjbi
+from robustport import GridSpec, build_policy, config, solve_hjbi
 from robustport.cli import _print_occupancy, main
 from robustport.config import (ConfigError, canonical_dict, dump_config,
                                load_config, parse_config, solve_config_hash)
@@ -132,6 +132,26 @@ class TestConfigParsing:
         assert text.count("rectangle:\n") == 1
         p.write_text(text.replace("rectangle:\n", "rectangle:\n  <<: {mu_minus: 0.0}\n"))
         assert load_config(str(p)).rectangle.mu_minus == 0.1
+
+    @pytest.mark.parametrize("base", ["CSafeLoader", "SafeLoader"])
+    def test_duplicate_key_rejected_by_either_parser(self, tmp_path, monkeypatch, base):
+        # libyaml's C parser, where PyYAML has it, and the pure-Python one
+        # name the file, the key and its line alike, and load the same config
+        assert issubclass(config._UniqueKeyLoader,
+                          getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        if not hasattr(yaml, base):
+            pytest.skip(f"this PyYAML has no {base}")
+        ok = write_config(tmp_path)
+        want = load_config(ok)
+        monkeypatch.setattr(config, "_UniqueKeyLoader",
+                            type("Loader", (config._UniqueKeys, getattr(yaml, base)), {}))
+        assert load_config(ok) == want
+        p = tmp_path / "twice.yaml"
+        p.write_text(Path(ok).read_text().replace("  rho: 0.5\n", "  rho: 0.5\n  rho: 0.9\n"))
+        with pytest.raises(ConfigError) as info:
+            load_config(str(p))
+        line = p.read_text().splitlines().index("  rho: 0.9") + 1
+        assert str(info.value) == f"{p}: duplicate key 'rho' (line {line})"
 
     def test_integer_valued_floats_load_as_floats(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"grid.horizon": 2, "grid.n_t": 401,

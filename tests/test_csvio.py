@@ -254,15 +254,15 @@ def test_grid_writers_across_chunk_boundaries(tmp_path, monkeypatch, grid_fields
 @pytest.mark.memory
 def test_grid_writers_hold_one_chunk_of_text(tmp_path, smoke_model, smoke_rect,
                                             smoke_util, smoke_grid):
-    # the flat smoke field: 402,201 rows in 7 chunks.  Assembled as one list
-    # of cells per chunk, the traced peaks are 11.8 and 16.2 MB; the policy's
-    # four one-value columns are folded into y's texts (3 cells a row, not
-    # 7: 18.3 MB unfolded).  A string per row (21.8 and 28.3 MB), or t and y
-    # expanded to full columns (+6.4 MB), fails.
+    # the flat smoke field: 402,201 rows in 50 chunks of 8192.  Assembled as
+    # one list of cells per chunk, the traced peaks are 1.7 and 2.2 MB; the
+    # policy's four one-value columns are folded into y's texts (3 cells a
+    # row, not 7).  Chunks of 65536 rows (11.8 and 16.2 MB), a string per
+    # row, or t and y expanded to full columns (+6.4 MB) fail.
     s = solve_hjbi(smoke_model, smoke_rect, smoke_util, smoke_grid)
     pf = build_policy(s, smoke_model, smoke_rect, smoke_util)
-    for write, data, bound in ((csvio.write_surface, s, 15e6),
-                               (csvio.write_policy_csv, pf, 17.5e6)):
+    for write, data, bound in ((csvio.write_surface, s, 3e6),
+                               (csvio.write_policy_csv, pf, 3.5e6)):
         tracemalloc.start()
         try:
             write(tmp_path / "x.csv", data, HASH, SEED)

@@ -12,10 +12,12 @@ from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
                         UtilityEstimate, build_policy, simulate_eu,
                         solve_hjbi, terminal_wealths, value_function, verify_saddle)
 from robustport import simulate
-from robustport.simulate import (BATCH_SIZE, _estimates, _log_wealth, _loading_key,
+from robustport.simulate import (BATCH_SIZE, _coefficient, _coefficients, _distinct_rows,
+                                 _estimates, _log_wealth, _loading_key, _n_rows,
                                  _path_sets, _saddle_adversaries, _wealth_batches)
 
-from oracles import constant_field, lognormal_eu
+from oracles import (constant_field, lognormal_eu, record_results, smooth_ramp,
+                     traced_peak, words)
 
 K = UncertaintyRectangle(0.1, 0.3, 0.2, 0.4)
 
@@ -73,6 +75,16 @@ def tail_pipeline():
     pf = build_policy(s, m, TAIL_K, TAIL_UTIL)
     assert 0.3 < np.mean(pf.weight_a < 1.0) < 0.5
     return m, s, pf
+
+
+@pytest.fixture(scope="module")
+def ramp_pipeline(ramp_model, smoke_rect, smoke_util):
+    """configs/ramp.yaml's market on a coarse grid: b and beta are ramps of
+    one tail radius, and nu* is the (mu-, sigma+) corner at every node."""
+    s = solve_hjbi(ramp_model, smoke_rect, smoke_util, GridSpec(1.0, 201, 41, 4.0))
+    pf = build_policy(s, ramp_model, smoke_rect, smoke_util)
+    assert pf.one_node is not None
+    return s, pf
 
 
 class TestSimulateEU:
@@ -516,6 +528,23 @@ class TestSharedPaths:
             tracemalloc.stop()
         assert peak <= 29 * 8 * BATCH_SIZE, peak / (8 * BATCH_SIZE)
 
+    @pytest.mark.memory
+    def test_verify_saddle_memory_with_two_ramps(self, ramp_pipeline, ramp_model,
+                                                 smoke_rect, smoke_util, monkeypatch):
+        # one path set in one chunk: 12 ln X rows (the base pair, the (mu-,
+        # sigma+) corner and chattering share one), 1 Y row and the step's 2
+        # normal rows, with at most 8 more rows alive within a step
+        # (fraction, b(Y), beta(Y), b(Y) + mu_m, f, f^2 / 2 and the row
+        # update's two).  Holding the smoothstep past the ramps it serves
+        # (24.04) or a row per entry (25.04) fail
+        s, pf = ramp_pipeline
+        monkeypatch.setattr(simulate, "_CPUS", 1)
+        cfg = SimConfig(n_paths=2 * BATCH_SIZE, n_steps=3, seed=31001, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        peak = traced_peak(lambda: verify_saddle(s, pf, ramp_model, smoke_rect,
+                                                 smoke_util, cfg))
+        assert peak <= 23.5 * 8 * BATCH_SIZE, peak / (8 * BATCH_SIZE)
+
     def test_one_failing_set_raises_as_alone(self):
         # a field whose drift is NaN where Y rounds to the node y = 3 makes
         # its paths non-finite once they cross y = 1.5; the sets that finish
@@ -618,6 +647,97 @@ class TestLoadingKeys:
         assert _loading_key(AdversaryPolicy.chattering(pf), m.rho) is None
         groups = [(AdversaryPolicy.field(pf), (1.0,)), (AdversaryPolicy.field(pf), (1.0,))]
         assert _path_sets(groups, m.rho) == [[0], [1]]
+
+
+class TestEqualEntries:
+    """In a path set, (adversary, scale) entries that form the same moments
+    at the same scale, on one node and without drawing atoms, advance one
+    ln X row; no other entries share one."""
+
+    @pytest.mark.parametrize("market", ["smoke", "ramp"])
+    def test_one_corner_saddle_runs_12_rows(self, market, smoke_pipeline, smoke_model,
+                                            ramp_pipeline, ramp_model, smoke_util,
+                                            monkeypatch):
+        # nu* is the (mu-, sigma+) corner at every node: the base pair, the
+        # point (0.1, 0.4) and chattering, which draws no atom, share a row.
+        # The cfg is test_corner_report_is_pinned's, and with no key (a row
+        # per entry, 14) the report is the same
+        (s, pf), m = ((smoke_pipeline, smoke_model) if market == "smoke"
+                      else (ramp_pipeline, ramp_model))
+        cfg = SimConfig(n_paths=4096, n_steps=10, seed=31001, x0=1.0, y0=0.0, horizon=1.0)
+        rows = record_results(monkeypatch, simulate, "_log_wealth", len)
+        report = verify_saddle(s, pf, m, K, smoke_util, cfg)
+        assert rows == [12]
+        monkeypatch.setattr(simulate, "_entry_key", lambda adv, scale: None)
+        assert verify_saddle(s, pf, m, K, smoke_util, cfg) == report
+        assert rows == [12, 14]
+        base, corner, chattering = (report.findings[i] for i in (0, 2, 8))
+        assert (corner.label, chattering.label) == ("point(0.1,0.4)", "chattering")
+        assert base.eu == corner.eu == chattering.eu
+        if market == "smoke":
+            assert report.base == UtilityEstimate(
+                mean=2.0812595204984623, std_error=0.008231823779743554, n_paths=4096,
+                min_terminal_wealth=0.17677561035036846,
+                max_terminal_wealth=5.910443355629244)
+
+    def test_entries_share_a_row_only_on_equal_bits(self):
+        # the point (0.1, 0.4), the one-node field at it and its chattering
+        # form one moment triple; one ulp of mu or sigma, the sign of a zero
+        # scale, chattering that draws atoms and a field that is not one node
+        # (a full-array copy) each keep a row of their own, even repeated
+        m = const_model(rho=0.5)
+        corner = constant_field(0.7, 0.1, 0.4, 0.4, 1.0)
+        two_atoms = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
+        full = dataclasses.replace(corner, **{name: np.array(getattr(corner, name))
+                                              for name in ("atom_mu", "sigma_a", "sigma_b",
+                                                           "weight_a", "branch_code")})
+        groups = [(AdversaryPolicy.constant_point(0.1, 0.4), (1.0, 0.5, 1.0, 0.0, -0.0)),
+                  (AdversaryPolicy.field(corner), (1.0,)),
+                  (AdversaryPolicy.chattering(corner), (0.5,)),
+                  (AdversaryPolicy.constant_point(np.nextafter(0.1, 1.0), 0.4), (1.0,)),
+                  (AdversaryPolicy.constant_point(0.1, np.nextafter(0.4, 1.0)), (1.0,)),
+                  (AdversaryPolicy.chattering(two_atoms), (1.0, 1.0)),
+                  (AdversaryPolicy.chattering(two_atoms, "again"), (1.0,)),
+                  (AdversaryPolicy.field(full), (1.0, 1.0))]
+        assert not AdversaryPolicy.chattering(corner).draws_atoms
+        assert AdversaryPolicy.chattering(two_atoms).draws_atoms
+        sets, slots = _distinct_rows(groups, m.rho)
+        (one, half, again, zero, negative_zero), (field,), (chattering,) = slots[:3]
+        assert (again, field, chattering) == (one, one, half)
+        unshared = [one, half, zero, negative_zero, *(k for ks in slots[3:] for k in ks)]
+        assert sorted(unshared) == list(range(11)) == list(range(sum(map(_n_rows, sets))))
+        cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        assert _estimates(0.7, groups, m, cfg, 0.5) == tuple(
+            tuple(simulate_eu(0.7, adv, m, cfg, q=0.5, policy_scale=scale)
+                  for scale in scales) for adv, scales in groups)
+
+
+class TestSharedSmoothstep:
+    """A step evaluates b, beta and r at Y with one smoothstep per distinct
+    ramp tail radius, with the bits of separate CoefficientFn calls."""
+
+    @pytest.mark.parametrize("radii, kinds", [
+        ((2.0, 2.0, 2.0), "rrr"), ((2.0, 1.0, 2.0), "rrr"), ((1.5, 1.5, 1.5), "rcr"),
+        ((2.0, 2.0, 1.0), "rrp")])
+    def test_shared_ramps_match_separate_calls(self, monkeypatch, radii, kinds):
+        ends = [(-0.0, 0.2), (0.1, -0.1), (0.03, -0.0)]
+        fns = [CoefficientFn.ramp(*e, n) if kind == "r"
+               else CoefficientFn.constant(0.0) if kind == "c"
+               else CoefficientFn.piecewise(*e, n, [(0.0, 0.05)])
+               for kind, e, n in zip(kinds, ends, radii)]
+        edges = [v for n in set(radii)
+                 for v in (-n, n, np.nextafter(-n, 0.0), np.nextafter(n, 0.0),
+                           -n - 1e-9, n + 0.5)]
+        y = np.concatenate([[-0.0, 0.0, 1e300, -np.inf, np.inf], edges,
+                            np.random.default_rng(2).normal(0.0, 1.5, 4001)])
+        steps = record_results(monkeypatch, simulate, "smoothstep", len)
+        got = _coefficients(fns, y)
+        assert len(steps) == len({n for kind, n in zip(kinds, radii) if kind == "r"})
+        assert list(map(words, got)) == [words(_coefficient(fn, y)) for fn in fns]
+        assert [words(v) for v, fn in zip(got, fns) if fn.kind == "smooth-ramp"] == [
+            words(smooth_ramp(y, fn.left, fn.right, fn.tail_radius))
+            for fn in fns if fn.kind == "smooth-ramp"]
 
 
 @pytest.fixture
