@@ -16,28 +16,37 @@ atom of nu*(t, Y) per step.
 The fraction f never enters dY, and an adversary enters it only through the
 loadings rho sig_m / sqrt(sig2_m) and sqrt(1 - that^2).  So every policy
 scaling under one adversary shares the factor paths, and so do adversaries
-that give the factor the same two loading floats.  The keying rule: an
-adversary whose measure is one node (AdversaryPolicy.one_node: a fixed
-point, or a field stored as one node, as one at a corner of K) is keyed by
-the loadings of its moments or, with chattering, of each atom as a point;
-every other adversary has a path set of its own.  Fixed points share where
+that give the factor the same two loading floats wherever a later step
+reads it.  The steps read Y at t_0..t_{n-1} only, so the last step's move
+(Y_T) counts for none of them.  The keying rule (_loading_key) takes the
+measures an adversary can present at every node of the time rows its
+paths read before the last step (PolicyField.row_index of the engine's
+step times): a fixed point or a field stored as one node its one measure
+(AdversaryPolicy.one_node, as a field at a corner of K), any other field
+its moments at those nodes, and chattering each atom it can draw there as
+a point (sigma_a where weight_a > 0, sigma_b where weight_a < 1).  Where
+they all give one pair of finite loadings, that pair keys the adversary;
+every other adversary has a path set of its own (at n_steps = 1 a field
+that is not one node reads no row and has none).  Fixed points share where
 rho sigma / sigma rounds alike (to rho for every sigma of [0.2, 0.4] at
-rho = 0.5, for about 78% of them at 0.9).  The Y, b(Y), r(Y) and f(t, Y) of
-a set are bit-identical, and only mu and sigma^2 enter its ln X rows.  The
-path engine takes one (adversary, scales) entry per adversary and groups
-the entries into path sets, one per factor path, chattering adversaries
-included.  It makes one pass over each batch's normals: every step draws
-them once, and the chattering uniforms once where an adversary reads them
-(draws_atoms), and each set advances its own Y row (driven by its first
-adversary, moved once its last has read it) and one ln X row per scale off
-those draws, forming each adversary's moments once per step.  In a path
-set, an (adversary, scale) entry whose adversary is one node and draws no
-atoms is keyed by the bit patterns of the moments the engine forms for it
-and of the scale (_entry_key): each key advances one ln X row, and every
-entry with that key reads it and shares its estimate.  Chattering that
-draws atoms, a field that is not one node and entries that differ in any
-bit never share a row.  A step evaluates b, beta and r at Y once, before
-its groups, with one smoothstep per distinct ramp tail radius
+rho = 0.5, for about 78% of them at 0.9), and so does chattering on a tail
+market where its paths draw sigma- and sigma+ before the last step.  The
+Y, b(Y), r(Y) and f(t, Y) of a set are bit-identical, and only mu and
+sigma^2 enter its ln X rows.  The path engine takes one (adversary,
+scales) entry per adversary and groups the entries into path sets, one per
+factor path, chattering adversaries included.  It makes one pass over each
+batch's normals: every step draws them once, and the chattering uniforms
+once where an adversary reads them (draws_atoms), and each set advances
+its own Y row (driven by its first adversary, moved once its last has read
+it) and one ln X row per scale off those draws, forming each adversary's
+moments once per step.  In a path set, an (adversary, scale) entry whose
+adversary is one node and draws no atoms (chattering that can draw one
+sigma only is that point) is keyed by the bit patterns of the moments the
+engine forms for it and of the scale (_entry_key): each key advances one
+ln X row, and every entry with that key reads it and shares its estimate.
+Chattering that draws atoms, a field that is not one node and entries that
+differ in any bit never share a row.  A step evaluates b, beta and r at Y
+once, before its groups, with one smoothstep per distinct ramp tail radius
 (model.smoothstep), which dies as soon as the ramps of that radius are
 mapped from it.  A constant coefficient is one float, left out where it
 is 0.0: that changes at most the sign of a zero in an increment or in Y,
@@ -46,11 +55,16 @@ never an ln X row (they start at +0.0, and round-to-nearest never makes one
 verify_saddle's 14 entries form 1 path set of 12 rows where nu* is one
 corner at every node and all 7 points load alike, as on configs/smoke.yaml
 and configs/ramp.yaml (the base pair, the (mu-, sigma+) corner and
-chattering are one row), and 3 or more sets of 14 rows, advancing
-together, where nu* has two-atom nodes.  These are the draws a set makes
-when run alone, and each row keeps the operand pairing of a run of its pair
-alone, so its estimate equals that run's bit for bit.  Where one set alone
-fails, the error is the one it raises run alone.
+chattering are one row).  Where nu* has two-atom nodes they form 2 or more
+sets of 14 rows, advancing together: 2 on the benchmark's tail market at
+20 steps (nu*; the points and chattering, whose ZERO nodes, the atom
+sigma = 0.3, lie on rows only its last step reads), 3 or more where
+chattering can draw another loading before the last step, as at 500 steps
+on that market.  These are the draws a set makes when run alone, and each
+row keeps the operand pairing of a run of its pair alone, so its estimate
+equals that run's bit for bit.  Where one group alone fails, the error is
+the one it raises run alone; a set where several fail names the lowest
+non-finite path over all its rows.
 
 Reproducibility: paths are processed in fixed batches of 65536.  Batch b draws
 its two normal increments per step from
@@ -179,9 +193,13 @@ class AdversaryPolicy:
 
     @property
     def draws_atoms(self) -> bool:
-        """Whether moments reads uniforms: chattering, unless on one node of one point."""
+        """Whether moments reads uniforms: chattering, unless on one node
+        where it can draw one sigma only (_drawable)."""
         node = self.one_node
-        return self.chatter and (node is None or node[1] != node[2])
+        if not self.chatter or node is None:
+            return self.chatter
+        sigs = _drawable(*node[1:])
+        return bool(np.any(sigs != sigs[0]))
 
     def moments(self, t: float, y: np.ndarray, u: np.ndarray | None):
         """(mu, sigma, sigma^2) seen by the paths at (t, y); scalars where the
@@ -192,7 +210,7 @@ class AdversaryPolicy:
         if not self.chatter:
             return self.pf.moments_at(t, y) if node is None else measure_moments(*node)
         if not self.draws_atoms:
-            return _point_moments(*node[:2])
+            return _point_moments(node[0], _drawable(*node[1:])[0])
         mu, sig_a, sig_b, w_a = node or self.pf.atoms_at(t, y)
         sig = np.where(u < w_a, sig_a, sig_b)
         del sig_a, sig_b, w_a  # before the moments' temporaries: a lower peak
@@ -214,6 +232,15 @@ def _point_moments(mu, sig):
     return measure_moments(mu, sig, sig, 1.0)
 
 
+def _drawable(sig_a, sig_b, w_a) -> np.ndarray:
+    """The sigmas chattering can draw from atoms (sig_a, sig_b, w_a), floats
+    or arrays of one shape, flattened: sigma_a where weight_a > 0 and
+    sigma_b where weight_a < 1 (a path takes atom a where its uniform, in
+    [0, 1), falls below weight_a: never below a NaN weight)."""
+    w_a = np.asarray(w_a)
+    return np.concatenate([np.asarray(sig_a)[w_a > 0], np.asarray(sig_b)[~(w_a >= 1.0)]])
+
+
 def _loadings(rho: float, sig_m, vol):
     """The factor's loadings (load_w, load_perp) on (dw, dw_perp) under
     adversary moments sig_m and vol = sqrt(sig2_m)."""
@@ -221,35 +248,49 @@ def _loadings(rho: float, sig_m, vol):
     return load_w, np.sqrt(np.maximum(1.0 - load_w * load_w, 0.0))
 
 
-def _loading_key(adv: AdversaryPolicy, rho: float):
-    """The one (load_w, load_perp) pair the engine forms wherever adv acts,
-    from the moments of its one node or, with chatter, from each atom as a
-    point; None without one node, where the atoms' pairs differ, a loading
-    is not finite or the moments break (sigma, nu)^2 <= (sigma^2, nu)."""
-    node = adv.one_node
+def _step_times(cfg: SimConfig) -> list[float]:
+    """The time t = step * dt at which each Euler step reads the paths."""
+    dt = cfg.horizon / cfg.n_steps
+    return [step * dt for step in range(cfg.n_steps)]
+
+
+def _read_rows(pf: PolicyField, cfg: SimConfig) -> list[int]:
+    """The time rows of pf whose nodes move a factor value that a later step
+    reads: those of every step but the last, whose move (Y_T) is never read."""
+    return sorted({pf.row_index(t) for t in _step_times(cfg)[:-1]})
+
+
+def _loading_key(adv: AdversaryPolicy, rho: float, cfg: SimConfig):
+    """The one (load_w, load_perp) pair the engine forms for adv's factor
+    moves that a later step reads: at every node of its _read_rows, from
+    the moments adv presents there (its one node's wherever it has one) or,
+    with chatter, from each atom it can draw there (_drawable) as a point.
+    None where those pairs differ or are none (a field that is not one node
+    at n_steps = 1), a loading is not finite or the moments break
+    (sigma, nu)^2 <= (sigma^2, nu)."""
+    node, pf = adv.one_node, adv.pf
     if node is None:
+        rows = _read_rows(pf, cfg)
+        node = tuple(a[rows] for a in (pf.atom_mu, pf.sigma_a, pf.sigma_b, pf.weight_a))
+    _, sig, sig2 = (_point_moments(node[0], _drawable(*node[1:])) if adv.chatter
+                    else measure_moments(*node))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        load_w, load_perp = map(np.ravel, _loadings(rho, sig, np.sqrt(sig2)))
+    if not (load_w.size and np.all(sig * sig <= sig2) and np.all(np.isfinite(load_w))
+            and np.all(load_w == load_w[0]) and np.all(load_perp == load_perp[0])):
         return None
-    mu, sig_a, sig_b, _ = node
-    measures = ([_point_moments(mu, sig_a), _point_moments(mu, sig_b)] if adv.chatter
-                else [measure_moments(*node)])
-    pairs = set()
-    for _, sig, sig2 in measures:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            load_w, load_perp = _loadings(rho, sig, np.sqrt(sig2))
-        if not (sig * sig <= sig2 and np.isfinite(load_w)):
-            return None
-        pairs.add((load_w, load_perp))
-    return pairs.pop() if len(pairs) == 1 else None
+    return load_w[0], load_perp[0]
 
 
-def _path_sets(groups, rho: float) -> list[list[int]]:
+def _path_sets(groups, rho: float, cfg: SimConfig) -> list[list[int]]:
     """The indices of the (adversary, scales) groups partitioned into path
     sets, in order of first appearance.  Groups share a set where their
-    adversaries give the factor one pair of loading floats (_loading_key);
-    an adversary without a key has a set of its own."""
+    adversaries give the factor one pair of loading floats wherever a later
+    step reads it (_loading_key); an adversary without a key has a set of
+    its own."""
     by_key: dict = {}
     for i, (adv, _) in enumerate(groups):
-        by_key.setdefault(_loading_key(adv, rho) or id(adv), []).append(i)
+        by_key.setdefault(_loading_key(adv, rho, cfg) or id(adv), []).append(i)
     return list(by_key.values())
 
 
@@ -370,8 +411,7 @@ def _log_wealth(policy, sets, m: MarketModel, cfg: SimConfig, bi: int) -> np.nda
     n = max(1, min(_CPUS, nb // _CHUNK_MIN))
     first, *rest = (slice(nb * c // n, nb * (c + 1) // n) for c in range(n))
     with ThreadPoolExecutor(n - 1) if rest else nullcontext() as pool:
-        for step in range(cfg.n_steps):
-            t = step * dt
+        for t in _step_times(cfg):
             z = rng.standard_normal((2, nb))
             z *= sq_dt
             if chatter:
@@ -480,7 +520,7 @@ def _entry_key(adv: AdversaryPolicy, scale: float):
     return tuple(np.float64(v).tobytes() for v in (*adv.moments(0.0, None, None), scale))
 
 
-def _distinct_rows(groups, rho: float):
+def _distinct_rows(groups, rho: float, cfg: SimConfig):
     """The path sets to run for (adversary, scales) groups, each a list of
     groups keeping only the scales that need a row of their own, and for
     each scale of each group the index of the ln X row it reads, in
@@ -488,7 +528,7 @@ def _distinct_rows(groups, rho: float):
     earlier entry has reads that entry's row; no other entry shares one."""
     sets, slots = [], [[] for _ in groups]
     n_rows = 0
-    for members in _path_sets(groups, rho):
+    for members in _path_sets(groups, rho, cfg):
         rows = {}
         run = []
         for i in members:
@@ -515,7 +555,7 @@ def _estimates(policy, groups, m: MarketModel, cfg: SimConfig, q) -> tuple[tuple
     broken moments, batch by batch: where two path sets fail, the first
     batch that fails decides which error, and which path, is named."""
     q = _resolve_q(policy, q)
-    sets, slots = _distinct_rows(groups, m.rho)
+    sets, slots = _distinct_rows(groups, m.rho, cfg)
     accs = [_UtilityMoments(q) for _ in range(sum(map(_n_rows, sets)))]
     for x_t in _wealth_batches(policy, sets, m, cfg):
         for acc, row in zip(accs, x_t):

@@ -100,13 +100,16 @@ class PolicyField:
         """Bilinear interpolation of pi_frac; clamped to the grid hull."""
         return _bilinear(self.t, self.y, self.pi_frac, t, y)
 
-    def node_index(self, t: float, y) -> tuple[int, np.ndarray]:
+    def row_index(self, t: float) -> int:
+        """The time row of the node nearest t, clamped to the grid."""
         dt = self.t[1] - self.t[0] if len(self.t) > 1 else 1.0
+        return int(np.clip(round((float(t) - self.t[0]) / dt), 0, len(self.t) - 1))
+
+    def node_index(self, t: float, y) -> tuple[int, np.ndarray]:
         dy = self.y[1] - self.y[0] if len(self.y) > 1 else 1.0
-        it = int(np.clip(round((float(t) - self.t[0]) / dt), 0, len(self.t) - 1))
         jy = np.clip(np.rint((np.asarray(y, dtype=float) - self.y[0]) / dy).astype(int),
                      0, len(self.y) - 1)
-        return it, jy
+        return self.row_index(t), jy
 
     def moments_at(self, t: float, y):
         """Nearest-node measure moments (mu, sigma, sigma^2), formed on the

@@ -14,7 +14,8 @@ from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
 from robustport import simulate
 from robustport.simulate import (BATCH_SIZE, _coefficient, _coefficients, _distinct_rows,
                                  _estimates, _log_wealth, _loading_key, _n_rows,
-                                 _path_sets, _saddle_adversaries, _wealth_batches)
+                                 _path_sets, _read_rows, _saddle_adversaries, _step_times,
+                                 _wealth_batches)
 
 from oracles import (constant_field, lognormal_eu, record_results, smooth_ramp,
                      traced_peak, words)
@@ -64,17 +65,26 @@ def smoke_pipeline(smoke_model, smoke_util):
 
 TAIL_K = UncertaintyRectangle(0.0, 0.3, 0.2, 0.4)
 TAIL_UTIL = PowerUtility(0.5)
+TAIL_MODEL = MarketModel(CoefficientFn.ramp(0.0, 0.4, 1.0), CoefficientFn.constant(0.0),
+                         CoefficientFn.constant(0.0), 0.9)
 
 
 @pytest.fixture(scope="module")
 def tail_pipeline():
     """mu- = 0 lets the tail branch win: two-atom measures on ~40% of nodes."""
-    zero = CoefficientFn.constant(0.0)
-    m = MarketModel(CoefficientFn.ramp(0.0, 0.4, 1.0), zero, zero, 0.9)
+    m = TAIL_MODEL
     s = solve_hjbi(m, TAIL_K, TAIL_UTIL, GridSpec(1.0, 201, 61, 3.0))
     pf = build_policy(s, m, TAIL_K, TAIL_UTIL)
     assert 0.3 < np.mean(pf.weight_a < 1.0) < 0.5
     return m, s, pf
+
+
+@pytest.fixture(scope="module")
+def bench_tail_pf():
+    """nu* of the tail market on the 801 x 121 surface the benchmark's
+    mc-saddle workload solves."""
+    s = solve_hjbi(TAIL_MODEL, TAIL_K, TAIL_UTIL, GridSpec(1.0, 801, 121, 3.0))
+    return build_policy(s, TAIL_MODEL, TAIL_K, TAIL_UTIL)
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +259,7 @@ class TestAdversaryValidation:
             pf = constant_field(0.5, 0.2, 0.2, 0.4, weight)
             groups = [(AdversaryPolicy.constant_point(0.2, 0.3), (1.0,)),
                       (AdversaryPolicy.field(pf), (1.0,)), (AdversaryPolicy.field(pf), (1.0,))]
-            assert _path_sets(groups, 0.5) == [[0], [1], [2]]
+            assert _path_sets(groups, 0.5, cfg) == [[0], [1], [2]]
             with pytest.raises(AssertionError, match="invariant"):
                 _estimates(pf, groups, const_model(), cfg, None)
 
@@ -350,10 +360,12 @@ class TestSharedPaths:
         assert together == (tuple(simulate_eu(pf, adv, m, cfg, policy_scale=s)
                                   for s in scales),)
 
-    @pytest.mark.parametrize("seed, n_sets", [(31001, 3), (20240, 5)])
+    @pytest.mark.parametrize("seed, n_sets", [(31001, 2), (20240, 4)])
     def test_grouped_equals_alone(self, tail_pipeline, seed, n_sets):
         # at seed 31001 all 7 constant points load the factor alike; at 20240
-        # two random points round rho*sigma/sigma differently from the rest
+        # two random points round rho*sigma/sigma differently from the rest.
+        # Chattering joins the corners: the rows its paths read before the
+        # last step (0 and 67 of 201) draw sigma- or sigma+ only
         m, s, pf = tail_pipeline
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=seed, x0=1.0, y0=0.0,
                         horizon=1.0)
@@ -362,7 +374,7 @@ class TestSharedPaths:
         field = AdversaryPolicy.field(pf)
         first, *rest = adversaries = _saddle_adversaries(pf, TAIL_K, seed)
         groups = [(field, (1.0, 0.5)), (first, (1.0, 0.5)), *((adv, (1.0,)) for adv in rest)]
-        assert len(_path_sets(groups, m.rho)) == n_sets
+        assert len(_path_sets(groups, m.rho, cfg)) == n_sets
         grouped = _estimates(pf, groups, m, cfg, TAIL_UTIL)
         assert grouped == tuple(tuple(simulate_eu(pf, adv, m, cfg, policy_scale=scale)
                                       for scale in scales) for adv, scales in groups)
@@ -381,7 +393,7 @@ class TestSharedPaths:
         m, _, pf = tail_pipeline
         cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
         adversaries = _saddle_adversaries(pf, TAIL_K, 20240)
-        (a, b, *_), *_ = _path_sets([(adv, (1.0,)) for adv in adversaries], m.rho)
+        (a, b, *_), *_ = _path_sets([(adv, (1.0,)) for adv in adversaries], m.rho, cfg)
         x_t = next(_wealth_batches(
             pf, [[(adversaries[a], (1.0, 2.0)), (adversaries[b], (0.5,))]], m, cfg))
         assert x_t.shape == (3, 10)
@@ -471,19 +483,20 @@ class TestSharedPaths:
         assert verify_saddle(s, pf, smoke_model, K, smoke_util, negative) == report
 
     def test_one_path_set_per_adversary(self, tail_pipeline, draws):
-        # at seed 5: nu* with the base and its five scalings; the 4 corners
-        # and 2 random points, whose factor loadings are equal floats; the
-        # third random point, whose loading rounds differently; chattering.
-        # 4 path sets, advancing together on one normal draw per step and
-        # batch (one pass per set drew 4 times as many, one run per
-        # (adversary, scale) pair 14 times), and one uniform draw for the
-        # chattering set
+        # at seed 5: nu* with the base and its five scalings; the 4 corners,
+        # 2 random points and chattering, whose factor loadings are equal
+        # floats (at 2 steps its paths read row 0 before the last step,
+        # where it draws sigma- or sigma+ only); the third random point,
+        # whose loading rounds differently.  3 path sets, advancing together
+        # on one normal draw per step and batch (one pass per set drew 3
+        # times as many, one run per (adversary, scale) pair 14 times), and
+        # one uniform draw for chattering
         m, s, pf = tail_pipeline
         cfg = SimConfig(n_paths=BATCH_SIZE + 1, n_steps=2, seed=5, x0=1.0, y0=0.0,
                         horizon=1.0)
         groups = [(AdversaryPolicy.field(pf), (1.0,)),
                   *((adv, (1.0,)) for adv in _saddle_adversaries(pf, TAIL_K, cfg.seed))]
-        assert len(_path_sets(groups, m.rho)) == 4
+        assert len(_path_sets(groups, m.rho, cfg)) == 3
         verify_saddle(s, pf, m, TAIL_K, TAIL_UTIL, cfg)
         assert draws == {"standard_normal": cfg.n_steps * 2, "random": cfg.n_steps * 2}
 
@@ -500,7 +513,7 @@ class TestSharedPaths:
                   (AdversaryPolicy.field(pf), (1.0,)),
                   (AdversaryPolicy.chattering(constant_field(0.7, 0.15, 0.3, 0.3, 1.0)),
                    (1.0,))]
-        assert _path_sets(groups, m.rho) == [[0], [1], [2]]
+        assert _path_sets(groups, m.rho, cfg) == [[0], [1], [2]]
         _estimates(0.7, groups, m, cfg, 0.5)
         assert draws == {"standard_normal": cfg.n_steps * 3, "random": cfg.n_steps * 3}
         draws.clear()
@@ -508,16 +521,20 @@ class TestSharedPaths:
         assert draws == {"standard_normal": cfg.n_steps * 3}
 
     @pytest.mark.memory
-    def test_verify_saddle_memory(self, tail_pipeline):
-        # three path sets advance together: 14 ln X rows, 3 Y rows, the
-        # step's 2 normal rows and 1 uniform row, with at most 8 more rows
-        # alive within a set's step (fraction, moments, f, f^2 / 2 and the
-        # row update; Y moves before the rows, so the drive's sigma has
-        # died).  Each batch dies before the next one starts: two full
-        # batches peak as one does.  Keeping the last batch's wealths (42
-        # rows), moving Y after the rows (30.05), forming b(Y) + mu_m as a
-        # new row or r(Y) as a row where r is constant (29.05 each) fail
+    def test_verify_saddle_memory(self, tail_pipeline, monkeypatch):
+        # two path sets advance together in one chunk (nu* with its
+        # scalings; the points with chattering, which draws sigma- or
+        # sigma+ on the rows 3 steps read before the last): 14 ln X rows, 2
+        # Y rows, the step's 2 normal rows and 1 uniform row, with at most
+        # 10 more rows alive within a set's step.  The peak is chattering's
+        # atom draw: the fraction, b(Y), the points' f and f^2 / 2 (its
+        # scale reuses them) and its atoms and moments.  Each batch dies
+        # before the next one starts: two full batches peak as one does.
+        # Keeping the last batch's wealths (42 rows), moving Y after the
+        # rows (29.04) or forming r(Y) as a row where r is constant (29.17)
+        # fail; the step peaks at 28.17
         m, s, pf = tail_pipeline
+        monkeypatch.setattr(simulate, "_CPUS", 1)
         cfg = SimConfig(n_paths=2 * BATCH_SIZE, n_steps=3, seed=31001, x0=1.0, y0=0.0,
                         horizon=1.0)
         tracemalloc.start()
@@ -557,9 +574,9 @@ class TestSharedPaths:
         groups = [(AdversaryPolicy.constant_point(0.2, 0.3), (1.0,)),
                   (nan_field, (1.0, 0.5)),
                   (AdversaryPolicy.chattering(pf), (1.0,))]
-        assert _path_sets(groups, m.rho) == [[0, 2], [1]]
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=1.4,
                         horizon=1.0)
+        assert _path_sets(groups, m.rho, cfg) == [[0, 2], [1]]
         with pytest.raises(FloatingPointError) as alone:
             simulate_eu(0.7, nan_field, m, cfg, q=0.5, policy_scale=0.5)
         with pytest.raises(FloatingPointError) as grouped:
@@ -575,15 +592,37 @@ class TestSharedPaths:
         weight[:, 2] = 1.5
         bad = AdversaryPolicy.field(dataclasses.replace(pf, weight_a=weight), "bad")
         groups = [(AdversaryPolicy.field(pf), (1.0,)), (bad, (1.0, 0.5))]
-        assert _path_sets(groups, m.rho) == [[0], [1]]
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=1.4,
                         horizon=1.0)
+        assert _path_sets(groups, m.rho, cfg) == [[0], [1]]
         with pytest.raises(AssertionError) as alone:
             simulate_eu(0.7, bad, m, cfg, q=0.5)
         with pytest.raises(AssertionError) as grouped:
             _estimates(0.7, groups, m, cfg, 0.5)
         assert str(grouped.value) == str(alone.value) == (
             "internal invariant failure: (sigma,nu)^2 > (sigma^2,nu)")
+
+    def test_failing_chattering_in_the_points_set_raises_as_alone(self):
+        # chattering whose drift is NaN at the node y = 3 draws sigma 0.2 or
+        # 0.4 at every node, which load the factor like any point at rho =
+        # 0.5: it joins the point's path set, where its row is the only one
+        # to turn non-finite, and the error names the path its run alone names
+        m = const_model(rho=0.5)
+        pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
+        mu = pf.atom_mu.copy()
+        mu[:, 2] = np.nan
+        chattering = AdversaryPolicy.chattering(dataclasses.replace(pf, atom_mu=mu), "nan")
+        groups = [(AdversaryPolicy.field(pf), (1.0,)),
+                  (AdversaryPolicy.constant_point(0.2, 0.3), (1.0, 0.5)),
+                  (chattering, (1.0,))]
+        cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=1.4,
+                        horizon=1.0)
+        assert _path_sets(groups, m.rho, cfg) == [[0], [1, 2]]
+        with pytest.raises(FloatingPointError) as alone:
+            simulate_eu(0.7, chattering, m, cfg, q=0.5)
+        with pytest.raises(FloatingPointError) as grouped:
+            _estimates(0.7, groups, m, cfg, 0.5)
+        assert str(grouped.value) == str(alone.value) == "non-finite wealth on path 2"
 
 
 class TestLoadingKeys:
@@ -615,11 +654,12 @@ class TestLoadingKeys:
 
     def test_chattering_adversaries_share_a_path_set(self):
         # both atoms of this constant two-atom field load the factor like any
-        # point at rho = 0.5, its moments do not: both chattering adversaries
+        # point at rho = 0.5, its moments do not: the chattering adversaries
         # key with the point, the relaxed field alone.  A full-array copy of
-        # the field is not one node: it has a set of its own, and the
-        # estimate of the one-node field.  They read the step's one row of
-        # uniforms, as each does run alone
+        # the field is not one node, but it can draw the same two atoms at
+        # every node: it keys with them too, and has the estimate of the
+        # one-node field.  They read the step's one row of uniforms, as each
+        # does run alone
         m = const_model(rho=0.5)
         pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
         full = dataclasses.replace(pf, **{name: np.array(getattr(pf, name))
@@ -630,9 +670,9 @@ class TestLoadingKeys:
                   (AdversaryPolicy.constant_point(0.2, 0.3), (1.0,)),
                   (AdversaryPolicy.chattering(pf, "again"), (1.0,)),
                   (AdversaryPolicy.chattering(full, "full"), (1.0,))]
-        assert _path_sets(groups, m.rho) == [[0, 2, 3], [1], [4]]
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=0.0,
                         horizon=1.0)
+        assert _path_sets(groups, m.rho, cfg) == [[0, 2, 3, 4], [1]]
         grouped = _estimates(0.7, groups, m, cfg, 0.5)
         assert grouped == tuple(
             tuple(simulate_eu(0.7, adv, m, cfg, q=0.5, policy_scale=scale)
@@ -640,13 +680,120 @@ class TestLoadingKeys:
         assert grouped[4] == grouped[3]
 
     def test_varying_field_keeps_its_identity(self, tail_pipeline):
-        # two-atom nodes load below rho: neither the relaxed field nor its
-        # chattering shares a path set, not even with a copy of itself
+        # two-atom nodes load below rho: the relaxed field never shares a
+        # path set, not even with a copy of itself.  Its chattering draws the
+        # atom 0.3 on the ZERO nodes of rows 171-200 (t >= 0.855): at 20
+        # steps its paths read row 180 before the last step, so it has no
+        # key either; at 10 they read rows 0-160 only, and it keys with the
+        # corner (0, 0.4)
         m, _, pf = tail_pipeline
-        assert _loading_key(AdversaryPolicy.field(pf), m.rho) is None
-        assert _loading_key(AdversaryPolicy.chattering(pf), m.rho) is None
+        chattering = AdversaryPolicy.chattering(pf)
+        corner = AdversaryPolicy.constant_point(0.0, 0.4)
+        cfg = SimConfig(n_paths=10, n_steps=20, seed=1, x0=1.0, y0=0.0, horizon=1.0)
+        assert _loading_key(AdversaryPolicy.field(pf), m.rho, cfg) is None
+        assert _loading_key(chattering, m.rho, cfg) is None
         groups = [(AdversaryPolicy.field(pf), (1.0,)), (AdversaryPolicy.field(pf), (1.0,))]
-        assert _path_sets(groups, m.rho) == [[0], [1]]
+        assert _path_sets(groups, m.rho, cfg) == [[0], [1]]
+        ten = dataclasses.replace(cfg, n_steps=10)
+        assert _loading_key(AdversaryPolicy.field(pf), m.rho, ten) is None
+        assert _loading_key(chattering, m.rho, ten) == _loading_key(corner, m.rho, ten)
+
+    def test_benchmark_tail_market_runs_two_path_sets(self, bench_tail_pf, monkeypatch):
+        # 20 steps read rows 0, 40, ..., 720 before the last step, which reads
+        # row 760; nu*'s ZERO nodes, where chattering can draw the interior
+        # sigma 0.3, lie on rows 749-800.  So chattering loads the factor like
+        # the corners wherever a later step reads it, and verify_saddle's
+        # entries form 2 path sets: nu* with its scalings, and the 7 points
+        # with chattering.  Each estimate is its pair's run alone, in 1 or 2
+        # chunks
+        m, pf = TAIL_MODEL, bench_tail_pf
+        cfg = SimConfig(n_paths=2 * simulate._CHUNK_MIN, n_steps=20, seed=31001, x0=1.0,
+                        y0=0.0, horizon=1.0)
+
+        def interior(sig):
+            return (sig != TAIL_K.sigma_minus) & (sig != TAIL_K.sigma_plus)
+
+        drawn = (((pf.weight_a > 0) & interior(pf.sigma_a))
+                 | (~(pf.weight_a >= 1.0) & interior(pf.sigma_b)))
+        assert np.flatnonzero(drawn.any(axis=1)).min() == 749
+        assert _read_rows(pf, cfg)[-1] == 720
+        assert pf.row_index(_step_times(cfg)[-1]) == 760
+        groups = [(AdversaryPolicy.field(pf), (1.0, 0.0, 0.5, 0.8, 1.2, 1.5)),
+                  *((adv, (1.0,)) for adv in _saddle_adversaries(pf, TAIL_K, cfg.seed))]
+        assert _path_sets(groups, m.rho, cfg) == [[0], list(range(1, 9))]
+        alone = tuple(tuple(simulate_eu(pf, adv, m, cfg, policy_scale=scale)
+                            for scale in scales) for adv, scales in groups)
+        for cpus in (1, 2):
+            monkeypatch.setattr(simulate, "_CPUS", cpus)
+            assert _estimates(pf, groups, m, cfg, None) == alone
+
+    @pytest.mark.parametrize("n_steps, sets", [(3, [[0, 1]]), (5, [[0], [1]])])
+    def test_interior_atom_counts_before_the_last_step(self, n_steps, sets):
+        # a two-atom field drawing sigma 0.2 or 0.4 on the row t = 0 and 0.3 or
+        # 0.4 on the row t = 1; at rho = 0.9 all but 0.3 load the factor like
+        # the point (0.15, 0.4).  At 3 steps (t = 0, 1/3, 2/3) only the last
+        # step reads row 1, and chattering keys with the point; at 5 steps
+        # the fourth (t = 0.6) does, and chattering has a set of its own.
+        # Each estimate is its pair's run alone
+        m = const_model(rho=0.9)
+        pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
+        sigma_a = pf.sigma_a.copy()
+        sigma_a[1] = 0.3
+        chattering = AdversaryPolicy.chattering(dataclasses.replace(pf, sigma_a=sigma_a))
+        groups = [(AdversaryPolicy.constant_point(0.15, 0.4), (1.0,)), (chattering, (1.0, 0.5))]
+        cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=n_steps, seed=3, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        assert _path_sets(groups, m.rho, cfg) == sets
+        assert _estimates(0.7, groups, m, cfg, 0.5) == tuple(
+            tuple(simulate_eu(0.7, adv, m, cfg, q=0.5, policy_scale=scale)
+                  for scale in scales) for adv, scales in groups)
+
+    def test_undrawable_atom_does_not_block_the_key(self):
+        # the interior sigma 0.3 as atom a of weight 0 at y = 0 and as atom b
+        # of weight 0 (weight_a = 1) at y = 3: no uniform in [0, 1) draws it,
+        # so chattering draws 0.2 or 0.4 only and keys with the corner at rho
+        # = 0.9.  The least weight that makes 0.3 drawable takes the key away
+        m = const_model(rho=0.9)
+        pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
+
+        def chattering(w_y0, w_y3):
+            sigma_a, sigma_b, weight = (a.copy() for a in (pf.sigma_a, pf.sigma_b, pf.weight_a))
+            sigma_a[:, 1], weight[:, 1] = 0.3, w_y0
+            sigma_b[:, 2], weight[:, 2] = 0.3, w_y3
+            return AdversaryPolicy.chattering(dataclasses.replace(
+                pf, sigma_a=sigma_a, sigma_b=sigma_b, weight_a=weight))
+
+        corner = AdversaryPolicy.constant_point(0.15, 0.4)
+        cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        keyed = chattering(0.0, 1.0)
+        assert keyed.draws_atoms and _loading_key(corner, m.rho, cfg) is not None
+        assert _loading_key(keyed, m.rho, cfg) == _loading_key(corner, m.rho, cfg)
+        assert _loading_key(chattering(5e-324, 1.0), m.rho, cfg) is None
+        assert _loading_key(chattering(0.0, np.nextafter(1.0, 0.0)), m.rho, cfg) is None
+        groups = [(corner, (1.0,)), (keyed, (1.0,))]
+        assert _path_sets(groups, m.rho, cfg) == [[0, 1]]
+        assert _estimates(0.7, groups, m, cfg, 0.5) == tuple(
+            (simulate_eu(0.7, adv, m, cfg, q=0.5),) for adv, _ in groups)
+
+    def test_one_step_reads_no_row(self, tail_pipeline):
+        # at n_steps = 1 no step reads the factor after a move.  A field
+        # that is not one node then reads no row and has no key: nu* and its
+        # chattering keep sets of their own.  Points and one-node fields key
+        # by their one node, as at any step count: the one-node chattering
+        # between 0.2 and 0.4 joins the points.  Each estimate is its pair's
+        # run alone
+        m, _, pf = tail_pipeline
+        cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=1, seed=31001, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        assert _read_rows(pf, cfg) == []
+        groups = [(AdversaryPolicy.field(pf), (1.0, 0.5)),
+                  *((adv, (1.0,)) for adv in _saddle_adversaries(pf, TAIL_K, cfg.seed)),
+                  (AdversaryPolicy.chattering(constant_field(0.7, 0.15, 0.2, 0.4, 0.4)), (1.0,))]
+        assert _path_sets(groups, m.rho, cfg) == [[0], [1, 2, 3, 4, 5, 6, 7, 9], [8]]
+        assert _estimates(pf, groups, m, cfg, None) == tuple(
+            tuple(simulate_eu(pf, adv, m, cfg, policy_scale=scale) for scale in scales)
+            for adv, scales in groups)
 
 
 class TestEqualEntries:
@@ -701,16 +848,35 @@ class TestEqualEntries:
                   (AdversaryPolicy.field(full), (1.0, 1.0))]
         assert not AdversaryPolicy.chattering(corner).draws_atoms
         assert AdversaryPolicy.chattering(two_atoms).draws_atoms
-        sets, slots = _distinct_rows(groups, m.rho)
+        cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        sets, slots = _distinct_rows(groups, m.rho, cfg)
         (one, half, again, zero, negative_zero), (field,), (chattering,) = slots[:3]
         assert (again, field, chattering) == (one, one, half)
         unshared = [one, half, zero, negative_zero, *(k for ks in slots[3:] for k in ks)]
         assert sorted(unshared) == list(range(11)) == list(range(sum(map(_n_rows, sets))))
-        cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=0.0,
-                        horizon=1.0)
         assert _estimates(0.7, groups, m, cfg, 0.5) == tuple(
             tuple(simulate_eu(0.7, adv, m, cfg, q=0.5, policy_scale=scale)
                   for scale in scales) for adv, scales in groups)
+
+
+    @pytest.mark.parametrize("weight, sigma", [(1.0, 0.2), (0.0, 0.4)])
+    def test_chattering_on_a_sure_atom_is_its_point(self, weight, sigma, draws):
+        # every uniform in [0, 1) falls below weight_a = 1.0, none below 0.0:
+        # one-node chattering draws sigma_a or sigma_b on every path, so it
+        # is that point, draws no uniform and reads the point's row
+        m = const_model(rho=0.5)
+        chattering = AdversaryPolicy.chattering(constant_field(0.7, 0.15, 0.2, 0.4, weight))
+        point = AdversaryPolicy.constant_point(0.15, sigma)
+        assert not chattering.draws_atoms
+        assert chattering.moments(0.0, None, None) == point.moments(0.0, None, None)
+        cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=0.0,
+                        horizon=1.0)
+        sets, slots = _distinct_rows([(point, (1.0,)), (chattering, (1.0,))], m.rho, cfg)
+        assert slots == [[0], [0]] and _n_rows(sets[0]) == 1
+        assert simulate_eu(0.7, chattering, m, cfg, q=0.5) == simulate_eu(0.7, point, m, cfg,
+                                                                         q=0.5)
+        assert draws == {"standard_normal": 2 * 2 * cfg.n_steps}
 
 
 class TestSharedSmoothstep:
@@ -787,7 +953,7 @@ class TestChunks:
         groups = [(AdversaryPolicy.chattering(pf), (1.0, 0.0, 0.5)),
                   (AdversaryPolicy.field(pf), (0.0, 1.2)),
                   *((adv, (1.0,)) for adv in _saddle_adversaries(pf, TAIL_K, cfg.seed)[:-1])]
-        sets = [[groups[i] for i in members] for members in _path_sets(groups, m.rho)]
+        sets = [[groups[i] for i in members] for members in _path_sets(groups, m.rho, cfg)]
         rows = {}
         for cpus in (1, 2, 3):
             monkeypatch.setattr(simulate, "_CPUS", cpus)
