@@ -117,8 +117,16 @@ class ValueSurface:
 def _d_dy(u: np.ndarray, dy: float) -> np.ndarray:
     """Central differences inside, second-order one-sided at the edges."""
     out = np.empty_like(u)
-    out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dy)
+    _central(u, dy, out[..., 1:-1])
     _edge_d_dy(u, dy, out)
+    return out
+
+
+def _central(u: np.ndarray, dy: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(u[..., 2:] - u[..., :-2]) / (2 dy), the u_y of the interior nodes,
+    written into out (a new array without it) and returned."""
+    out = np.subtract(u[..., 2:], u[..., :-2], out=out)
+    out /= 2.0 * dy
     return out
 
 
@@ -285,33 +293,27 @@ def _advection_cfl(u_y: np.ndarray, abs_beta: np.ndarray, dt: float, dy: float,
     return max_cfl, max_u_y
 
 
-def check_solvable(m: MarketModel, k: UncertaintyRectangle, g: GridSpec):
-    """solve_hjbi's input checks, which need no solve: the standing
-    assumptions, y_radius against the coefficients' tail radius, and the
-    explicit-diffusion guard on dt.  Raises SolverError naming the first that
-    fails."""
+def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
+               g: GridSpec) -> ValueSurface:
+    """Backward theta-IMEX solve of the value-exponent PDE on the grid.
+
+    Raises SolverError on assumption violations, stability-guard violations,
+    or non-finite values (with the offending dt / grid location).  The
+    standing assumptions, y_radius against the coefficients' tail radius and
+    the explicit-diffusion guard on dt are checked before any solve work.
+    """
     report = validate_assumptions(m, k)
     if not report.passed:
         raise SolverError("assumptions fail:\n" + report.summary())
     if g.y_radius < m.tail_radius:
         raise SolverError(
             f"y_radius {g.y_radius:g} < coefficient tail radius {m.tail_radius:g}")
-    dt_cap = g.dy * g.dy / (2.0 * (1.0 - g.theta) + _CFL_EPS)
-    if g.dt > dt_cap:
-        raise SolverError(
-            f"dt = {g.dt:.3g} violates the explicit-diffusion guard "
-            f"dy^2/(2(1-theta)+eps) = {dt_cap:.3g}; refine n_t or coarsen n_y")
-
-
-def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
-               g: GridSpec) -> ValueSurface:
-    """Backward theta-IMEX solve of the value-exponent PDE on the grid.
-
-    Raises SolverError on assumption violations, stability-guard violations,
-    or non-finite values (with the offending dt / grid location).
-    """
-    check_solvable(m, k, g)
     dt, dy, theta = g.dt, g.dy, g.theta
+    dt_cap = dy * dy / (2.0 * (1.0 - theta) + _CFL_EPS)
+    if dt > dt_cap:
+        raise SolverError(
+            f"dt = {dt:.3g} violates the explicit-diffusion guard "
+            f"dy^2/(2(1-theta)+eps) = {dt_cap:.3g}; refine n_t or coarsen n_y")
     q = util.q
     t_nodes = g.t_nodes()
     y_nodes = g.y_nodes()
@@ -342,12 +344,12 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
     u_y = np.empty((g.n_t, g.n_y))
 
     # the step's scalars as 0-d arrays, as in _operator
-    d_exp, two_dy, dt_0d, half_dt = map(np.asarray, (
-        (1.0 - theta) * dt / (2.0 * dy * dy), 2.0 * dy, dt, 0.5 * dt))
+    d_exp, dt_0d, half_dt = map(np.asarray, (
+        (1.0 - theta) * dt / (2.0 * dy * dy), dt, 0.5 * dt))
     # a step writes only into rows of these arrays, allocated here: the
     # predicted level, the stencil row, the corrector's u_y and H, and |u|
     pred = np.empty(g.n_y)
-    pred_in, pred_lo, pred_hi = pred[1:-1], pred[:-2], pred[2:]
+    pred_in = pred[1:-1]
     base, uy_c, h_c = (np.empty(g.n_y - 2) for _ in range(3))
     abs_row = np.empty(g.n_y)
     u_in, u_lo, u_hi = u[:, 1:-1], u[:, :-2], u[:, 2:]
@@ -358,8 +360,7 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
     try:
         for i in range(g.n_t - 2, -1, -1):
             uo_in, uo_lo, uo_hi = u_in[i + 1], u_lo[i + 1], u_hi[i + 1]
-            uy = np.subtract(uo_hi, uo_lo, out=uy_rows[i + 1])
-            uy /= two_dy
+            uy = _central(u[i + 1], dy, uy_rows[i + 1])
             lo, hi = bc_rows[i]
             # the stencil row uo + d_exp (uo[:-2] - 2 uo + uo[2:]) of both
             # right-hand sides, in that expression's order (uo + uo is 2 uo
@@ -384,9 +385,8 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
             if not all_finite(pred):
                 raise non_finite(pred, i)
             # one trapezoidal correction of H (2nd order in time), with the
-            # predictor's u_y on the interior only: _d_dy's central difference
-            np.subtract(pred_hi, pred_lo, out=uy_c)
-            uy_c /= two_dy
+            # predictor's u_y on the interior only
+            _central(pred, dy, uy_c)
             row, x = u[i], u_in[i]
             np.add(h_old, h(uy_c, out=h_c), out=x)
             x *= half_dt
@@ -415,8 +415,7 @@ def solve_hjbi(m: MarketModel, k: UncertaintyRectangle, util: PowerUtility,
         _advection_cfl(u_y, abs_beta, dt, dy, t_nodes, i + 1)
         raise
 
-    np.subtract(u[0, 2:], u[0, :-2], out=u_y[0, 1:-1])
-    u_y[0, 1:-1] /= two_dy
+    _central(u[0], dy, u_y[0, 1:-1])
     _edge_d_dy(u, dy, u_y)
     max_cfl, max_abs_u_y = _advection_cfl(u_y, abs_beta, dt, dy, t_nodes, 1)
     surface = ValueSurface(g, t_nodes, y_nodes, u, u_y)
@@ -449,7 +448,7 @@ def residual_norm(s: ValueSurface, m: MarketModel, k: UncertaintyRectangle,
     u_mid = u[1:-1, :]
     if h is None:
         # H first: its min term's temporaries peak before u_t and u_yy exist
-        h = _operator(m, k, util.q, s.y[1:-1])((u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * dy))
+        h = _operator(m, k, util.q, s.y[1:-1])(_central(u_mid, dy))
     # u_t + 0.5 u_yy + h assembled in place, in the operand order of that
     # expression: two interior-sized buffers instead of about four
     res = np.subtract(u[2:, 1:-1], u[:-2, 1:-1])

@@ -13,70 +13,24 @@ worst-case measure field nu*(t, y) applied through its moments (a relaxed
 control); or the same field realized by chattering, where each path draws one
 atom of nu*(t, Y) per step.
 
-The fraction f never enters dY, and an adversary enters it only through the
-loadings rho sig_m / sqrt(sig2_m) and sqrt(1 - that^2).  So every policy
-scaling under one adversary shares the factor paths, and so do adversaries
-that give the factor the same two loading floats wherever a later step
-reads it.  The steps read Y at t_0..t_{n-1} only, so the last step's move
-(Y_T) counts for none of them.  The keying rule (_loading_key) takes the
-measures an adversary can present at every node of the time rows its
-paths read before the last step (PolicyField.row_index of the engine's
-step times): a fixed point or a field stored as one node its one measure
-(AdversaryPolicy.one_node, as a field at a corner of K), any other field
-its moments at those nodes, and chattering each atom it can draw there as
-a point (sigma_a where weight_a > 0, sigma_b where weight_a < 1).  Where
-they all give one pair of finite loadings, that pair keys the adversary;
-every other adversary has a path set of its own (at n_steps = 1 a field
-that is not one node reads no row and has none).  Fixed points share where
-rho sigma / sigma rounds alike (to rho for every sigma of [0.2, 0.4] at
-rho = 0.5, for about 78% of them at 0.9), and so does chattering on a tail
-market where its paths draw sigma- and sigma+ before the last step.  The
-Y, b(Y), r(Y) and f(t, Y) of a set are bit-identical, and only mu and
-sigma^2 enter its ln X rows.  The path engine takes one (adversary,
-scales) entry per adversary and groups the entries into path sets, one per
-factor path, chattering adversaries included.  It makes one pass over each
-batch's normals: every step draws them once, and the chattering uniforms
-once where an adversary reads them (draws_atoms), and each set advances
-its own Y row (driven by its first adversary, moved once its last has read
-it) and one ln X row per scale off those draws, forming each adversary's
-moments once per step.  In a path set, an (adversary, scale) entry whose
-adversary is one node and draws no atoms (chattering that can draw one
-sigma only is that point) is keyed by the bit patterns of the moments the
-engine forms for it and of the scale (_entry_key): each key advances one
-ln X row, and every entry with that key reads it and shares its estimate.
-Chattering that draws atoms, a field that is not one node and entries that
-differ in any bit never share a row.  A step evaluates b, beta and r at Y
-once, before its groups, with one smoothstep per distinct ramp tail radius
-(model.smoothstep), which dies as soon as the ramps of that radius are
-mapped from it.  A constant coefficient is one float, left out where it
-is 0.0: that changes at most the sign of a zero in an increment or in Y,
-never an ln X row (they start at +0.0, and round-to-nearest never makes one
--0.0), and b, fraction_at and node_index read both zeros alike.
-verify_saddle's 14 entries form 1 path set of 12 rows where nu* is one
-corner at every node and all 7 points load alike, as on configs/smoke.yaml
-and configs/ramp.yaml (the base pair, the (mu-, sigma+) corner and
-chattering are one row).  Where nu* has two-atom nodes they form 2 or more
-sets of 14 rows, advancing together: 2 on the benchmark's tail market at
-20 steps (nu*; the points and chattering, whose ZERO nodes, the atom
-sigma = 0.3, lie on rows only its last step reads), 3 or more where
-chattering can draw another loading before the last step, as at 500 steps
-on that market.  These are the draws a set makes when run alone, and each
-row keeps the operand pairing of a run of its pair alone, so its estimate
-equals that run's bit for bit.  Where one group alone fails, the error is
-the one it raises run alone; a set where several fail names the lowest
-non-finite path over all its rows.
-
 Reproducibility: paths are processed in fixed batches of 65536.  Batch b draws
 its two normal increments per step from
 np.random.default_rng(SeedSequence(seed, spawn_key=(b,))), and chattering
 draws its uniforms from a stream of its own, SeedSequence(seed,
-spawn_key=(b, 1)), each once per step for all path sets (not at all
-where no adversary reads them).  The Brownian increments are therefore
-common to every (policy, adversary) pair at a seed (common random numbers
-for the saddle comparisons).  The calling thread draws them; each step then
-advances the batch's paths in column chunks of at least 16384, one per CPU,
-on threads in the caller's numpy error state.  A path's arithmetic is the
-same in any chunk, so no estimate or error depends on the chunking.
+spawn_key=(b, 1)), each once per step for all pairs (not at all where no
+adversary reads them).  The Brownian increments are therefore common to
+every (policy, adversary) pair at a seed (common random numbers for the
+saddle comparisons).
+
+One pass over a batch's draws advances many pairs.  The fraction never
+enters dY, so pairs whose adversaries move the factor alike share one factor
+path (a path set, _loading_key), and pairs of one set that form the same
+moments at the same scale share one ln X row (_entry_key, from
+AdversaryPolicy.fixed); _plan lays both out.  Each step advances the
+batch's paths in column chunks of at least 16384, one per CPU, on threads
+in the caller's numpy error state.  Each row keeps the operands of its pair
+run alone and each path its own columns, so any grouping or chunking gives
+every estimate, and every error, bit for bit as the pair run alone.
 """
 
 from __future__ import annotations
@@ -87,6 +41,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from contextvars import copy_context
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -181,37 +136,35 @@ class AdversaryPolicy:
             raise ValueError(f"point ({mu:g}, {sigma:g}) lies outside the rectangle")
         return cls(label or f"point({mu:g},{sigma:g})", point=(float(mu), float(sigma)))
 
-    @property
-    def one_node(self):
-        """(mu, sigma_a, sigma_b, weight_a) where the measure is the same at
-        every node: (mu, sigma, sigma, 1.0) for a fixed point, the field's
-        one node where it stores one (PolicyField.one_node).  Else None."""
+    @cached_property
+    def fixed(self):
+        """(mu, sigma, sigma^2) as scalars where the paths see them at every
+        node and draw, else None: a point's moments, a one-node field's (its
+        PolicyField.one_node), or under chattering on one node the point of
+        the one sigma it can draw there (_drawable).  Formed once and shared:
+        never write into it."""
         if self.pf is None:
-            mu, sig = self.point
-            return mu, sig, sig, 1.0
-        return self.pf.one_node
+            return _point_moments(*self.point)
+        node = self.pf.one_node
+        if node is not None and self.chatter:
+            sigs = _drawable(*node[1:])
+            node = None if np.any(sigs != sigs[0]) else (node[0], sigs[0], sigs[0], 1.0)
+        return None if node is None else measure_moments(*node)
 
     @property
     def draws_atoms(self) -> bool:
-        """Whether moments reads uniforms: chattering, unless on one node
-        where it can draw one sigma only (_drawable)."""
-        node = self.one_node
-        if not self.chatter or node is None:
-            return self.chatter
-        sigs = _drawable(*node[1:])
-        return bool(np.any(sigs != sigs[0]))
+        """Whether moments reads uniforms."""
+        return self.chatter and self.fixed is None
 
     def moments(self, t: float, y: np.ndarray, u: np.ndarray | None):
-        """(mu, sigma, sigma^2) seen by the paths at (t, y); scalars where the
-        measure is one node (sigma stays a row under chattering between two
-        atoms).  Only draws_atoms reads u, one uniform per path: a path takes
-        atom a where its uniform falls below weight_a."""
-        node = self.one_node
+        """(mu, sigma, sigma^2) seen by the paths at (t, y): fixed where it is
+        not None.  Only draws_atoms reads u, one uniform per path: a path
+        takes atom a where its uniform falls below weight_a."""
+        if self.fixed is not None:
+            return self.fixed
         if not self.chatter:
-            return self.pf.moments_at(t, y) if node is None else measure_moments(*node)
-        if not self.draws_atoms:
-            return _point_moments(node[0], _drawable(*node[1:])[0])
-        mu, sig_a, sig_b, w_a = node or self.pf.atoms_at(t, y)
+            return self.pf.moments_at(t, y)
+        mu, sig_a, sig_b, w_a = self.pf.one_node or self.pf.atoms_at(t, y)
         sig = np.where(u < w_a, sig_a, sig_b)
         del sig_a, sig_b, w_a  # before the moments' temporaries: a lower peak
         return _point_moments(mu, sig)
@@ -254,26 +207,24 @@ def _step_times(cfg: SimConfig) -> list[float]:
     return [step * dt for step in range(cfg.n_steps)]
 
 
-def _read_rows(pf: PolicyField, cfg: SimConfig) -> list[int]:
-    """The time rows of pf whose nodes move a factor value that a later step
-    reads: those of every step but the last, whose move (Y_T) is never read."""
-    return sorted({pf.row_index(t) for t in _step_times(cfg)[:-1]})
-
-
 def _loading_key(adv: AdversaryPolicy, rho: float, cfg: SimConfig):
     """The one (load_w, load_perp) pair the engine forms for adv's factor
-    moves that a later step reads: at every node of its _read_rows, from
-    the moments adv presents there (its one node's wherever it has one) or,
-    with chatter, from each atom it can draw there (_drawable) as a point.
-    None where those pairs differ or are none (a field that is not one node
-    at n_steps = 1), a loading is not finite or the moments break
-    (sigma, nu)^2 <= (sigma^2, nu)."""
-    node, pf = adv.one_node, adv.pf
-    if node is None:
-        rows = _read_rows(pf, cfg)
-        node = tuple(a[rows] for a in (pf.atom_mu, pf.sigma_a, pf.sigma_b, pf.weight_a))
-    _, sig, sig2 = (_point_moments(node[0], _drawable(*node[1:])) if adv.chatter
-                    else measure_moments(*node))
+    moves that a later step reads: every step's but the last, whose move
+    (Y_T) is never read.  From adv's fixed moments where it has them, else
+    at every node of the time rows those steps read (PolicyField.row_index)
+    from its moments or, with chatter, from each atom it can draw
+    (_drawable) as a point.  None where those pairs differ or are none (a
+    field that is not one node at n_steps = 1), a loading is not finite or
+    the moments break (sigma, nu)^2 <= (sigma^2, nu)."""
+    if adv.fixed is not None:
+        _, sig, sig2 = adv.fixed
+    else:
+        pf = adv.pf
+        rows = sorted({pf.row_index(t) for t in _step_times(cfg)[:-1]})
+        node = pf.one_node or tuple(
+            a[rows] for a in (pf.atom_mu, pf.sigma_a, pf.sigma_b, pf.weight_a))
+        _, sig, sig2 = (_point_moments(node[0], _drawable(*node[1:])) if adv.chatter
+                        else measure_moments(*node))
     with np.errstate(divide="ignore", invalid="ignore"):
         load_w, load_perp = map(np.ravel, _loadings(rho, sig, np.sqrt(sig2)))
     if not (load_w.size and np.all(sig * sig <= sig2) and np.all(np.isfinite(load_w))
@@ -282,16 +233,39 @@ def _loading_key(adv: AdversaryPolicy, rho: float, cfg: SimConfig):
     return load_w[0], load_perp[0]
 
 
-def _path_sets(groups, rho: float, cfg: SimConfig) -> list[list[int]]:
-    """The indices of the (adversary, scales) groups partitioned into path
-    sets, in order of first appearance.  Groups share a set where their
-    adversaries give the factor one pair of loading floats wherever a later
-    step reads it (_loading_key); an adversary without a key has a set of
-    its own."""
-    by_key: dict = {}
+def _entry_key(adv: AdversaryPolicy, scale: float):
+    """The bits of adv's fixed moments and of scale, or None where adv has
+    none: in one path set, the (adversary, scale) entries with one key
+    advance equal ln X rows."""
+    if adv.fixed is None:
+        return None
+    return tuple(np.float64(v).tobytes() for v in (*adv.fixed, scale))
+
+
+def _plan(groups, rho: float, cfg: SimConfig):
+    """The path sets to run for (adversary, scales) groups, and for each
+    scale of each group the index of the ln X row it reads, in _log_wealth's
+    order.  Groups share a set where their adversaries have one
+    _loading_key, in order of first appearance; an adversary without a key
+    has a set of its own.  In a set, an entry whose _entry_key an earlier
+    entry has reads that entry's row; each set lists its groups with only
+    the scales that have a row of their own."""
+    members: dict = {}
     for i, (adv, _) in enumerate(groups):
-        by_key.setdefault(_loading_key(adv, rho, cfg) or id(adv), []).append(i)
-    return list(by_key.values())
+        members.setdefault(_loading_key(adv, rho, cfg) or id(adv), []).append(i)
+    sets, slots, rows = [], [[] for _ in groups], {}
+    for n, indices in enumerate(members.values()):
+        kept = {}  # the scales of each group of the set that have a row of their own
+        for i in indices:
+            adv, scales = groups[i]
+            for j, scale in enumerate(scales):
+                key = (n, _entry_key(adv, scale) or (i, j))
+                if key not in rows:
+                    rows[key] = len(rows)
+                    kept.setdefault(i, []).append(scale)
+                slots[i].append(rows[key])
+        sets.append([(groups[i][0], tuple(scales)) for i, scales in kept.items()])
+    return sets, slots
 
 
 def _coefficient(fn, y):
@@ -319,17 +293,6 @@ def _coefficients(fns, y) -> list:
             values[i] = fns[i].ramp_from(step, y)
         values[last] = fns[last].ramp_from(step, y, out=step)
     return values
-
-
-def _move_factor(yv: np.ndarray, rho: float, beta_y, sig_m, vol, dt: float, dw, dwp):
-    """yv = ((yv + beta_y dt) + load_w dw) + load_perp dw_perp, in place,
-    with the loadings of adversary moments sig_m and vol = sqrt(sig2_m);
-    beta_y is beta(yv) (_coefficient)."""
-    load_w, load_perp = _loadings(rho, sig_m, vol)
-    if beta_y is not None:
-        yv += beta_y * dt
-    yv += load_w * dw
-    yv += load_perp * dwp
 
 
 def _advance(policy, groups, lx, yv, m: MarketModel, t: float, dt: float, z, u):
@@ -361,8 +324,13 @@ def _advance(policy, groups, lx, yv, m: MarketModel, t: float, dt: float, z, u):
         if n == len(groups):
             # no later adversary reads Y or b(Y): lower the step's peak
             del b_y
-            _move_factor(yv, m.rho, beta_y, *drive, dt, dw, dwp)
-            del beta_y, drive
+            # Y += beta(Y) dt + load_w dw + load_perp dw_perp, in that order
+            load_w, load_perp = _loadings(m.rho, *drive)
+            if beta_y is not None:
+                yv += beta_y * dt
+            yv += load_w * dw
+            yv += load_perp * dwp
+            del beta_y, drive, load_w, load_perp
         # scales first: zip must not pull a row past this group's last
         for scale, row in zip(scales, rows):
             # 0.0 == -0.0, but either scale adds zeros to the row alike
@@ -388,34 +356,28 @@ def _n_rows(groups) -> int:
     return sum(len(scales) for _, scales in groups)
 
 
-def _row_blocks(ln_x: np.ndarray, sets) -> list[np.ndarray]:
-    """ln_x split, as views, into the row blocks of the path sets in order."""
-    return np.split(ln_x, np.cumsum([_n_rows(groups) for groups in sets])[:-1])
-
-
 def _log_wealth(policy, sets, m: MarketModel, cfg: SimConfig, bi: int) -> np.ndarray:
     """ln X_T on the paths of batch bi, one row per scale of each (adversary,
     scales) group of each path set, set by set and in order; sets lists each
-    set's groups."""
+    set's groups.  A non-finite ln X raises FloatingPointError naming the
+    batch's first such path in the first path set that has one."""
     dt = cfg.horizon / cfg.n_steps
     sq_dt = math.sqrt(dt)
     nb = min(BATCH_SIZE, cfg.n_paths - bi * BATCH_SIZE)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi,)))
-    chatter = any(adv.draws_atoms for groups in sets for adv, _ in groups)
-    if chatter:
-        uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi, 1)))
+    uniforms = (np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(bi, 1)))
+                if any(adv.draws_atoms for groups in sets for adv, _ in groups) else None)
     ln_x = np.zeros((sum(map(_n_rows, sets)), nb))
-    blocks = _row_blocks(ln_x, sets)
+    # the row blocks of the path sets, as views
+    blocks = np.split(ln_x, np.cumsum([_n_rows(groups) for groups in sets])[:-1])
     yvs = np.full((len(sets), nb), cfg.y0)
-    u = None
     n = max(1, min(_CPUS, nb // _CHUNK_MIN))
     first, *rest = (slice(nb * c // n, nb * (c + 1) // n) for c in range(n))
     with ThreadPoolExecutor(n - 1) if rest else nullcontext() as pool:
         for t in _step_times(cfg):
             z = rng.standard_normal((2, nb))
             z *= sq_dt
-            if chatter:
-                u = uniforms.random(nb)
+            u = None if uniforms is None else uniforms.random(nb)
             args = policy, sets, blocks, yvs, m, t, dt, z, u
             # each chunk in the caller's numpy error state; all end before an error is raised
             futures = [pool.submit(copy_context().run, _advance_chunk, sl, *args) for sl in rest]
@@ -425,6 +387,11 @@ def _log_wealth(policy, sets, m: MarketModel, cfg: SimConfig, bi: int) -> np.nda
                 wait(futures)
             for future in futures:  # the first error in chunk order
                 future.result()
+    for rows in blocks:
+        finite = np.all(np.isfinite(rows), axis=0)
+        if not np.all(finite):
+            bad = bi * BATCH_SIZE + int(np.argmin(finite))
+            raise FloatingPointError(f"non-finite wealth on path {bad}")
     return ln_x
 
 
@@ -436,21 +403,11 @@ def _advance_chunk(sl: slice, policy, sets, blocks, yvs, m, t, dt, z, u):
                  None if u is None else u[sl])
 
 
-def _check_finite(ln_x: np.ndarray, sets, bi: int):
-    """Raise FloatingPointError naming the first path of batch bi with a
-    non-finite ln X in the first path set that has one."""
-    for rows in _row_blocks(ln_x, sets):
-        finite = np.all(np.isfinite(rows), axis=0)
-        if not np.all(finite):
-            bad = int(np.argmin(finite))
-            raise FloatingPointError(f"non-finite wealth on path {bi * BATCH_SIZE + bad}")
-
-
 def _wealth_batches(policy, sets, m: MarketModel, cfg: SimConfig):
     """Yield, batch by batch, the terminal wealths of every (adversary,
     scales) group of each path set, one row per scale, in _log_wealth's
     order; sets lists each set's groups.  A non-finite wealth raises
-    FloatingPointError (_check_finite) before its batch is yielded.
+    FloatingPointError (_log_wealth) before its batch is yielded.
 
     Raises ValueError where the policy or an adversary is a PolicyField
     whose grid ends at another time than cfg.horizon."""
@@ -461,7 +418,6 @@ def _wealth_batches(policy, sets, m: MarketModel, cfg: SimConfig):
     n_batches = (cfg.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
     for bi in range(n_batches):
         ln_x = _log_wealth(policy, sets, m, cfg, bi)
-        _check_finite(ln_x, sets, bi)
         np.exp(ln_x, out=ln_x)
         ln_x *= cfg.x0
         yield ln_x
@@ -510,52 +466,16 @@ class _UtilityMoments:
         return UtilityEstimate(self.mean, math.sqrt(var / n), n, self.min_x, self.max_x)
 
 
-def _entry_key(adv: AdversaryPolicy, scale: float):
-    """The bit patterns of the moments the engine forms for adv, and of
-    scale, where adv is one node and draws no atoms: in one path set, the
-    (adversary, scale) entries with one key advance equal ln X rows.  None
-    for any other adversary, whose moments may vary with (t, Y) or u."""
-    if adv.one_node is None or adv.draws_atoms:
-        return None
-    return tuple(np.float64(v).tobytes() for v in (*adv.moments(0.0, None, None), scale))
-
-
-def _distinct_rows(groups, rho: float, cfg: SimConfig):
-    """The path sets to run for (adversary, scales) groups, each a list of
-    groups keeping only the scales that need a row of their own, and for
-    each scale of each group the index of the ln X row it reads, in
-    _log_wealth's order.  In a path set, an entry whose _entry_key an
-    earlier entry has reads that entry's row; no other entry shares one."""
-    sets, slots = [], [[] for _ in groups]
-    n_rows = 0
-    for members in _path_sets(groups, rho, cfg):
-        rows = {}
-        run = []
-        for i in members:
-            adv, scales = groups[i]
-            kept = []
-            for j, scale in enumerate(scales):
-                row = rows.setdefault(_entry_key(adv, scale) or (i, j), n_rows)
-                if row == n_rows:
-                    kept.append(scale)
-                    n_rows += 1
-                slots[i].append(row)
-            if kept:
-                run.append((adv, tuple(kept)))
-        sets.append(run)
-    return sets, slots
-
-
 def _estimates(policy, groups, m: MarketModel, cfg: SimConfig, q) -> tuple[tuple, ...]:
     """E[X_T^q / q] for each scale of each (adversary, scales) group, one
-    tuple of UtilityEstimate per group; equal entries (_distinct_rows) are
+    tuple of UtilityEstimate per group; equal entries (_plan) are
     simulated once and share one estimate.
 
     Raises FloatingPointError on a non-finite wealth and AssertionError on
     broken moments, batch by batch: where two path sets fail, the first
     batch that fails decides which error, and which path, is named."""
     q = _resolve_q(policy, q)
-    sets, slots = _distinct_rows(groups, m.rho, cfg)
+    sets, slots = _plan(groups, m.rho, cfg)
     accs = [_UtilityMoments(q) for _ in range(sum(map(_n_rows, sets)))]
     for x_t in _wealth_batches(policy, sets, m, cfg):
         for acc, row in zip(accs, x_t):
@@ -666,23 +586,16 @@ def verify_saddle(s: ValueSurface, pf: PolicyField, m: MarketModel,
         pf, [(field, (1.0, *policy_scales)), *((adv, (1.0,)) for adv in adversaries)],
         m, cfg, util)
     pde_value = value_function(s, 0.0, cfg.x0, cfg.y0, util.q)
-    findings: list[SaddleFinding] = []
-
     tol = 3.0 * base.std_error + PDE_TOLERANCE
-    findings.append(SaddleFinding(
-        "value-match", "EU(pi*, nu*) vs PDE", base.mean, base.std_error,
-        pde_value, abs(base.mean - pde_value) <= tol))
-
-    for adv, (est,) in zip(adversaries, deviations):
-        se_comb = math.hypot(est.std_error, base.std_error)
-        bound = base.mean - 3.0 * se_comb
-        findings.append(SaddleFinding("adversary", adv.label, est.mean,
-                                      est.std_error, bound, est.mean >= bound))
-
-    for scale, est in zip(policy_scales, scaled):
-        se_comb = math.hypot(est.std_error, base.std_error)
-        bound = base.mean + 3.0 * se_comb
-        findings.append(SaddleFinding("policy-scale", f"{scale:g}*pi*", est.mean,
-                                      est.std_error, bound, est.mean <= bound))
-
+    findings = [SaddleFinding("value-match", "EU(pi*, nu*) vs PDE", base.mean, base.std_error,
+                              pde_value, abs(base.mean - pde_value) <= tol)]
+    # a deviation of nature must not lower EU by 3 combined SEs (side -3), one
+    # of the investor must not raise it by as much (side +3)
+    checks = [("adversary", adv.label, -3.0, est) for adv, (est,) in zip(adversaries, deviations)]
+    checks += [("policy-scale", f"{scale:g}*pi*", 3.0, est)
+               for scale, est in zip(policy_scales, scaled)]
+    for kind, label, side, est in checks:
+        bound = base.mean + side * math.hypot(est.std_error, base.std_error)
+        passed = est.mean >= bound if side < 0 else est.mean <= bound
+        findings.append(SaddleFinding(kind, label, est.mean, est.std_error, bound, passed))
     return SaddleReport(base, pde_value, tuple(findings))

@@ -451,22 +451,35 @@ class TestPipeline:
         rows = (out / "convergence.csv").read_text().splitlines()[2:]
         assert [row.split(",")[3:] for row in rows] == [["0", ""], ["0", ""]]
 
-    def test_convergence_checks_every_level_before_solving(self, tmp_path, capsys,
-                                                           monkeypatch):
-        # dt = 0.01 passes level 0's explicit-diffusion guard; level 1 halves
-        # dt and dy, and fails it
-        from robustport import cli
-        solves = []
-        monkeypatch.setattr(cli, "solve_hjbi", lambda *args: solves.append(args))
+    def test_convergence_guard_failure_exits_before_solving(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # dt = 0.02 fails level 0's explicit-diffusion guard: solve_hjbi
+        # raises before it forms H, and no level is reported or written
+        from robustport import pde
+        operators = []
+        monkeypatch.setattr(pde, "_operator", lambda *args: operators.append(args))
+        path = write_config(tmp_path, {"grid.n_t": 51})
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", path, "--out", str(out),
+                     "--levels", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "solver error at level 0: dt = 0.02 violates the explicit-diffusion guard")
+        assert captured.out == "" and operators == []
+        assert not (out / "convergence.csv").exists()
+
+    def test_convergence_levels_keep_dt_over_dy_squared(self, tmp_path, capsys):
+        # each level divides dt by 4 and dy by 2, so dt/dy^2 is level 0's
+        # float: n_t = 101 passes the guard at every level (halving both, it
+        # failed at level 1)
         path = write_config(tmp_path, {"grid.n_t": 101})
         out = tmp_path / "conv"
         assert main(["convergence", "--config", path, "--out", str(out),
-                     "--levels", "1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith(
-            "solver error at level 1: dt = 0.005 violates the explicit-diffusion guard")
-        assert captured.out == "" and solves == []
-        assert not (out / "convergence.csv").exists()
+                     "--levels", "1"]) == 0
+        rows = (out / "convergence.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[1:3] for row in rows] == [["101", "51"], ["401", "101"]]
+        grids = [GridSpec(1.0, 100 * 4**n + 1, 50 * 2**n + 1, 3.0) for n in range(4)]
+        assert len({g.dt / (g.dy * g.dy) for g in grids}) == 1
 
     def test_dump_config_round_trip(self, tmp_path, capsys):
         path = write_config(tmp_path)

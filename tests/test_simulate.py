@@ -12,9 +12,9 @@ from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
                         UtilityEstimate, build_policy, simulate_eu,
                         solve_hjbi, terminal_wealths, value_function, verify_saddle)
 from robustport import simulate
-from robustport.simulate import (BATCH_SIZE, _coefficient, _coefficients, _distinct_rows,
-                                 _estimates, _log_wealth, _loading_key, _n_rows,
-                                 _path_sets, _read_rows, _saddle_adversaries, _step_times,
+from robustport.simulate import (BATCH_SIZE, _coefficient, _coefficients, _estimates,
+                                 _log_wealth, _loading_key, _n_rows, _plan,
+                                 _saddle_adversaries, _step_times,
                                  _wealth_batches)
 
 from oracles import (constant_field, lognormal_eu, record_results, smooth_ramp,
@@ -48,6 +48,25 @@ def draws(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *a, **k: Counting(default_rng(*a, **k)))
     return counts
+
+
+def path_sets(groups, rho, cfg):
+    """The indices of the (adversary, scales) groups in each path set of
+    _plan, in order: a group's set is the one whose row block holds its
+    first row."""
+    sets, slots = _plan(groups, rho, cfg)
+    ends = np.cumsum([_n_rows(run) for run in sets])
+    members = [[] for _ in sets]
+    for i, rows in enumerate(slots):
+        members[int(np.searchsorted(ends, rows[0], side="right"))].append(i)
+    return members
+
+
+def full_arrays(pf):
+    """pf with its measure stored node by node: the same values, not one node."""
+    return dataclasses.replace(pf, **{name: np.array(getattr(pf, name))
+                                      for name in ("atom_mu", "sigma_a", "sigma_b",
+                                                   "weight_a", "branch_code")})
 
 
 def const_model(b=0.0, beta=0.0, r=0.0, rho=0.5):
@@ -259,24 +278,48 @@ class TestAdversaryValidation:
             pf = constant_field(0.5, 0.2, 0.2, 0.4, weight)
             groups = [(AdversaryPolicy.constant_point(0.2, 0.3), (1.0,)),
                       (AdversaryPolicy.field(pf), (1.0,)), (AdversaryPolicy.field(pf), (1.0,))]
-            assert _path_sets(groups, 0.5, cfg) == [[0], [1], [2]]
+            assert path_sets(groups, 0.5, cfg) == [[0], [1], [2]]
             with pytest.raises(AssertionError, match="invariant"):
                 _estimates(pf, groups, const_model(), cfg, None)
 
 
-class TestOneNode:
-    def test_point_is_one_node(self):
-        assert AdversaryPolicy.constant_point(0.1, 0.3).one_node == (0.1, 0.3, 0.3, 1.0)
+class TestFixed:
+    """AdversaryPolicy.fixed: the (mu, sigma, sigma^2) the paths see at every
+    node and draw, or None; draws_atoms and moments read it."""
 
-    def test_corner_field_is_one_node(self, smoke_pipeline):
-        _, pf = smoke_pipeline
-        assert pf.one_node is not None
-        for adv in (AdversaryPolicy.field(pf), AdversaryPolicy.chattering(pf)):
-            assert adv.one_node == pf.one_node
+    TWO_ATOMS = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
 
-    def test_tail_field_is_not(self, tail_pipeline):
+    @pytest.mark.parametrize("adv, fixed, draws_atoms", [
+        (AdversaryPolicy.constant_point(0.1, 0.3), (0.1, 0.3, 0.3 * 0.3), False),
+        (AdversaryPolicy.field(TWO_ATOMS), (0.15, 0.4 * 0.2 + (1.0 - 0.4) * 0.4,
+                                            0.4 * (0.2 * 0.2) + (1.0 - 0.4) * (0.4 * 0.4)),
+         False),
+        (AdversaryPolicy.chattering(constant_field(0.7, 0.15, 0.2, 0.4, 1.0)),
+         (0.15, 0.2, 0.2 * 0.2), False),
+        (AdversaryPolicy.chattering(constant_field(0.7, 0.15, 0.2, 0.4, 0.0)),
+         (0.15, 0.4, 0.4 * 0.4), False),
+        # no uniform falls below a NaN weight: every path draws sigma_b
+        (AdversaryPolicy.chattering(constant_field(0.7, 0.15, 0.2, 0.4, np.nan)),
+         (0.15, 0.4, 0.4 * 0.4), False),
+        (AdversaryPolicy.chattering(constant_field(0.7, 0.15, 0.3, 0.3, 0.4)),
+         (0.15, 0.3, 0.3 * 0.3), False),
+        (AdversaryPolicy.chattering(TWO_ATOMS), None, True),
+        (AdversaryPolicy.field(full_arrays(TWO_ATOMS)), None, False),
+        (AdversaryPolicy.chattering(full_arrays(constant_field(0.7, 0.15, 0.2, 0.4, 1.0))),
+         None, True),
+    ], ids=["point", "one-node-field", "chattering-weight-1", "chattering-weight-0",
+            "chattering-nan-weight", "chattering-equal-sigmas", "chattering-two-sigmas",
+            "field-not-one-node", "chattering-not-one-node"])
+    def test_fixed(self, adv, fixed, draws_atoms):
+        assert words(adv.fixed) == words(fixed)
+        assert adv.draws_atoms is draws_atoms
+        if fixed is not None:
+            assert adv.moments(0.3, np.zeros(4), None) is adv.fixed
+
+    def test_tail_field_is_not_fixed(self, tail_pipeline):
         _, _, pf = tail_pipeline
-        assert AdversaryPolicy.field(pf).one_node is None
+        assert AdversaryPolicy.field(pf).fixed is None
+        assert AdversaryPolicy.chattering(pf).draws_atoms
 
 
 class TestFieldLookup:
@@ -374,7 +417,7 @@ class TestSharedPaths:
         field = AdversaryPolicy.field(pf)
         first, *rest = adversaries = _saddle_adversaries(pf, TAIL_K, seed)
         groups = [(field, (1.0, 0.5)), (first, (1.0, 0.5)), *((adv, (1.0,)) for adv in rest)]
-        assert len(_path_sets(groups, m.rho, cfg)) == n_sets
+        assert len(path_sets(groups, m.rho, cfg)) == n_sets
         grouped = _estimates(pf, groups, m, cfg, TAIL_UTIL)
         assert grouped == tuple(tuple(simulate_eu(pf, adv, m, cfg, policy_scale=scale)
                                       for scale in scales) for adv, scales in groups)
@@ -393,7 +436,7 @@ class TestSharedPaths:
         m, _, pf = tail_pipeline
         cfg = SimConfig(n_paths=10, n_steps=2, seed=1, x0=1.0, y0=0.0, horizon=1.0)
         adversaries = _saddle_adversaries(pf, TAIL_K, 20240)
-        (a, b, *_), *_ = _path_sets([(adv, (1.0,)) for adv in adversaries], m.rho, cfg)
+        (a, b, *_), *_ = path_sets([(adv, (1.0,)) for adv in adversaries], m.rho, cfg)
         x_t = next(_wealth_batches(
             pf, [[(adversaries[a], (1.0, 2.0)), (adversaries[b], (0.5,))]], m, cfg))
         assert x_t.shape == (3, 10)
@@ -496,7 +539,7 @@ class TestSharedPaths:
                         horizon=1.0)
         groups = [(AdversaryPolicy.field(pf), (1.0,)),
                   *((adv, (1.0,)) for adv in _saddle_adversaries(pf, TAIL_K, cfg.seed))]
-        assert len(_path_sets(groups, m.rho, cfg)) == 3
+        assert len(path_sets(groups, m.rho, cfg)) == 3
         verify_saddle(s, pf, m, TAIL_K, TAIL_UTIL, cfg)
         assert draws == {"standard_normal": cfg.n_steps * 2, "random": cfg.n_steps * 2}
 
@@ -513,7 +556,7 @@ class TestSharedPaths:
                   (AdversaryPolicy.field(pf), (1.0,)),
                   (AdversaryPolicy.chattering(constant_field(0.7, 0.15, 0.3, 0.3, 1.0)),
                    (1.0,))]
-        assert _path_sets(groups, m.rho, cfg) == [[0], [1], [2]]
+        assert path_sets(groups, m.rho, cfg) == [[0], [1], [2]]
         _estimates(0.7, groups, m, cfg, 0.5)
         assert draws == {"standard_normal": cfg.n_steps * 3, "random": cfg.n_steps * 3}
         draws.clear()
@@ -576,7 +619,7 @@ class TestSharedPaths:
                   (AdversaryPolicy.chattering(pf), (1.0,))]
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=1.4,
                         horizon=1.0)
-        assert _path_sets(groups, m.rho, cfg) == [[0, 2], [1]]
+        assert path_sets(groups, m.rho, cfg) == [[0, 2], [1]]
         with pytest.raises(FloatingPointError) as alone:
             simulate_eu(0.7, nan_field, m, cfg, q=0.5, policy_scale=0.5)
         with pytest.raises(FloatingPointError) as grouped:
@@ -594,7 +637,7 @@ class TestSharedPaths:
         groups = [(AdversaryPolicy.field(pf), (1.0,)), (bad, (1.0, 0.5))]
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=1.4,
                         horizon=1.0)
-        assert _path_sets(groups, m.rho, cfg) == [[0], [1]]
+        assert path_sets(groups, m.rho, cfg) == [[0], [1]]
         with pytest.raises(AssertionError) as alone:
             simulate_eu(0.7, bad, m, cfg, q=0.5)
         with pytest.raises(AssertionError) as grouped:
@@ -617,7 +660,7 @@ class TestSharedPaths:
                   (chattering, (1.0,))]
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=1.4,
                         horizon=1.0)
-        assert _path_sets(groups, m.rho, cfg) == [[0], [1, 2]]
+        assert path_sets(groups, m.rho, cfg) == [[0], [1, 2]]
         with pytest.raises(FloatingPointError) as alone:
             simulate_eu(0.7, chattering, m, cfg, q=0.5)
         with pytest.raises(FloatingPointError) as grouped:
@@ -639,7 +682,6 @@ class TestLoadingKeys:
         cfg = SimConfig(n_paths=BATCH_SIZE + 1, n_steps=2, seed=5, x0=1.0, y0=0.0,
                         horizon=1.0)
         report = verify_saddle(s, pf, smoke_model, K, smoke_util, cfg)
-        assert not AdversaryPolicy.chattering(pf).draws_atoms
         assert draws == {"standard_normal": cfg.n_steps * 2}
 
         field = AdversaryPolicy.field(pf)
@@ -662,9 +704,7 @@ class TestLoadingKeys:
         # does run alone
         m = const_model(rho=0.5)
         pf = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
-        full = dataclasses.replace(pf, **{name: np.array(getattr(pf, name))
-                                          for name in ("atom_mu", "sigma_a", "sigma_b",
-                                                       "weight_a", "branch_code")})
+        full = full_arrays(pf)
         groups = [(AdversaryPolicy.chattering(pf), (1.0, 0.5)),
                   (AdversaryPolicy.field(pf), (1.0,)),
                   (AdversaryPolicy.constant_point(0.2, 0.3), (1.0,)),
@@ -672,7 +712,7 @@ class TestLoadingKeys:
                   (AdversaryPolicy.chattering(full, "full"), (1.0,))]
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=0.0,
                         horizon=1.0)
-        assert _path_sets(groups, m.rho, cfg) == [[0, 2, 3, 4], [1]]
+        assert path_sets(groups, m.rho, cfg) == [[0, 2, 3, 4], [1]]
         grouped = _estimates(0.7, groups, m, cfg, 0.5)
         assert grouped == tuple(
             tuple(simulate_eu(0.7, adv, m, cfg, q=0.5, policy_scale=scale)
@@ -693,7 +733,7 @@ class TestLoadingKeys:
         assert _loading_key(AdversaryPolicy.field(pf), m.rho, cfg) is None
         assert _loading_key(chattering, m.rho, cfg) is None
         groups = [(AdversaryPolicy.field(pf), (1.0,)), (AdversaryPolicy.field(pf), (1.0,))]
-        assert _path_sets(groups, m.rho, cfg) == [[0], [1]]
+        assert path_sets(groups, m.rho, cfg) == [[0], [1]]
         ten = dataclasses.replace(cfg, n_steps=10)
         assert _loading_key(AdversaryPolicy.field(pf), m.rho, ten) is None
         assert _loading_key(chattering, m.rho, ten) == _loading_key(corner, m.rho, ten)
@@ -716,11 +756,11 @@ class TestLoadingKeys:
         drawn = (((pf.weight_a > 0) & interior(pf.sigma_a))
                  | (~(pf.weight_a >= 1.0) & interior(pf.sigma_b)))
         assert np.flatnonzero(drawn.any(axis=1)).min() == 749
-        assert _read_rows(pf, cfg)[-1] == 720
+        assert pf.row_index(_step_times(cfg)[-2]) == 720
         assert pf.row_index(_step_times(cfg)[-1]) == 760
         groups = [(AdversaryPolicy.field(pf), (1.0, 0.0, 0.5, 0.8, 1.2, 1.5)),
                   *((adv, (1.0,)) for adv in _saddle_adversaries(pf, TAIL_K, cfg.seed))]
-        assert _path_sets(groups, m.rho, cfg) == [[0], list(range(1, 9))]
+        assert path_sets(groups, m.rho, cfg) == [[0], list(range(1, 9))]
         alone = tuple(tuple(simulate_eu(pf, adv, m, cfg, policy_scale=scale)
                             for scale in scales) for adv, scales in groups)
         for cpus in (1, 2):
@@ -743,7 +783,7 @@ class TestLoadingKeys:
         groups = [(AdversaryPolicy.constant_point(0.15, 0.4), (1.0,)), (chattering, (1.0, 0.5))]
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=n_steps, seed=3, x0=1.0, y0=0.0,
                         horizon=1.0)
-        assert _path_sets(groups, m.rho, cfg) == sets
+        assert path_sets(groups, m.rho, cfg) == sets
         assert _estimates(0.7, groups, m, cfg, 0.5) == tuple(
             tuple(simulate_eu(0.7, adv, m, cfg, q=0.5, policy_scale=scale)
                   for scale in scales) for adv, scales in groups)
@@ -767,12 +807,12 @@ class TestLoadingKeys:
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=0.0,
                         horizon=1.0)
         keyed = chattering(0.0, 1.0)
-        assert keyed.draws_atoms and _loading_key(corner, m.rho, cfg) is not None
+        assert _loading_key(corner, m.rho, cfg) is not None
         assert _loading_key(keyed, m.rho, cfg) == _loading_key(corner, m.rho, cfg)
         assert _loading_key(chattering(5e-324, 1.0), m.rho, cfg) is None
         assert _loading_key(chattering(0.0, np.nextafter(1.0, 0.0)), m.rho, cfg) is None
         groups = [(corner, (1.0,)), (keyed, (1.0,))]
-        assert _path_sets(groups, m.rho, cfg) == [[0, 1]]
+        assert path_sets(groups, m.rho, cfg) == [[0, 1]]
         assert _estimates(0.7, groups, m, cfg, 0.5) == tuple(
             (simulate_eu(0.7, adv, m, cfg, q=0.5),) for adv, _ in groups)
 
@@ -786,11 +826,11 @@ class TestLoadingKeys:
         m, _, pf = tail_pipeline
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=1, seed=31001, x0=1.0, y0=0.0,
                         horizon=1.0)
-        assert _read_rows(pf, cfg) == []
+        assert _step_times(cfg)[:-1] == []
         groups = [(AdversaryPolicy.field(pf), (1.0, 0.5)),
                   *((adv, (1.0,)) for adv in _saddle_adversaries(pf, TAIL_K, cfg.seed)),
                   (AdversaryPolicy.chattering(constant_field(0.7, 0.15, 0.2, 0.4, 0.4)), (1.0,))]
-        assert _path_sets(groups, m.rho, cfg) == [[0], [1, 2, 3, 4, 5, 6, 7, 9], [8]]
+        assert path_sets(groups, m.rho, cfg) == [[0], [1, 2, 3, 4, 5, 6, 7, 9], [8]]
         assert _estimates(pf, groups, m, cfg, None) == tuple(
             tuple(simulate_eu(pf, adv, m, cfg, policy_scale=scale) for scale in scales)
             for adv, scales in groups)
@@ -835,9 +875,7 @@ class TestEqualEntries:
         m = const_model(rho=0.5)
         corner = constant_field(0.7, 0.1, 0.4, 0.4, 1.0)
         two_atoms = constant_field(0.7, 0.15, 0.2, 0.4, 0.4)
-        full = dataclasses.replace(corner, **{name: np.array(getattr(corner, name))
-                                              for name in ("atom_mu", "sigma_a", "sigma_b",
-                                                           "weight_a", "branch_code")})
+        full = full_arrays(corner)
         groups = [(AdversaryPolicy.constant_point(0.1, 0.4), (1.0, 0.5, 1.0, 0.0, -0.0)),
                   (AdversaryPolicy.field(corner), (1.0,)),
                   (AdversaryPolicy.chattering(corner), (0.5,)),
@@ -846,11 +884,9 @@ class TestEqualEntries:
                   (AdversaryPolicy.chattering(two_atoms), (1.0, 1.0)),
                   (AdversaryPolicy.chattering(two_atoms, "again"), (1.0,)),
                   (AdversaryPolicy.field(full), (1.0, 1.0))]
-        assert not AdversaryPolicy.chattering(corner).draws_atoms
-        assert AdversaryPolicy.chattering(two_atoms).draws_atoms
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=0.0,
                         horizon=1.0)
-        sets, slots = _distinct_rows(groups, m.rho, cfg)
+        sets, slots = _plan(groups, m.rho, cfg)
         (one, half, again, zero, negative_zero), (field,), (chattering,) = slots[:3]
         assert (again, field, chattering) == (one, one, half)
         unshared = [one, half, zero, negative_zero, *(k for ks in slots[3:] for k in ks)]
@@ -868,11 +904,10 @@ class TestEqualEntries:
         m = const_model(rho=0.5)
         chattering = AdversaryPolicy.chattering(constant_field(0.7, 0.15, 0.2, 0.4, weight))
         point = AdversaryPolicy.constant_point(0.15, sigma)
-        assert not chattering.draws_atoms
-        assert chattering.moments(0.0, None, None) == point.moments(0.0, None, None)
+        assert words(chattering.fixed) == words(point.fixed)
         cfg = SimConfig(n_paths=BATCH_SIZE + 300, n_steps=3, seed=3, x0=1.0, y0=0.0,
                         horizon=1.0)
-        sets, slots = _distinct_rows([(point, (1.0,)), (chattering, (1.0,))], m.rho, cfg)
+        sets, slots = _plan([(point, (1.0,)), (chattering, (1.0,))], m.rho, cfg)
         assert slots == [[0], [0]] and _n_rows(sets[0]) == 1
         assert simulate_eu(0.7, chattering, m, cfg, q=0.5) == simulate_eu(0.7, point, m, cfg,
                                                                          q=0.5)
@@ -953,7 +988,7 @@ class TestChunks:
         groups = [(AdversaryPolicy.chattering(pf), (1.0, 0.0, 0.5)),
                   (AdversaryPolicy.field(pf), (0.0, 1.2)),
                   *((adv, (1.0,)) for adv in _saddle_adversaries(pf, TAIL_K, cfg.seed)[:-1])]
-        sets = [[groups[i] for i in members] for members in _path_sets(groups, m.rho, cfg)]
+        sets, _ = _plan(groups, m.rho, cfg)
         rows = {}
         for cpus in (1, 2, 3):
             monkeypatch.setattr(simulate, "_CPUS", cpus)
