@@ -2,12 +2,13 @@
 
 Subcommands: validate, solve, strategy, simulate, verify, oracle, convergence.
 Exit codes: 0 success, 1 assumption/assertion failure, 2 configuration error,
-3 missing prerequisite artifact.  The output directory resolves as
---out > config output_dir > $ROBUSTPORT_OUT > ./out.  `solve` exports the
-surface as surface.csv and caches it for the downstream commands as
-surface.npz, keyed by the config hash stored in it; `strategy`, `simulate`
-and `verify` read only the cache.  `strategy` and `verify` print the node
-count of each worst-case branch.
+3 missing prerequisite artifact; a grid of more than MAX_GRID_NODES nodes is
+a configuration error, refused before any solve.  The output directory
+resolves as --out > config output_dir > $ROBUSTPORT_OUT > ./out.  `solve`
+exports the surface as surface.csv and caches it for the downstream commands
+as surface.npz, keyed by the config hash stored in it; `strategy`,
+`simulate` and `verify` read only the cache.  `strategy` and `verify` print
+the node count of each worst-case branch.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
+
+# the most nodes (n_t * n_y) `solve` and `convergence` solve on one grid: a
+# solve holds about five surfaces of 8 bytes a node, so 2^25 nodes (smoke's
+# 32001x801 convergence level is 2.6e7) peak near 1.1 GB
+MAX_GRID_NODES = 1 << 25
 
 SURFACE_CSV = "surface.csv"
 SURFACE_NPZ = "surface.npz"
@@ -66,6 +72,14 @@ def _load_effective_config(args) -> RunConfig:
                                   n_t=n_t, n_y=n_y)
     except ValueError as exc:
         raise ConfigError(str(exc))
+
+
+def _check_grid_size(n_t: int, n_y: int, where: str = "grid"):
+    """Raises ConfigError where an n_t x n_y grid has more than
+    MAX_GRID_NODES nodes."""
+    if n_t * n_y > MAX_GRID_NODES:
+        raise ConfigError(f"{where} {n_t}x{n_y} has {n_t * n_y} nodes, more than "
+                          f"the {MAX_GRID_NODES} a solve may take")
 
 
 class MissingArtifact(Exception):
@@ -122,6 +136,7 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_effective_config(args)
+    _check_grid_size(cfg.grid.n_t, cfg.grid.n_y)
     out = _out_dir(args, cfg)
     try:
         surface = solve_hjbi(cfg.model, cfg.rectangle, cfg.utility, cfg.grid)
@@ -213,12 +228,20 @@ def cmd_convergence(args) -> int:
     if args.levels < 0:
         raise ConfigError(f"--levels must be >= 0, got {args.levels}")
     cfg = _load_effective_config(args)
-    out = _out_dir(args, cfg)
+    # dt/4 and dy/2 per level: dt/dy^2 is the same float at every level, so
+    # the explicit-diffusion guard passes at all of them or fails at level 0,
+    # before any solve.  Each level has 8x the nodes of the one before.
     n_t, n_y = cfg.grid.n_t, cfg.grid.n_y
+    sizes = []
+    for level in range(args.levels + 1):
+        _check_grid_size(n_t, n_y, where=f"level {level} grid")
+        sizes.append((n_t, n_y))
+        n_t, n_y = 4 * (n_t - 1) + 1, 2 * (n_y - 1) + 1
+    out = _out_dir(args, cfg)
     rows = []
     prev = None
     try:
-        for level in range(args.levels + 1):
+        for level, (n_t, n_y) in enumerate(sizes):
             g_cfg = cfg.with_overrides(n_t=n_t, n_y=n_y)
             surface = solve_hjbi(g_cfg.model, g_cfg.rectangle, g_cfg.utility, g_cfg.grid)
             res = surface.diagnostics.max_residual
@@ -231,10 +254,6 @@ def cmd_convergence(args) -> int:
                 msg += f"  improvement x{ratio:.2f}"
             print(msg)
             prev = res
-            # dt/4 and dy/2 per level: dt/dy^2 is the same float at every
-            # level, so the explicit-diffusion guard passes at all of them or
-            # fails at level 0, before any solve
-            n_t, n_y = 4 * (n_t - 1) + 1, 2 * (n_y - 1) + 1
     except SolverError as exc:
         print(f"solver error at level {level}: {exc}", file=sys.stderr)
         return EXIT_ASSERTION

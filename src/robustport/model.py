@@ -120,8 +120,8 @@ def smoothstep(y: np.ndarray, n: float) -> np.ndarray:
     """z**5 (126 + z (-420 + z (540 + z (-315 + 70 z)))) at z = clip((y + n)
     / 2n, 0, 1), as a new array, in place and in that expression's order:
     the 9th-degree smoothstep that every smooth ramp of tail radius n maps
-    to its values (CoefficientFn.ramp_from).  The path engine forms it once
-    per step for all the ramps of one radius."""
+    to its values (CoefficientFn.ramp_from).  MarketModel.coefficients_at
+    forms it once for all the ramps of one radius."""
     z = np.add(y, n, out=np.empty_like(y))
     z /= 2.0 * n
     np.clip(z, 0.0, 1.0, out=z)
@@ -153,6 +153,28 @@ class MarketModel:
     @property
     def tail_radius(self) -> float:
         return max(self.b.tail_radius, self.beta.tail_radius, self.r.tail_radius)
+
+    def coefficients_at(self, y: np.ndarray) -> list:
+        """[b, beta, r] at y as the steppers read them: a constant as its
+        float (None for 0.0 of either sign: a term left out), else a row with
+        its call's bits; the ramps of one tail radius share one smoothstep,
+        the last of them written into it."""
+        fns = (self.b, self.beta, self.r)
+        values = [None] * len(fns)
+        ramps = {}
+        for i, fn in enumerate(fns):
+            if fn.kind == "smooth-ramp":
+                ramps.setdefault(fn.tail_radius, []).append(i)
+            elif fn.kind != "constant":
+                values[i] = np.asarray(fn(y))
+            elif fn.left:
+                values[i] = fn.left
+        for n, (*shared, last) in ramps.items():
+            step = smoothstep(y, n)
+            for i in shared:
+                values[i] = fns[i].ramp_from(step, y)
+            values[last] = fns[last].ramp_from(step, y, out=step)
+        return values
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ its y-only terms, with the b-only parts of the min term
 (`worst_case.ratio_kernel`), are formed before the time loop.  The stepper
 and the boundary data evaluate it; the residual of a solve reuses the
 predictor's H rows (H lagged at each level, the same values bit for bit), so
-H is formed once per time level.  H leaves out beta u_y where beta is 0 at
-every node and q r where it is +-0 at every node; both skips keep the bits.
+H is formed once per time level.  Like the path step, H leaves out beta u_y
+and q r where `MarketModel.coefficients_at` reads beta or r as None.
 A time step writes only into rows that the solve allocates once: the
 stencil row, both right-hand sides, H and the kernel's values are formed in
 place, and a step allocates nothing but the kernel's region masks.
@@ -201,21 +201,18 @@ def _operator(m: MarketModel, k: UncertaintyRectangle, q: float, y: np.ndarray):
     per solve, with the scratch rows of an out of y's shape; without out, h
     allocates its result and scratch.
 
-    beta u_y is left out where beta is 0 at every node, and q r where it is
-    +-0 at every node, with the same bits: u_y is finite once the kernel has
-    checked kappa, so beta u_y is +-0, and neither u_y^2/2 nor beta u_y +
-    u_y^2/2 is ever -0.
+    beta u_y and q r are left out where MarketModel.coefficients_at reads
+    beta or r as None (the constant 0.0), as in the path step.
 
     Raises SolverError naming the first node where b + mu_minus < 0 (A3)."""
     min_ratio = ratio_kernel(checked_b(m, k, y), k)
-    beta = np.asarray(m.beta(y))
-    qr = q * np.asarray(m.r(y))
-    beta = beta if np.any(beta) else None
-    qr = qr if np.any(qr) else None
+    _, beta, r = m.coefficients_at(y)
     coef = q / (2.0 * (1.0 - q))  # > 0 for q in (0,1), < 0 for q < 0
     # the scalars as 0-d arrays: a ufunc then takes them without converting
     # a Python float on each call, with the same bits
     coef, rho, half = np.asarray(coef), np.asarray(m.rho), np.asarray(0.5)
+    beta = None if beta is None else np.asarray(beta)
+    qr = None if r is None else np.asarray(q * r)
     held = np.empty(y.shape), np.empty(y.shape)
 
     def h(u_y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

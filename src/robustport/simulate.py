@@ -11,7 +11,7 @@ adversary moments (mu_m, sig_m, sig2_m) at the current (t, Y),
 The adversary takes one of three forms: a fixed point (mu, sigma) of K; the
 worst-case measure field nu*(t, y) applied through its moments (a relaxed
 control); or the same field realized by chattering, where each path draws one
-atom of nu*(t, Y) per step.
+atom of nu*(t, Y) per step (worst_case.draw_sigma).
 
 Reproducibility: paths are processed in fixed batches of 65536.  Batch b draws
 its two normal increments per step from
@@ -45,10 +45,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import MarketModel, PowerUtility, UncertaintyRectangle, smoothstep
+from .model import MarketModel, PowerUtility, UncertaintyRectangle
 from .pde import ValueSurface
 from .strategy import PolicyField, value_function
-from .worst_case import measure_moments
+from .worst_case import draw_sigma, drawable_sigmas, measure_moments, sure_sigma
 
 __all__ = [
     "BATCH_SIZE",
@@ -141,14 +141,14 @@ class AdversaryPolicy:
         """(mu, sigma, sigma^2) as scalars where the paths see them at every
         node and draw, else None: a point's moments, a one-node field's (its
         PolicyField.one_node), or under chattering on one node the point of
-        the one sigma it can draw there (_drawable).  Formed once and shared:
-        never write into it."""
+        the one sigma it can draw there (sure_sigma).  Formed once and
+        shared: never write into it."""
         if self.pf is None:
             return _point_moments(*self.point)
         node = self.pf.one_node
         if node is not None and self.chatter:
-            sigs = _drawable(*node[1:])
-            node = None if np.any(sigs != sigs[0]) else (node[0], sigs[0], sigs[0], 1.0)
+            sig = sure_sigma(*node[1:])
+            node = None if sig is None else (node[0], sig, sig, 1.0)
         return None if node is None else measure_moments(*node)
 
     @property
@@ -158,14 +158,14 @@ class AdversaryPolicy:
 
     def moments(self, t: float, y: np.ndarray, u: np.ndarray | None):
         """(mu, sigma, sigma^2) seen by the paths at (t, y): fixed where it is
-        not None.  Only draws_atoms reads u, one uniform per path: a path
-        takes atom a where its uniform falls below weight_a."""
+        not None.  Only draws_atoms reads u, one uniform per path, with
+        which each path draws its atom (draw_sigma)."""
         if self.fixed is not None:
             return self.fixed
         if not self.chatter:
             return self.pf.moments_at(t, y)
         mu, sig_a, sig_b, w_a = self.pf.one_node or self.pf.atoms_at(t, y)
-        sig = np.where(u < w_a, sig_a, sig_b)
+        sig = draw_sigma(sig_a, sig_b, w_a, u)
         del sig_a, sig_b, w_a  # before the moments' temporaries: a lower peak
         return _point_moments(mu, sig)
 
@@ -180,18 +180,8 @@ class UtilityEstimate:
 
 
 def _point_moments(mu, sig):
-    """(mu, sigma, sigma^2) of the point (mu, sig), elementwise: the moments of
-    a one-atom measure."""
+    """The moments (mu, sigma, sigma^2) of the point (mu, sig), elementwise."""
     return measure_moments(mu, sig, sig, 1.0)
-
-
-def _drawable(sig_a, sig_b, w_a) -> np.ndarray:
-    """The sigmas chattering can draw from atoms (sig_a, sig_b, w_a), floats
-    or arrays of one shape, flattened: sigma_a where weight_a > 0 and
-    sigma_b where weight_a < 1 (a path takes atom a where its uniform, in
-    [0, 1), falls below weight_a: never below a NaN weight)."""
-    w_a = np.asarray(w_a)
-    return np.concatenate([np.asarray(sig_a)[w_a > 0], np.asarray(sig_b)[~(w_a >= 1.0)]])
 
 
 def _loadings(rho: float, sig_m, vol):
@@ -213,9 +203,9 @@ def _loading_key(adv: AdversaryPolicy, rho: float, cfg: SimConfig):
     (Y_T) is never read.  From adv's fixed moments where it has them, else
     at every node of the time rows those steps read (PolicyField.row_index)
     from its moments or, with chatter, from each atom it can draw
-    (_drawable) as a point.  None where those pairs differ or are none (a
-    field that is not one node at n_steps = 1), a loading is not finite or
-    the moments break (sigma, nu)^2 <= (sigma^2, nu)."""
+    (drawable_sigmas) as a point.  None where those pairs differ or are none
+    (a field that is not one node at n_steps = 1), a loading is not finite
+    or the moments break (sigma, nu)^2 <= (sigma^2, nu)."""
     if adv.fixed is not None:
         _, sig, sig2 = adv.fixed
     else:
@@ -223,7 +213,7 @@ def _loading_key(adv: AdversaryPolicy, rho: float, cfg: SimConfig):
         rows = sorted({pf.row_index(t) for t in _step_times(cfg)[:-1]})
         node = pf.one_node or tuple(
             a[rows] for a in (pf.atom_mu, pf.sigma_a, pf.sigma_b, pf.weight_a))
-        _, sig, sig2 = (_point_moments(node[0], _drawable(*node[1:])) if adv.chatter
+        _, sig, sig2 = (_point_moments(node[0], drawable_sigmas(*node[1:])) if adv.chatter
                         else measure_moments(*node))
     with np.errstate(divide="ignore", invalid="ignore"):
         load_w, load_perp = map(np.ravel, _loadings(rho, sig, np.sqrt(sig2)))
@@ -268,33 +258,6 @@ def _plan(groups, rho: float, cfg: SimConfig):
     return sets, slots
 
 
-def _coefficient(fn, y):
-    """fn(y): its one value as a float where fn is constant, else a row;
-    None where fn is the constant 0.0 (either sign), a term a step leaves out."""
-    if fn.kind != "constant":
-        return np.asarray(fn(y))
-    return fn.left if fn.left else None
-
-
-def _coefficients(fns, y) -> list:
-    """[_coefficient(fn, y) for fn in fns], bit for bit, forming one
-    smoothstep per distinct ramp tail radius: the ramps of a radius are
-    mapped from it, the last of them into it, so it dies with them."""
-    values = [None] * len(fns)
-    ramps = {}
-    for i, fn in enumerate(fns):
-        if fn.kind == "smooth-ramp":
-            ramps.setdefault(fn.tail_radius, []).append(i)
-        else:
-            values[i] = _coefficient(fn, y)
-    for n, (*shared, last) in ramps.items():
-        step = smoothstep(y, n)
-        for i in shared:
-            values[i] = fns[i].ramp_from(step, y)
-        values[last] = fns[last].ramp_from(step, y, out=step)
-    return values
-
-
 def _advance(policy, groups, lx, yv, m: MarketModel, t: float, dt: float, z, u):
     """One Euler step of one path set, in place: its ln X rows lx, one per
     scale of each (adversary, scales) group in order, and its factor row yv,
@@ -307,7 +270,7 @@ def _advance(policy, groups, lx, yv, m: MarketModel, t: float, dt: float, z, u):
     frac = (policy.fraction_at(t, yv) if isinstance(policy, PolicyField)
             else float(policy))
     # beta(Y) too, before the loop: a ramp shares b's smoothstep where their radii match
-    b_y, beta_y, r_y = _coefficients((m.b, m.beta, m.r), yv)
+    b_y, beta_y, r_y = m.coefficients_at(yv)
     rows = iter(lx)
     last = f = half_ff = None
     for n, (adv, scales) in enumerate(groups, 1):
@@ -435,9 +398,9 @@ def _resolve_q(policy, q) -> float:
 
 
 class _UtilityMoments:
-    """E[X_T^q / q] from terminal-wealth batches by a merge-safe (count, mean,
-    M2) accumulation: batch order is fixed, so the result is independent of
-    how batches would be distributed across workers."""
+    """E[X_T^q / q] from terminal-wealth batches by a (count, mean, M2)
+    accumulation, merged batch by batch in the fixed batch order; the
+    threads of a batch's chunks never reach it."""
 
     def __init__(self, q: float):
         self.q = q

@@ -21,9 +21,9 @@ occur (the PDE's hot path; `min_ratio_values` is its one-shot form).
 `branch_fields` owns the measure: per node the region code and the four numbers
 (mu, sigma_a, sigma_b, weight_a) of weight_a d(mu, sigma_a) + (1 - weight_a)
 d(mu, sigma_b).  `WorstCaseMeasure` is one such node, and `measure_moments`
-is the one moment formula.  `minimize_ratio` composes kernel and measure at a
-single (b, kappa) on one preparation.  A brute-force grid search over atoms
-and Bernoulli mixtures is provided as an independent oracle.
+is the one moment formula, as `draw_sigma` is the one draw of an atom (by
+which `sure_sigma` collapses a node).  `minimize_ratio` composes kernel and
+measure at one (b, kappa); a brute-force grid search is an independent oracle.
 """
 
 from __future__ import annotations
@@ -90,6 +90,25 @@ def measure_moments(mu, sigma_a, sigma_b, weight_a):
             weight_a * (sigma_a * sigma_a) + weight_b * (sigma_b * sigma_b))
 
 
+def draw_sigma(sigma_a, sigma_b, weight_a, u):
+    """sigma_a where the uniform u in [0, 1) is below weight_a, else sigma_b."""
+    return np.where(u < weight_a, sigma_a, sigma_b)
+
+
+def drawable_sigmas(sigma_a, sigma_b, weight_a) -> np.ndarray:
+    """The volatilities draw_sigma can draw from atoms of one shape, flattened:
+    sigma_a where weight_a > 0, sigma_b where weight_a is < 1 or NaN."""
+    weight_a = np.asarray(weight_a)
+    return np.concatenate([np.asarray(sigma_a)[weight_a > 0],
+                           np.asarray(sigma_b)[~(weight_a >= 1.0)]])
+
+
+def sure_sigma(sigma_a, sigma_b, weight_a):
+    """The one volatility drawable_sigmas allows, or None (two or none)."""
+    sigmas = drawable_sigmas(sigma_a, sigma_b, weight_a)
+    return None if not sigmas.size or np.any(sigmas != sigmas[0]) else sigmas[0]
+
+
 @dataclass(frozen=True)
 class WorstCaseMeasure:
     """weight_a d(mu, sigma_a) + (1 - weight_a) d(mu, sigma_b): one node of
@@ -110,13 +129,12 @@ class WorstCaseMeasure:
 
     @property
     def atoms(self) -> tuple[tuple[tuple[float, float], float], ...]:
-        """((mu, sigma), weight) per atom.  A weight within 1e-12 of 1 or 0, or
-        equal volatilities, collapse the measure to a point."""
+        """((mu, sigma), weight) per atom: one, of weight 1, where a draw
+        gives one volatility only (sure_sigma), else two."""
         mu, s_a, s_b, w = self.mu, self.sigma_a, self.sigma_b, self.weight_a
-        if w >= 1.0 - 1e-12 or s_a == s_b:
-            return (((mu, s_a), 1.0),)
-        if w <= 1e-12:
-            return (((mu, s_b), 1.0),)
+        sigma = sure_sigma(s_a, s_b, w)
+        if sigma is not None:
+            return (((mu, float(sigma)), 1.0),)
         return (((mu, s_a), w), ((mu, s_b), 1.0 - w))
 
     def moments(self) -> tuple[float, float, float]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from robustport import GridSpec, build_policy, config, solve_hjbi
+from robustport import GridSpec, build_policy, cli, config, solve_hjbi
 from robustport.cli import _print_occupancy, main
 from robustport.config import (ConfigError, canonical_dict, dump_config,
                                load_config, parse_config, solve_config_hash)
@@ -250,6 +250,26 @@ class TestExitCodes:
         assert main(["convergence", "--config", write_config(tmp_path), "--out", str(out),
                      "--levels", "-1"]) == 2
         assert not (out / "convergence.csv").exists()
+
+    def test_grid_over_the_node_budget_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # smoke's level 3 (128001x1601, about 8 GB to solve) is refused before
+        # any level is solved; its level 2 (32001x801) is within the budget
+        from robustport import pde
+        operators = []
+        monkeypatch.setattr(pde, "_operator", lambda *args: operators.append(args))
+        smoke = str(Path(__file__).resolve().parents[1] / "configs" / "smoke.yaml")
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", smoke, "--out", str(out),
+                     "--levels", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: level 3 grid 128001x1601 has 204929601 "
+                                f"nodes, more than the {1 << 25} a solve may take\n")
+        assert captured.out == "" and operators == [] and not out.exists()
+        assert main(["solve", "--config", smoke, "--out", str(out),
+                     "--grid", "100001,1001"]) == 2
+        assert "grid 100001x1001 has 100101001 nodes" in capsys.readouterr().err
+        assert operators == [] and not out.exists()
+        assert 32001 * 801 <= cli.MAX_GRID_NODES
 
     def test_small_oracle_resolution_is_config_error(self, tmp_path):
         # above 2000 is refused before brute_force_min allocates its n x n grids

@@ -4,8 +4,9 @@ import pytest
 from robustport import (CoefficientFn, GridSpec, MarketModel, PowerUtility,
                         UncertaintyRectangle, default_y_radius,
                         validate_assumptions)
+from robustport import model
 
-from oracles import smooth_ramp
+from oracles import record_results, smooth_ramp, words
 
 
 class TestCoefficientFn:
@@ -173,6 +174,42 @@ class TestMarketModel:
         with pytest.raises(ValueError):
             MarketModel(CoefficientFn.constant(0.0), CoefficientFn.constant(0.0),
                         CoefficientFn.constant(-0.01), rho=0.5)
+
+
+class TestSharedSmoothstep:
+    """MarketModel.coefficients_at evaluates b, beta and r with one
+    smoothstep per distinct ramp tail radius, with the bits of separate
+    CoefficientFn calls."""
+
+    @pytest.mark.parametrize("radii, kinds", [
+        ((2.0, 2.0, 2.0), "rrr"), ((2.0, 1.0, 2.0), "rrr"), ((1.5, 1.5, 1.5), "rcr"),
+        ((2.0, 2.0, 1.0), "rrp")])
+    def test_shared_ramps_match_separate_calls(self, monkeypatch, radii, kinds):
+        ends = [(-0.0, 0.2), (0.1, -0.1), (0.03, -0.0)]
+        fns = [CoefficientFn.ramp(*e, n) if kind == "r"
+               else CoefficientFn.constant(0.0) if kind == "c"
+               else CoefficientFn.piecewise(*e, n, [(0.0, 0.05)])
+               for kind, e, n in zip(kinds, ends, radii)]
+        edges = [v for n in set(radii)
+                 for v in (-n, n, np.nextafter(-n, 0.0), np.nextafter(n, 0.0),
+                           -n - 1e-9, n + 0.5)]
+        y = np.concatenate([[-0.0, 0.0, 1e300, -np.inf, np.inf], edges,
+                            np.random.default_rng(2).normal(0.0, 1.5, 4001)])
+        steps = record_results(monkeypatch, model, "smoothstep", len)
+        got = MarketModel(*fns, rho=0.5).coefficients_at(y)
+        assert len(steps) == len({n for kind, n in zip(kinds, radii) if kind == "r"})
+        # the constant 0.0 is a term the steppers leave out
+        assert list(map(words, got)) == [None if kind == "c" else words(fn(y))
+                                         for kind, fn in zip(kinds, fns)]
+        assert [words(v) for v, kind in zip(got, kinds) if kind == "r"] == [
+            words(smooth_ramp(y, fn.left, fn.right, fn.tail_radius))
+            for fn, kind in zip(fns, kinds) if kind == "r"]
+
+    def test_constants_are_floats_and_zeros_are_left_out(self):
+        m = MarketModel(CoefficientFn.constant(-0.3), CoefficientFn.constant(-0.0),
+                        CoefficientFn.constant(0.0), rho=0.5)
+        got = m.coefficients_at(np.linspace(-1.0, 1.0, 5))
+        assert got == [-0.3, None, None] and type(got[0]) is float
 
 
 class TestValidateAssumptions:

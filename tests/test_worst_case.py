@@ -5,8 +5,8 @@ import pytest
 
 from robustport import UncertaintyRectangle, worst_case
 from robustport.worst_case import (BranchRegion, WorstCaseMeasure, branch_fields,
-                                   brute_force_min, measure_moments, min_ratio_values,
-                                   minimize_ratio, ratio_kernel)
+                                   brute_force_min, draw_sigma, measure_moments,
+                                   min_ratio_values, minimize_ratio, ratio_kernel)
 
 from oracles import nested_ratio_values, psi, psi_critical_points
 
@@ -695,7 +695,19 @@ class TestWorstCaseMeasure:
         assert WorstCaseMeasure(0.1, 0.2, 0.4, 1.0).atoms == (((0.1, 0.2), 1.0),)
         assert WorstCaseMeasure(0.1, 0.2, 0.4, 0.0).atoms == (((0.1, 0.4), 1.0),)
         assert WorstCaseMeasure(0.1, 0.3, 0.3, 0.4).atoms == (((0.1, 0.3), 1.0),)
-        # a weight within 1e-12 of 1 or 0 is a point too
-        assert WorstCaseMeasure(0.1, 0.2, 0.4, 1.0 - 1e-13).atoms == (((0.1, 0.2), 1.0),)
-        assert WorstCaseMeasure(0.1, 0.2, 0.4, 1e-13).atoms == (((0.1, 0.4), 1.0),)
+        # a weight short of 1 or above 0 by any amount leaves both atoms
+        # drawable (worst_case.draw_sigma), so the measure keeps both
+        assert WorstCaseMeasure(0.1, 0.2, 0.4, 1.0 - 1e-13).atoms == (
+            ((0.1, 0.2), 1.0 - 1e-13), ((0.1, 0.4), 1.0 - (1.0 - 1e-13)))
+        assert WorstCaseMeasure(0.1, 0.2, 0.4, 1e-13).atoms == (
+            ((0.1, 0.2), 1e-13), ((0.1, 0.4), 1.0 - 1e-13))
         assert len(WorstCaseMeasure(0.1, 0.2, 0.4, 1e-11).atoms) == 2
+
+    @pytest.mark.parametrize("weight", [0.0, 5e-324, 1e-13, 0.5, 1.0 - 2.0**-53, 1.0])
+    @pytest.mark.parametrize("sigma_b", [0.2, 0.4])
+    def test_atoms_are_the_drawable_volatilities(self, weight, sigma_b):
+        # the least and the greatest uniform in [0, 1) draw every volatility
+        # a path can draw: the atoms are exactly those
+        u = np.array([0.0, np.nextafter(1.0, 0.0)])
+        atoms = WorstCaseMeasure(0.1, 0.2, sigma_b, weight).atoms
+        assert {sig for (_, sig), _ in atoms} == set(draw_sigma(0.2, sigma_b, weight, u).tolist())
