@@ -251,7 +251,7 @@ def cmd_convergence(args) -> int:
                          "residual": res, "ratio": ratio})
             msg = f"level {level}: ({g.n_t}, {g.n_y}) residual = {res:.4e}"
             if ratio is not None:
-                msg += f"  improvement x{ratio:.2f}"
+                msg += f"  residual ratio x{ratio:.2f}"
             print(msg)
             prev = res
     except SolverError as exc:

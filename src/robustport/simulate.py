@@ -28,17 +28,22 @@ path (a path set, _loading_key), and pairs of one set that form the same
 moments at the same scale share one ln X row (_entry_key, from
 AdversaryPolicy.fixed); _plan lays both out.  Each step advances the
 batch's paths in column chunks of at least 16384, one per CPU, on threads
-in the caller's numpy error state.  Each row keeps the operands of its pair
-run alone and each path its own columns, so any grouping or chunking gives
-every estimate, and every error, bit for bit as the pair run alone.
+in the caller's numpy error state.  With two or more chunks the calling
+thread advances the first, then draws the next step's normals and uniforms
+while a pool advances the others; the first chunk's width follows the
+previous step's timings, so that both sides end together.  The draws are
+made in the same order and shapes as with one chunk.  Each row keeps the
+operands of its pair run alone and each path its own columns, so any
+grouping or chunking gives every estimate, and every error, bit for bit as
+the pair run alone.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
 from contextvars import copy_context
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,7 +53,7 @@ import numpy as np
 from .model import MarketModel, PowerUtility, UncertaintyRectangle
 from .pde import ValueSurface
 from .strategy import PolicyField, value_function
-from .worst_case import draw_sigma, drawable_sigmas, measure_moments, sure_sigma
+from .worst_case import all_finite, draw_sigma, drawable_sigmas, measure_moments, sure_sigma
 
 __all__ = [
     "BATCH_SIZE",
@@ -180,8 +185,16 @@ class UtilityEstimate:
 
 
 def _point_moments(mu, sig):
-    """The moments (mu, sigma, sigma^2) of the point (mu, sig), elementwise."""
-    return measure_moments(mu, sig, sig, 1.0)
+    """The moments (mu, sigma, sigma^2) of the point (mu, sig), elementwise:
+    measure_moments(mu, sig, sig, 1.0) in 4 operations, not 7.  sigma^2 has
+    its bits everywhere (NaN where sig * sig is not finite), sigma wherever
+    sig * sig is finite.  Where a finite sig squares to infinity sigma is
+    NaN, not sig; sigma^2 is NaN there either way, so the moments break
+    alike.  zero is +0 or NaN, so sig - zero keeps a -0."""
+    sq = sig * sig
+    zero = 0.0 * sq
+    sq += zero  # in place where sig is a row: measure_moments' peak
+    return mu, sig - zero, sq
 
 
 def _loadings(rho: float, sig_m, vol):
@@ -322,8 +335,11 @@ def _n_rows(groups) -> int:
 def _log_wealth(policy, sets, m: MarketModel, cfg: SimConfig, bi: int) -> np.ndarray:
     """ln X_T on the paths of batch bi, one row per scale of each (adversary,
     scales) group of each path set, set by set and in order; sets lists each
-    set's groups.  A non-finite ln X raises FloatingPointError naming the
-    batch's first such path in the first path set that has one."""
+    set's groups.  A batch of fewer than 2 * _CHUNK_MIN paths, or on one
+    CPU, draws and advances each step on the calling thread; a larger one
+    in chunks (_advance_drawing_ahead).  A non-finite ln X raises
+    FloatingPointError naming the batch's first such path in the first path
+    set that has one."""
     dt = cfg.horizon / cfg.n_steps
     sq_dt = math.sqrt(dt)
     nb = min(BATCH_SIZE, cfg.n_paths - bi * BATCH_SIZE)
@@ -335,35 +351,78 @@ def _log_wealth(policy, sets, m: MarketModel, cfg: SimConfig, bi: int) -> np.nda
     blocks = np.split(ln_x, np.cumsum([_n_rows(groups) for groups in sets])[:-1])
     yvs = np.full((len(sets), nb), cfg.y0)
     n = max(1, min(_CPUS, nb // _CHUNK_MIN))
-    first, *rest = (slice(nb * c // n, nb * (c + 1) // n) for c in range(n))
-    with ThreadPoolExecutor(n - 1) if rest else nullcontext() as pool:
+
+    def draw():
+        z = rng.standard_normal((2, nb))
+        z *= sq_dt
+        return z, None if uniforms is None else uniforms.random(nb)
+
+    if n == 1:
         for t in _step_times(cfg):
-            z = rng.standard_normal((2, nb))
-            z *= sq_dt
-            u = None if uniforms is None else uniforms.random(nb)
-            args = policy, sets, blocks, yvs, m, t, dt, z, u
-            # each chunk in the caller's numpy error state; all end before an error is raised
-            futures = [pool.submit(copy_context().run, _advance_chunk, sl, *args) for sl in rest]
-            try:
-                _advance_chunk(first, *args)
-            finally:
-                wait(futures)
-            for future in futures:  # the first error in chunk order
-                future.result()
+            _advance_chunk(slice(0, nb), policy, sets, blocks, yvs, m, t, dt, *draw())
+    else:
+        _advance_drawing_ahead(n, draw, _step_times(cfg), policy, sets, blocks, yvs, m, dt)
     for rows in blocks:
+        if all_finite(rows):
+            continue
         finite = np.all(np.isfinite(rows), axis=0)
-        if not np.all(finite):
-            bad = bi * BATCH_SIZE + int(np.argmin(finite))
-            raise FloatingPointError(f"non-finite wealth on path {bad}")
+        bad = bi * BATCH_SIZE + int(np.argmin(finite))
+        raise FloatingPointError(f"non-finite wealth on path {bad}")
     return ln_x
 
 
-def _advance_chunk(sl: slice, policy, sets, blocks, yvs, m, t, dt, z, u):
+def _advance_drawing_ahead(n: int, draw, times, policy, sets, blocks, yvs, m, dt):
+    """Every Euler step of a batch in n >= 2 column chunks: the calling
+    thread advances the first chunk of step t, then makes step t+1's draws
+    while a pool of n - 1 threads advances the others, each in the caller's
+    numpy error state.  The first chunk's width follows the previous step's
+    timings (_own_columns); every draw is the one a single chunk makes, in
+    order."""
+    nb = blocks[0].shape[1]
+    own = nb // n
+    z, u = draw()
+    with ThreadPoolExecutor(n - 1) as pool:
+        for k, t in enumerate(times):
+            args = policy, sets, blocks, yvs, m, t, dt, z, u
+            cuts = [own + (nb - own) * c // (n - 1) for c in range(n)]
+            futures = [pool.submit(copy_context().run, _advance_chunk, slice(a, b), *args)
+                       for a, b in zip(cuts, cuts[1:])]
+            start = time.perf_counter()
+            try:
+                _advance_chunk(slice(0, own), *args)
+                mid = time.perf_counter()
+                if k + 1 < len(times):
+                    z, u = draw()
+                draw_s = time.perf_counter() - mid
+            finally:
+                wait(futures)  # all end before an error is raised
+            pool_s = sum(future.result() for future in futures)  # the first error in chunk order
+            ahead = k + 2 < len(times)  # whether the next step draws too
+            own = _own_columns(nb, n, (mid - start) / own, pool_s / (nb - own),
+                               draw_s if ahead else 0.0)
+
+
+def _own_columns(nb: int, n: int, own_s: float, pool_s: float, draw_s: float) -> int:
+    """The calling thread's columns of the next step: with own_s seconds per
+    column on its chunk and pool_s on the pool's n - 1 chunks, which share
+    the other columns evenly, the width at which its chunk and then draw_s
+    seconds of draws end with the pool's chunks.  Kept to 1 ... nb - n + 1,
+    so that every chunk has a path."""
+    # own * own_s + draw_s == (nb - own) * pool_s / (n - 1)
+    shared_s = pool_s / (n - 1)
+    own = (nb * shared_s - draw_s) / (own_s + shared_s)
+    return min(max(round(own), 1), nb - n + 1)
+
+
+def _advance_chunk(sl: slice, policy, sets, blocks, yvs, m, t, dt, z, u) -> float:
     """One Euler step of the paths sl of every path set, in place: _advance
-    on column views, so each path reads and writes only its own columns."""
+    on column views, so each path reads and writes only its own columns.
+    Returns the seconds it took."""
+    start = time.perf_counter()
     for groups, lx, yv in zip(sets, blocks, yvs):
         _advance(policy, groups, lx[:, sl], yv[sl], m, t, dt, z[:, sl],
                  None if u is None else u[sl])
+    return time.perf_counter() - start
 
 
 def _wealth_batches(policy, sets, m: MarketModel, cfg: SimConfig):

@@ -458,16 +458,17 @@ class TestPipeline:
         assert rows[1] == "level,n_t,n_y,residual,ratio_to_previous"
         ratio = float(rows[3].split(",")[4])
         assert ratio >= 2.0
+        assert f"  residual ratio x{ratio:.2f}\n" in capsys.readouterr().out
 
     def test_convergence_zero_residual(self, tmp_path, capsys):
         # mu- = 0 with b = 0 gives H = 0, so u = 0 exactly at every level:
-        # there is no improvement ratio to report, and no division by 0
+        # there is no residual ratio to report, and no division by 0
         path = write_config(tmp_path, {"rectangle.mu_minus": 0.0,
                                        "grid.n_t": 3, "grid.n_y": 5})
         out = tmp_path / "conv"
         assert main(["convergence", "--config", path, "--out", str(out),
                      "--levels", "1"]) == 0
-        assert "improvement" not in capsys.readouterr().out
+        assert "residual ratio" not in capsys.readouterr().out
         rows = (out / "convergence.csv").read_text().splitlines()[2:]
         assert [row.split(",")[3:] for row in rows] == [["0", ""], ["0", ""]]
 

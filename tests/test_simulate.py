@@ -1,5 +1,7 @@
 import collections
 import dataclasses
+import math
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -13,8 +15,9 @@ from robustport import (AdversaryPolicy, CoefficientFn, GridSpec, MarketModel,
                         solve_hjbi, terminal_wealths, value_function, verify_saddle)
 from robustport import simulate
 from robustport.simulate import (BATCH_SIZE, _estimates, _log_wealth, _loading_key,
-                                 _n_rows, _plan, _saddle_adversaries, _step_times,
-                                 _wealth_batches)
+                                 _n_rows, _own_columns, _plan, _point_moments,
+                                 _saddle_adversaries, _step_times, _wealth_batches)
+from robustport.worst_case import drawable_sigmas, measure_moments
 
 from oracles import constant_field, lognormal_eu, record_results, traced_peak, words
 
@@ -357,6 +360,27 @@ class TestChattering:
         chat = simulate_eu(0.7, AdversaryPolicy.chattering(pf), m, cfg, q=0.5)
         se = np.hypot(moment.std_error, chat.std_error)
         assert abs(moment.mean - chat.mean) <= 3 * se
+
+    def test_atom_moments_keep_the_bits_of_a_one_atom_measure(self, tail_pipeline):
+        # the atoms chattering draws on the tail field, and the floats where
+        # the moments must break (NaN, so the invariant check raises): every
+        # bit as measure_moments forms it, but where a finite sigma squares to
+        # infinity, whose sigma^2 is NaN either way
+        _, _, pf = tail_pipeline
+        sig = np.concatenate([drawable_sigmas(pf.sigma_a, pf.sigma_b, pf.weight_a),
+                              [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200]])
+        mu = np.arange(sig.size, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _point_moments(mu, sig), measure_moments(mu, sig, sig, 1.0)
+            squares = np.isfinite(sig * sig) | ~np.isfinite(sig)
+        assert squares.sum() == sig.size - 2
+        assert got[0] is mu
+        assert got[2].tobytes() == want[2].tobytes()
+        assert got[1][squares].tobytes() == want[1][squares].tobytes()
+        assert np.all(np.isnan(got[1][~squares])) and np.all(np.isnan(got[2][~squares]))
+        for s in (0.0, -0.0, 0.3, math.inf, math.nan):  # a point's floats
+            assert np.array(_point_moments(0.1, s)).tobytes() == np.array(
+                measure_moments(0.1, s, s, 1.0)).tobytes()
 
 
 class TestVerifySaddle:
@@ -996,6 +1020,65 @@ class TestChunks:
         # 1 CPU builds no pool; 2 CPUs one 1-worker pool a batch; 3 CPUs 3
         # chunks of batch 0 and 2 of batch 1
         assert pools == [1, 1, 2, 1]
+        # from the second step on, the calling thread's chunk at its extremes:
+        # 1 path, or all but one path of each pool chunk (nb - 1 at 2 CPUs),
+        # with the threads switching as often as the interpreter lets them
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cut in (lambda nb, n, *_: 1, lambda nb, n, *_: nb - n + 1):
+                monkeypatch.setattr(simulate, "_own_columns", cut)
+                for cpus in (2, 3):
+                    monkeypatch.setattr(simulate, "_CPUS", cpus)
+                    assert [_log_wealth(policy, sets, m, cfg, bi).tobytes()
+                            for bi in (0, 1)] == rows[1]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n, own_s, pool_s, draw_s", [
+        (2, 1.0, 1.0, 0.0), (2, 1.0, 1.2, 0.3 * BATCH_SIZE), (3, 2.0, 1.0, 0.1 * BATCH_SIZE),
+        (2, 1.0, 1.0, 2.0 * BATCH_SIZE), (2, 1.0, 1e9, 0.0)])
+    def test_the_calling_thread_ends_with_the_pool(self, n, own_s, pool_s, draw_s):
+        # seconds per column on each side: the calling thread's chunk and its
+        # draws end within one column of each pool chunk, or the cut stops
+        # at one path a chunk
+        nb = BATCH_SIZE
+        own = _own_columns(nb, n, own_s, pool_s, draw_s)
+        assert 1 <= own <= nb - n + 1
+        gap = own * own_s + draw_s - (nb - own) / (n - 1) * pool_s
+        if 1 < own < nb - n + 1:
+            assert abs(gap) <= own_s + pool_s / (n - 1)
+        else:
+            assert gap > 0 if own == 1 else gap < 0
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("name, value, errstate, error, message", [
+        ("weight_a", 1.5, {}, AssertionError,
+         "internal invariant failure: (sigma,nu)^2 > (sigma^2,nu)"),
+        ("atom_mu", 1e308, {"over": "raise"}, FloatingPointError,
+         "overflow encountered in multiply"),
+        ("atom_mu", 1e308, {"all": "ignore"}, FloatingPointError,
+         "non-finite wealth on path 759"),
+    ])
+    def test_error_in_a_pool_chunk_while_drawing_ahead(self, monkeypatch, draws, cpus, name,
+                                                       value, errstate, error, message):
+        # from y0 = -1 the paths first reach the node y = 3 at step 1 of 3,
+        # while the calling thread, its chunk cut to path 0 alone, draws
+        # step 2: the pool's chunks raise, or overflow, as one chunk does
+        m = const_model(rho=0.5)
+        adv = tail_node_field(name, value)
+        cfg = dataclasses.replace(TAIL_NODE_CFG, n_steps=3, y0=-1.0)
+        monkeypatch.setattr(simulate, "_own_columns", lambda nb, n, *_: 1)
+        before = threading.enumerate()
+        for n in (1, cpus):
+            monkeypatch.setattr(simulate, "_CPUS", n)
+            draws.clear()
+            with pytest.raises(error) as err, np.errstate(**errstate):
+                simulate_eu(2.0, adv, m, cfg, q=0.5)
+            assert str(err.value) == message
+            assert threading.enumerate() == before
+        # the calling thread had drawn step 2 when the pool's chunks failed
+        assert draws == {"standard_normal": 3}
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_chunks_run_in_the_callers_error_state(self, monkeypatch, cpus):
